@@ -113,7 +113,7 @@ def _parse_lambdas(spec: str) -> list[float]:
             if len(parts) != 3:
                 raise ValueError(f"range spec must be lo:hi:step, got {tok!r}")
             lo, hi, step = (float(p) for p in parts)
-            if step <= 0.0 or hi < lo:
+            if not (0.0 < step < math.inf and -math.inf < lo <= hi < math.inf):
                 raise ValueError(f"bad range {tok!r}")
             n = int(math.floor((hi - lo) / step + 1e-12))
             out.extend(lo + k * step for k in range(n + 1))
@@ -121,8 +121,8 @@ def _parse_lambdas(spec: str) -> list[float]:
             out.append(float(tok))
     if not out:
         raise ValueError("empty lambda spec")
-    if any(l <= 1.0 for l in out):
-        raise ValueError("all lambdas must exceed 1")
+    if not all(1.0 < l < math.inf for l in out):
+        raise ValueError("all lambdas must be finite and exceed 1")
     return out
 
 

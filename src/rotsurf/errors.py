@@ -30,7 +30,7 @@ class NotOnAxisError(RotsurfError):
 
 
 class InvalidLambdaError(RotsurfError):
-    """Shooting height lambda <= 1."""
+    """Shooting height lambda <= 1, or not finite."""
 
 
 class BracketError(RotsurfError):

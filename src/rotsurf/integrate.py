@@ -8,6 +8,13 @@ handled by events, not by implicit methods: stage evaluations that land
 outside the domain are clamped, and an accepted step whose end falls within
 ``boundary_eps`` of the boundary is cut at the contact event.
 
+Dense output is lazy: each accepted step keeps its size and its 7 stage
+derivatives, and the quartic coefficients are built on the step's first
+dense evaluation.  The stepping loop builds them itself only for the one
+step that brackets a boundary contact or a theta-target crossing, so
+callers that read only nodes and the termination record (shooting) never
+pay for them.
+
 Trajectory time t always increases with theta; backward integration runs in
 an internal parameter and is exposed with t = -sigma, so samples are always
 ascending in both t and theta.
@@ -100,8 +107,10 @@ class IntegratorConfig:
     theta_targets: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not 0.0 < self.max_time < math.inf:
+            raise ValueError("max_time must be positive and finite")
         if not 0.0 < self.min_step < self.max_step:
             raise ValueError("need 0 < min_step < max_step")
         if not self.boundary_eps > 0.0:
@@ -143,36 +152,79 @@ class EndInfo:
         return EndInfo(self.kind, tgt, ts, lp)
 
 
+def _dense_coef(h: float, stages) -> tuple:
+    """Quartic coefficients (rows for u, u^2, u^3, u^4) of one step.
+
+    stages holds the step's 7 stage derivatives flattened, (k1_theta, k1_z,
+    k1_x, k2_theta, ...).
+    """
+    return tuple(
+        tuple(h * sum(stages[3 * j + i] * _P[j][m] for j in range(7)) for i in range(3))
+        for m in range(4)
+    )
+
+
+def _horner(y0, coef, u: float) -> tuple[float, float, float]:
+    """The step interpolant y0 + u*c1 + u^2*c2 + u^3*c3 + u^4*c4 at u."""
+    c1, c2, c3, c4 = coef
+    return (
+        y0[0] + u * (c1[0] + u * (c2[0] + u * (c3[0] + u * c4[0]))),
+        y0[1] + u * (c1[1] + u * (c2[1] + u * (c3[1] + u * c4[1]))),
+        y0[2] + u * (c1[2] + u * (c2[2] + u * (c3[2] + u * c4[2]))),
+    )
+
+
+class _Dense:
+    """One accepted step's size and stage derivatives.
+
+    The quartic coefficients are built from them on first use and kept.  A
+    step's segment and all its mirrored or shifted copies share one _Dense,
+    so each step's coefficients are built at most once, and only for steps
+    that are evaluated.
+    """
+
+    __slots__ = ("h", "stages", "coef")
+
+    def __init__(self, h: float, stages: tuple):
+        self.h = h
+        self.stages = stages
+        self.coef = None
+
+    def coefficients(self) -> tuple:
+        coef = self.coef
+        if coef is None:
+            coef = self.coef = _dense_coef(self.h, self.stages)
+        return coef
+
+
 class _Segment:
     """One integration step's quartic interpolant, with output/time transforms.
 
     Evaluates y(t) = scale * p(u) + offset where u = a*t + b maps trajectory
     time onto the step's internal [0, 1] parameter.  Reflection and time
     shifts compose into (a, b, scale, offset), so mirrored and concatenated
-    trajectories keep full dense output.
+    trajectories keep full dense output.  The coefficients of p are built on
+    the first eval or deriv (see _Dense); mirrored and shifted copies do not
+    build them.
     """
 
-    __slots__ = ("t_lo", "t_hi", "a", "b", "y0", "coef", "scale", "offset")
+    __slots__ = ("t_lo", "t_hi", "a", "b", "y0", "dense", "scale", "offset")
 
-    def __init__(self, t_lo, t_hi, a, b, y0, coef, scale=(1.0, 1.0, 1.0), offset=(0.0, 0.0, 0.0)):
+    def __init__(self, t_lo, t_hi, a, b, y0, dense, scale=(1.0, 1.0, 1.0), offset=(0.0, 0.0, 0.0)):
         self.t_lo, self.t_hi = t_lo, t_hi
         self.a, self.b = a, b
         self.y0 = y0
-        self.coef = coef  # 4 rows of 3: coefficients of u, u^2, u^3, u^4
+        self.dense = dense
         self.scale, self.offset = scale, offset
 
     def eval(self, t: float) -> tuple[float, float, float]:
-        u = self.a * t + self.b
-        c1, c2, c3, c4 = self.coef
-        out = []
-        for i in range(3):
-            p = self.y0[i] + u * (c1[i] + u * (c2[i] + u * (c3[i] + u * c4[i])))
-            out.append(self.scale[i] * p + self.offset[i])
-        return tuple(out)
+        p0, p1, p2 = _horner(self.y0, self.dense.coefficients(), self.a * t + self.b)
+        s, o = self.scale, self.offset
+        return (s[0] * p0 + o[0], s[1] * p1 + o[1], s[2] * p2 + o[2])
 
     def deriv(self, t: float) -> tuple[float, float, float]:
         u = self.a * t + self.b
-        c1, c2, c3, c4 = self.coef
+        c1, c2, c3, c4 = self.dense.coefficients()
         out = []
         for i in range(3):
             dp = c1[i] + u * (2 * c2[i] + u * (3 * c3[i] + u * 4 * c4[i]))
@@ -188,7 +240,7 @@ class _Segment:
             -self.a,
             self.b + 2 * self.a * t_c,
             self.y0,
-            self.coef,
+            self.dense,
             tuple(r[i] * self.scale[i] for i in range(3)),
             tuple(r[i] * self.offset[i] + q[i] for i in range(3)),
         )
@@ -200,7 +252,7 @@ class _Segment:
             self.a,
             self.b - self.a * dt,
             self.y0,
-            self.coef,
+            self.dense,
             self.scale,
             (self.offset[0] + dtheta, self.offset[1], self.offset[2] + dx),
         )
@@ -326,10 +378,6 @@ class Trajectory:
         return 0.5 * (a + b)
 
 
-def _rhs(theta: float, z: float, sgn: float) -> tuple[float, float, float]:
-    return sgn * slope(theta, z), sgn * math.sin(theta), sgn * math.cos(theta)
-
-
 def _extrapolate_limit(sig_pts, th_pts, z_pts, sig_b):
     """Quadratic (Neville) extrapolation of (theta, z) to the arrival time."""
 
@@ -348,60 +396,78 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
     """Core stepping loop in internal time sigma >= 0.
 
     Returns (sig_nodes, y_nodes, raw_segments, stop) where raw segments hold
-    (sig0, h, y0, coef) and stop is an EndInfo in internal time.
+    (sig0, span, y0, dense) with dense a _Dense, and stop is an EndInfo in
+    internal time.
+
+    The stage, solution and error sums are written out over locals in the
+    tableau's left-to-right order, zero weights included, so every float
+    equals that of the textbook summation.  The field is (sgn * slope,
+    sgn * sin, sgn * cos) of (theta, z); x does not feed back.
     """
-    theta0, z0, x0 = y_start
-    y = (theta0, z0, x0)
-    f0 = _rhs(y[0], y[1], sgn)
+    sin, cos = math.sin, math.cos
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A[1:6]
+    b1, b2, b3, b4, b5, b6, _ = _B
+    e1, e2, e3, e4, e5, e6, e7 = _E
+    rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
+    max_step, min_step, max_time = cfg.max_step, cfg.min_step, cfg.max_time
+    targets = cfg.theta_targets
+
+    th, z, x = y_start
+    y = (th, z, x)
+    k1a, k1b, k1c = sgn * slope(th, z), sgn * sin(th), sgn * cos(th)
     sig = 0.0
-    h = min(cfg.max_step, 1e-3)
+    h = min(max_step, 1e-3)
     sig_nodes = [0.0]
     y_nodes = [y]
     segs = []
-    stop = None
-    targets = cfg.theta_targets
     last_rejected = False
 
-    if domain_gap(y[0], y[1]) <= 0.0:
+    if domain_gap(th, z) <= 0.0:
         raise DomainError("start state outside the domain")
 
-    while stop is None:
-        if sig >= cfg.max_time:
+    while True:
+        if sig >= max_time:
             stop = EndInfo("time_cap", t_star=sig)
             break
-        h = min(h, cfg.max_step, cfg.max_time - sig)
+        h = min(h, max_step, max_time - sig)
 
         # Stages 2..6, then the FSAL stage at y1 (row 7 of A equals b).
-        k = [f0]
-        for i in range(1, 6):
-            acc0 = acc1 = acc2 = 0.0
-            for j, aij in enumerate(_A[i]):
-                if aij != 0.0:
-                    kj = k[j]
-                    acc0 += aij * kj[0]
-                    acc1 += aij * kj[1]
-                    acc2 += aij * kj[2]
-            k.append(_rhs(y[0] + h * acc0, y[1] + h * acc1, sgn))
-        y1 = (
-            y[0] + h * sum(_B[j] * k[j][0] for j in range(6)),
-            y[1] + h * sum(_B[j] * k[j][1] for j in range(6)),
-            y[2] + h * sum(_B[j] * k[j][2] for j in range(6)),
-        )
-        k.append(_rhs(y1[0], y1[1], sgn))
-        err = [h * sum(_E[j] * k[j][i] for j in range(7)) for i in range(3)]
-        norm = 0.0
-        for i in range(3):
-            sc = cfg.abs_tol + cfg.rel_tol * max(abs(y[i]), abs(y1[i]))
-            norm += (err[i] / sc) ** 2
-        norm = math.sqrt(norm / 3.0)
-        bad = math.isnan(norm)
+        t_, z_ = th + h * (a21 * k1a), z + h * (a21 * k1b)
+        k2a, k2b, k2c = sgn * slope(t_, z_), sgn * sin(t_), sgn * cos(t_)
+        t_ = th + h * (a31 * k1a + a32 * k2a)
+        z_ = z + h * (a31 * k1b + a32 * k2b)
+        k3a, k3b, k3c = sgn * slope(t_, z_), sgn * sin(t_), sgn * cos(t_)
+        t_ = th + h * (a41 * k1a + a42 * k2a + a43 * k3a)
+        z_ = z + h * (a41 * k1b + a42 * k2b + a43 * k3b)
+        k4a, k4b, k4c = sgn * slope(t_, z_), sgn * sin(t_), sgn * cos(t_)
+        t_ = th + h * (a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a)
+        z_ = z + h * (a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b)
+        k5a, k5b, k5c = sgn * slope(t_, z_), sgn * sin(t_), sgn * cos(t_)
+        t_ = th + h * (a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a)
+        z_ = z + h * (a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b)
+        k6a, k6b, k6c = sgn * slope(t_, z_), sgn * sin(t_), sgn * cos(t_)
+        th1 = th + h * (b1 * k1a + b2 * k2a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a)
+        z1 = z + h * (b1 * k1b + b2 * k2b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b)
+        x1 = x + h * (b1 * k1c + b2 * k2c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c)
+        k7a, k7b, k7c = sgn * slope(th1, z1), sgn * sin(th1), sgn * cos(th1)
 
-        if bad or norm > 1.0:
-            fac = 0.2 if bad else max(0.2, 0.9 * norm ** _ORDER_EXP)
+        err = h * (e1 * k1a + e2 * k2a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
+        y_abs, y1_abs = abs(th), abs(th1)
+        norm = (err / (abs_tol + rel_tol * (y1_abs if y1_abs > y_abs else y_abs))) ** 2
+        err = h * (e1 * k1b + e2 * k2b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
+        y_abs, y1_abs = abs(z), abs(z1)
+        norm += (err / (abs_tol + rel_tol * (y1_abs if y1_abs > y_abs else y_abs))) ** 2
+        err = h * (e1 * k1c + e2 * k2c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
+        y_abs, y1_abs = abs(x), abs(x1)
+        norm += (err / (abs_tol + rel_tol * (y1_abs if y1_abs > y_abs else y_abs))) ** 2
+        norm = math.sqrt(norm / 3.0)
+
+        if not norm <= 1.0:  # too large, or NaN
+            fac = 0.2 if norm != norm else max(0.2, 0.9 * norm ** _ORDER_EXP)
             h_new = h * fac
-            if h_new < cfg.min_step:
-                if domain_gap(y[0], y[1]) < 10.0 * boundary_eps:
-                    stop = _contact_stop(sig_nodes, y_nodes, segs, sig, y, boundary_eps)
+            if h_new < min_step:
+                if domain_gap(th, z) < 10.0 * boundary_eps:
+                    stop = _contact_stop(sig_nodes, y_nodes, sig, y, boundary_eps)
                     break
                 raise StepUnderflowError(
                     f"step underflow at sigma={sig} away from the boundary")
@@ -409,42 +475,36 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
             last_rejected = True
             continue
 
-        # Dense coefficients of the accepted step.
-        coef = []
-        for m in range(4):
-            coef.append(tuple(h * sum(k[j][i] * _P[j][m] for j in range(7)) for i in range(3)))
-        coef = tuple(coef)
+        y1 = (th1, z1, x1)
+        dense = _Dense(h, (k1a, k1b, k1c, k2a, k2b, k2c, k3a, k3b, k3c, k4a, k4b, k4c,
+                           k5a, k5b, k5c, k6a, k6b, k6c, k7a, k7b, k7c))
 
-        def p_eval(u, yy=y, cc=coef):
-            return tuple(
-                yy[i] + u * (cc[0][i] + u * (cc[1][i] + u * (cc[2][i] + u * cc[3][i])))
-                for i in range(3)
-            )
-
-        # Event scan: boundary contact and theta-target crossings.
+        # Event scan: boundary contact and theta-target crossings.  Dense
+        # coefficients are built only for a step that brackets an event.
         u_event = None
         ev = None
-        g1 = domain_gap(y1[0], y1[1]) - boundary_eps
-        if g1 < 0.0:
+        if domain_gap(th1, z1) - boundary_eps < 0.0:
+            coef = dense.coefficients()
             a, b = 0.0, 1.0
             for _ in range(80):
                 m = 0.5 * (a + b)
-                thm, zm, _ = p_eval(m)
+                thm, zm, _x = _horner(y, coef, m)
                 if domain_gap(thm, zm) - boundary_eps < 0.0:
                     b = m
                 else:
                     a = m
             u_event, ev = b, ("boundary", None)
         for tgt in targets:
-            d0 = y[0] - tgt
-            d1 = y1[0] - tgt
+            d0 = th - tgt
+            d1 = th1 - tgt
             if d0 == 0.0:
                 continue  # crossing at a node belongs to the previous step
             if d0 * d1 < 0.0 or d1 == 0.0:
+                coef = dense.coefficients()
                 a, b = 0.0, 1.0
                 for _ in range(60):
                     m = 0.5 * (a + b)
-                    if (p_eval(m)[0] - tgt) * d0 > 0.0:
+                    if (_horner(y, coef, m)[0] - tgt) * d0 > 0.0:
                         a = m
                     else:
                         b = m
@@ -454,33 +514,36 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
 
         if ev is not None:
             sig_c = sig + u_event * h
-            y_c = p_eval(u_event)
+            y_c = _horner(y, dense.coef, u_event)
             # keep the full-step polynomial but restrict its valid span
-            segs.append((sig, u_event * h, h, y, coef))
+            segs.append((sig, u_event * h, y, dense))
             sig_nodes.append(sig_c)
             y_nodes.append(y_c)
             if ev[0] == "boundary":
-                stop = _contact_stop(sig_nodes, y_nodes, segs, sig_c, y_c, boundary_eps)
+                stop = _contact_stop(sig_nodes, y_nodes, sig_c, y_c, boundary_eps)
             else:
                 stop = EndInfo("theta_crossing", theta_target=ev[1], t_star=sig_c)
             break
 
-        segs.append((sig, h, h, y, coef))
+        segs.append((sig, h, y, dense))
         sig += h
         sig_nodes.append(sig)
         y_nodes.append(y1)
-        y = y1
-        f0 = k[6]
-        fac = min(5.0, max(0.2, 0.9 * norm ** _ORDER_EXP))
+        y, th, z, x = y1, th1, z1, x1
+        k1a, k1b, k1c = k7a, k7b, k7c
+        if norm == 0.0:
+            fac = 5.0  # the limit of the expression below as norm -> 0
+        else:
+            fac = min(5.0, max(0.2, 0.9 * norm ** _ORDER_EXP))
         if last_rejected:
             fac = min(fac, 1.0)
         last_rejected = False
-        h = min(h * fac, cfg.max_step)
+        h = min(h * fac, max_step)
 
     return sig_nodes, y_nodes, segs, stop
 
 
-def _contact_stop(sig_nodes, y_nodes, segs, sig_c, y_c, boundary_eps):
+def _contact_stop(sig_nodes, y_nodes, sig_c, y_c, boundary_eps):
     """Boundary-contact EndInfo with the limit point extrapolated past sig_c."""
     gap_c = domain_gap(y_c[0], y_c[1])
     pts = [(sig_c, y_c[0], y_c[1])]
@@ -508,13 +571,13 @@ def _finalized(sig_nodes, y_nodes, raw_segs, stop, direction, cfg, start_info):
     """Convert internal-time data into an ascending-t Trajectory."""
     sgn = 1.0 if direction > 0 else -1.0
     segments = []
-    for sig0, span, h_poly, y0, coef in raw_segs:
+    for sig0, span, y0, dense in raw_segs:
         if direction > 0:
             t_lo, t_hi = sig0, sig0 + span
         else:
             t_lo, t_hi = -(sig0 + span), -sig0
-        # u = (sigma - sig0)/h_poly with sigma = sgn * t
-        segments.append(_Segment(t_lo, t_hi, sgn / h_poly, -sig0 / h_poly, y0, coef))
+        # u = (sigma - sig0)/h with sigma = sgn * t
+        segments.append(_Segment(t_lo, t_hi, sgn / dense.h, -sig0 / dense.h, y0, dense))
     ts = [sgn * s for s in sig_nodes]
     ys = list(y_nodes)
     stop_t = None if stop.t_star is None else sgn * stop.t_star

@@ -85,8 +85,8 @@ def classify_lambda(
     side.  Heights just above the critical one legitimately cross theta = 0
     and are classified Periodic.
     """
-    if not lam > 1.0:
-        raise InvalidLambdaError(f"need lambda > 1, got {lam}")
+    if not 1.0 < lam < math.inf:
+        raise InvalidLambdaError(f"need finite lambda > 1, got {lam}")
     if abs(lam - SQRT2) <= tol_sphere:
         return LambdaClass(SPHERE, limit_point=(math.pi / 2.0, 0.0), span=SPHERE_HALF_SPAN)
 

@@ -75,6 +75,9 @@ class TestPortrait:
     def test_invalid_spec_exit_2(self, tmp_path):
         assert run("portrait", "--lambdas", "0.5,2.0:", "--out", tmp_path / "x.json") == 2
         assert run("portrait", "--lambdas", "1.0", "--out", tmp_path / "x.json") == 2
+        assert run("portrait", "--lambdas", "2,inf", "--out", tmp_path / "x.json") == 2
+        assert run("portrait", "--lambdas", "2:inf:0.5", "--out", tmp_path / "x.json") == 2
+        assert run("portrait", "--lambdas=-inf:2:0.5", "--out", tmp_path / "x.json") == 2
 
 
 class TestCurve:
@@ -97,6 +100,15 @@ class TestCurve:
 
     def test_missing_lambda_exit_2(self, tmp_path):
         assert run("curve", "--out", tmp_path / "x.csv") == 2
+        assert run("curve", "--lambda", "inf", "--out", tmp_path / "x.csv") == 2
+        assert run("curve", "--lambda", "4", "--span", "-1", "--out", tmp_path / "x.csv") == 2
+
+    def test_zero_error_norm_step(self, tmp_path):
+        # the span leaves a sliver last step whose error estimate is exactly 0
+        out = tmp_path / "c.csv"
+        assert run("curve", "--lambda", "7.990553728359371", "--span", "3.829698502067207",
+                   "--out", out) == 0
+        assert rs.ProfileCurve.read_csv(out).span[1] == pytest.approx(3.829698502067207)
 
 
 class TestMesh:

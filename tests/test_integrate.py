@@ -36,6 +36,19 @@ class TestScheme:
             IntegratorConfig(min_step=1.0, max_step=0.1)
         with pytest.raises(ValueError):
             IntegratorConfig(boundary_eps=-1.0)
+        for bad in ({"rel_tol": math.inf}, {"abs_tol": math.inf}, {"max_time": 0.0},
+                    {"max_time": -1.0}, {"max_time": math.inf}, {"max_time": math.nan}):
+            with pytest.raises(ValueError):
+                IntegratorConfig(**bad)
+
+    def test_accepted_step_sequence_pinned(self, cfg, lambda0):
+        # exact counts: any change to step control, stage arithmetic or event
+        # location that moves an accepted node shows up here
+        for lam, n_nodes in ((1.2, 112), (2.5, 177), (4.0, 117), (6.0, 85),
+                             (3.2136253987, 430)):
+            assert len(rs.backward_trajectory(lam, cfg).ts) == n_nodes
+        assert lambda0.iterations == 29
+        assert lambda0.value == 3.2136243981774015
 
     def test_design_order_convergence(self, cfg):
         # with slack tolerances the step cap drives the error: halving

@@ -40,7 +40,7 @@ class TestClassify:
             assert k.crossing_z > 1.0
 
     def test_rejects_low_lambda(self, cfg):
-        for lam in (1.0, 0.3, -2.0):
+        for lam in (1.0, 0.3, -2.0, math.inf, math.nan):
             with pytest.raises(InvalidLambdaError):
                 rs.classify_lambda(lam, cfg)
 
