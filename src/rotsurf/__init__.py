@@ -46,6 +46,7 @@ from .integrate import (
     integrate,
     launch_separatrix,
     reflect,
+    with_mirror,
 )
 from .profile import (
     ExtensionSpec,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidLambdaError, RotsurfError
 from .field import PhasePoint
-from .integrate import IntegratorConfig, concat, integrate, launch_separatrix, reflect
+from .integrate import IntegratorConfig, integrate, launch_separatrix, with_mirror
 from .profile import (
     ExtensionSpec,
     ProfileCurve,
@@ -100,6 +100,8 @@ def _write_text(path: str, text: str) -> None:
 
 # -- lambda specs ----------------------------------------------------------
 
+MAX_RANGE_LAMBDAS = 10_000  # heights one lo:hi:step range may expand to
+
 
 def _parse_lambdas(spec: str) -> list[float]:
     """Comma list (1.2,2.5) and/or colon ranges (2:4:0.5, endpoint included)."""
@@ -115,8 +117,10 @@ def _parse_lambdas(spec: str) -> list[float]:
             lo, hi, step = (float(p) for p in parts)
             if not (0.0 < step < math.inf and -math.inf < lo <= hi < math.inf):
                 raise ValueError(f"bad range {tok!r}")
-            n = int(math.floor((hi - lo) / step + 1e-12))
-            out.extend(lo + k * step for k in range(n + 1))
+            steps = (hi - lo) / step + 1e-12
+            if not steps < MAX_RANGE_LAMBDAS:  # also catches an infinite count
+                raise ValueError(f"range {tok!r} has more than {MAX_RANGE_LAMBDAS} heights")
+            out.extend(lo + k * step for k in range(int(math.floor(steps)) + 1))
         else:
             out.append(float(tok))
     if not out:
@@ -194,8 +198,7 @@ def _profile_for_lambda(lam: float, span: float, cfg: IntegratorConfig) -> Profi
         return separatrix_profile(cfg)
     run_cfg = replace(cfg, theta_targets=(), max_time=span)
     back = integrate(PhasePoint(math.pi, lam), "backward", run_cfg)
-    full = concat(back, reflect(back, 1))
-    return build_profile(full, kind=klass.tag)
+    return build_profile(with_mirror(back), kind=klass.tag)
 
 
 def cmd_curve(args) -> int:

@@ -8,12 +8,17 @@ handled by events, not by implicit methods: stage evaluations that land
 outside the domain are clamped, and an accepted step whose end falls within
 ``boundary_eps`` of the boundary is cut at the contact event.
 
-Dense output is lazy: each accepted step keeps its size and its 7 stage
-derivatives, and the quartic coefficients are built on the step's first
-dense evaluation.  The stepping loop builds them itself only for the one
-step that brackets a boundary contact or a theta-target crossing, so
-callers that read only nodes and the termination record (shooting) never
-pay for them.
+Dense output is one table per trajectory, numpy columns with a row per
+accepted step: its time span, the affine map onto the step's internal
+parameter, the start state, the step size and the 7 stage derivatives, and
+an output scale and offset (see Trajectory).  Reflection, time shifts and
+concatenation are column operations, and states_at evaluates many times
+at once by searchsorted plus Horner.  The quartic coefficients are lazy:
+they are built for the whole table in one vectorized pass on the first
+dense evaluation, so callers that read only nodes and the termination
+record (shooting) never pay for them.  The stepping loop builds them, with
+the same builder, only for the one step that brackets a boundary contact or
+a theta-target crossing.
 
 Trajectory time t always increases with theta; backward integration runs in
 an internal parameter and is exposed with t = -sigma, so samples are always
@@ -22,7 +27,6 @@ ascending in both t and theta.
 
 from __future__ import annotations
 
-import bisect as _bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -152,129 +156,58 @@ class EndInfo:
         return EndInfo(self.kind, tgt, ts, lp)
 
 
-def _dense_coef(h: float, stages) -> tuple:
-    """Quartic coefficients (rows for u, u^2, u^3, u^4) of one step.
+_P_COLS = np.array(_P)[:, :, None]  # (7, 4, 1): stage j, power m
 
-    stages holds the step's 7 stage derivatives flattened, (k1_theta, k1_z,
-    k1_x, k2_theta, ...).
+
+def _dense_coef(h: np.ndarray, stages: np.ndarray) -> np.ndarray:
+    """Quartic coefficients coef[n, m, i] of n steps (m = 0..3 for u .. u^4).
+
+    h has shape (n,) and stages (n, 7, 3), the 7 stage derivatives of each
+    step.  Each coefficient is h * (0.0 + k_1 P_1 + ... + k_7 P_7), summed
+    left to right: the bits of the scalar per-step expression this table
+    replaced (plain builtins.sum, Python <= 3.11).
     """
-    return tuple(
-        tuple(h * sum(stages[3 * j + i] * _P[j][m] for j in range(7)) for i in range(3))
-        for m in range(4)
-    )
+    acc = 0.0 + stages[:, 0, None, :] * _P_COLS[0]
+    for j in range(1, 7):
+        acc = acc + stages[:, j, None, :] * _P_COLS[j]
+    return h[:, None, None] * acc
 
 
-def _horner(y0, coef, u: float) -> tuple[float, float, float]:
-    """The step interpolant y0 + u*c1 + u^2*c2 + u^3*c3 + u^4*c4 at u."""
+def _quartic(y0, coef, u):
+    """The step interpolant y0 + u*c1 + u^2*c2 + u^3*c3 + u^4*c4 at u.
+
+    Elementwise: floats for one component, or arrays for many rows.
+    """
     c1, c2, c3, c4 = coef
-    return (
-        y0[0] + u * (c1[0] + u * (c2[0] + u * (c3[0] + u * c4[0]))),
-        y0[1] + u * (c1[1] + u * (c2[1] + u * (c3[1] + u * c4[1]))),
-        y0[2] + u * (c1[2] + u * (c2[2] + u * (c3[2] + u * c4[2]))),
-    )
-
-
-class _Dense:
-    """One accepted step's size and stage derivatives.
-
-    The quartic coefficients are built from them on first use and kept.  A
-    step's segment and all its mirrored or shifted copies share one _Dense,
-    so each step's coefficients are built at most once, and only for steps
-    that are evaluated.
-    """
-
-    __slots__ = ("h", "stages", "coef")
-
-    def __init__(self, h: float, stages: tuple):
-        self.h = h
-        self.stages = stages
-        self.coef = None
-
-    def coefficients(self) -> tuple:
-        coef = self.coef
-        if coef is None:
-            coef = self.coef = _dense_coef(self.h, self.stages)
-        return coef
-
-
-class _Segment:
-    """One integration step's quartic interpolant, with output/time transforms.
-
-    Evaluates y(t) = scale * p(u) + offset where u = a*t + b maps trajectory
-    time onto the step's internal [0, 1] parameter.  Reflection and time
-    shifts compose into (a, b, scale, offset), so mirrored and concatenated
-    trajectories keep full dense output.  The coefficients of p are built on
-    the first eval or deriv (see _Dense); mirrored and shifted copies do not
-    build them.
-    """
-
-    __slots__ = ("t_lo", "t_hi", "a", "b", "y0", "dense", "scale", "offset")
-
-    def __init__(self, t_lo, t_hi, a, b, y0, dense, scale=(1.0, 1.0, 1.0), offset=(0.0, 0.0, 0.0)):
-        self.t_lo, self.t_hi = t_lo, t_hi
-        self.a, self.b = a, b
-        self.y0 = y0
-        self.dense = dense
-        self.scale, self.offset = scale, offset
-
-    def eval(self, t: float) -> tuple[float, float, float]:
-        p0, p1, p2 = _horner(self.y0, self.dense.coefficients(), self.a * t + self.b)
-        s, o = self.scale, self.offset
-        return (s[0] * p0 + o[0], s[1] * p1 + o[1], s[2] * p2 + o[2])
-
-    def deriv(self, t: float) -> tuple[float, float, float]:
-        u = self.a * t + self.b
-        c1, c2, c3, c4 = self.dense.coefficients()
-        out = []
-        for i in range(3):
-            dp = c1[i] + u * (2 * c2[i] + u * (3 * c3[i] + u * 4 * c4[i]))
-            out.append(self.scale[i] * dp * self.a)
-        return tuple(out)
-
-    def mirrored(self, n: int, t_c: float, x_c: float) -> "_Segment":
-        r = (-1.0, 1.0, -1.0)
-        q = (2 * n * math.pi, 0.0, 2 * x_c)
-        return _Segment(
-            2 * t_c - self.t_hi,
-            2 * t_c - self.t_lo,
-            -self.a,
-            self.b + 2 * self.a * t_c,
-            self.y0,
-            self.dense,
-            tuple(r[i] * self.scale[i] for i in range(3)),
-            tuple(r[i] * self.offset[i] + q[i] for i in range(3)),
-        )
-
-    def shifted(self, dt: float, dtheta: float, dx: float) -> "_Segment":
-        return _Segment(
-            self.t_lo + dt,
-            self.t_hi + dt,
-            self.a,
-            self.b - self.a * dt,
-            self.y0,
-            self.dense,
-            self.scale,
-            (self.offset[0] + dtheta, self.offset[1], self.offset[2] + dx),
-        )
+    return y0 + u * (c1 + u * (c2 + u * (c3 + u * c4)))
 
 
 class Trajectory:
     """Dense, adaptively sampled integral curve with a termination record.
 
-    Samples are ascending in t, and theta is strictly increasing across them
-    (the field's first component is positive on the domain, so the angle
-    function is monotone by construction).
+    Samples (nodes) are ascending in t, and theta is strictly increasing
+    across them (the field's first component is positive on the domain, so
+    the angle function is monotone by construction).
+
+    The dense output is one table of numpy columns with a row per step,
+    ascending in t: the step covers [t_lo, t_hi], maps t onto its internal
+    parameter u = a*t + b, starts at y0 with size h and 7 stage derivatives
+    (stages[n, 7, 3]), and evaluates to scale * p(u) + offset with p the
+    quartic interpolant.  Reflection and time shifts compose into (a, b,
+    scale, offset), so mirrored and concatenated trajectories keep full dense
+    output.  The coefficients of p (coef[n, 4, 3]) are built for all rows
+    in one pass on the first dense evaluation and kept.
     """
 
-    def __init__(self, ts, ys, segments, left_info, right_info, direction, cfg):
+    def __init__(self, ts, ys, table, left_info, right_info, direction, cfg):
         self.ts = np.asarray(ts, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
-        self.segments = segments
+        self.table = table
         self.left_info = left_info
         self.right_info = right_info
         self.direction = direction
         self.cfg = cfg
-        self._seg_los = [s.t_lo for s in segments]
+        self._coef = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -310,22 +243,37 @@ class Trajectory:
 
     # -- dense output ------------------------------------------------------
 
-    def _segment_for(self, t: float) -> _Segment:
+    def states_at(self, ts, deriv: bool = False) -> np.ndarray:
+        """Rows (theta, z, x) of the dense output at the times ts.
+
+        With deriv, rows of d(theta, z, x)/dt of the interpolant (not of the
+        field).  Times within a relative 1e-9 outside the span are taken by
+        the end steps; farther ones raise RangeError.
+        """
+        ts = np.asarray(ts, dtype=float).reshape(-1)
         lo, hi = self.t_span
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-        if t < lo - slack or t > hi + slack:
-            raise RangeError(f"t={t} outside span [{lo}, {hi}]")
-        t = min(max(t, lo), hi)
-        i = _bisect.bisect_right(self._seg_los, t) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
-        return self.segments[i]
+        outside = (ts < lo - slack) | (ts > hi + slack)
+        if outside.any():
+            raise RangeError(f"t={ts[outside][0]} outside span [{lo}, {hi}]")
+        tab = self.table
+        if self._coef is None:
+            self._coef = _dense_coef(tab["h"], tab["stages"])
+        i = np.searchsorted(tab["t_lo"], np.clip(ts, lo, hi), side="right") - 1
+        i = np.clip(i, 0, len(tab["t_lo"]) - 1)
+        a = tab["a"][i, None]
+        u = a * ts[:, None] + tab["b"][i, None]
+        c1, c2, c3, c4 = self._coef[i].swapaxes(0, 1)
+        if deriv:
+            return tab["scale"][i] * (c1 + u * (2 * c2 + u * (3 * c3 + u * 4 * c4))) * a
+        return tab["scale"][i] * _quartic(tab["y0"][i], (c1, c2, c3, c4), u) + tab["offset"][i]
 
     def state_at(self, t: float) -> tuple[float, float, float]:
-        return self._segment_for(t).eval(t)
+        return tuple(self.states_at((t,))[0].tolist())
 
     def deriv_at(self, t: float) -> tuple[float, float, float]:
         """d(theta, z, x)/dt of the interpolant (not of the field)."""
-        return self._segment_for(t).deriv(t)
+        return tuple(self.states_at((t,), deriv=True)[0].tolist())
 
     def dense_eval(self, t: float) -> TrajectorySample:
         th, z, x = self.state_at(t)
@@ -333,9 +281,7 @@ class Trajectory:
 
     def shifted(self, dt: float = 0.0, dtheta: float = 0.0, dx: float = 0.0) -> "Trajectory":
         """Translate in time, angle lift, and abscissa (all affine, dense output kept)."""
-        ys = self.ys.copy()
-        ys[:, 0] += dtheta
-        ys[:, 2] += dx
+        move = (dtheta, 0.0, dx)
 
         def sh(info: EndInfo) -> EndInfo:
             return EndInfo(
@@ -346,8 +292,10 @@ class Trajectory:
                 (info.limit_point[0] + dtheta, info.limit_point[1]),
             )
 
-        segs = [s.shifted(dt, dtheta, dx) for s in self.segments]
-        return Trajectory(self.ts + dt, ys, segs, sh(self.left_info),
+        tab = self.table
+        table = dict(tab, t_lo=tab["t_lo"] + dt, t_hi=tab["t_hi"] + dt,
+                     b=tab["b"] - tab["a"] * dt, offset=tab["offset"] + move)
+        return Trajectory(self.ts + dt, self.ys + move, table, sh(self.left_info),
                           sh(self.right_info), self.direction, self.cfg)
 
     def crossing_time(self, theta_target: float) -> float | None:
@@ -395,9 +343,11 @@ def _extrapolate_limit(sig_pts, th_pts, z_pts, sig_b):
 def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
     """Core stepping loop in internal time sigma >= 0.
 
-    Returns (sig_nodes, y_nodes, raw_segments, stop) where raw segments hold
-    (sig0, span, y0, dense) with dense a _Dense, and stop is an EndInfo in
-    internal time.
+    Returns (sig_nodes, y_nodes, hs, stages, stop): step i runs from node i
+    to node i + 1 with size hs[i] (the last step may be cut short at its
+    event); stages is one flat list of the steps' 7 stage derivatives
+    (k1_theta, k1_z, k1_x, k2_theta, ... of step 0, then step 1, ...); stop
+    is an EndInfo in internal time.
 
     The stage, solution and error sums are written out over locals in the
     tableau's left-to-right order, zero weights included, so every float
@@ -419,7 +369,8 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
     h = min(max_step, 1e-3)
     sig_nodes = [0.0]
     y_nodes = [y]
-    segs = []
+    hs = []
+    stages = []
     last_rejected = False
 
     if domain_gap(th, z) <= 0.0:
@@ -476,20 +427,21 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
             continue
 
         y1 = (th1, z1, x1)
-        dense = _Dense(h, (k1a, k1b, k1c, k2a, k2b, k2c, k3a, k3b, k3c, k4a, k4b, k4c,
-                           k5a, k5b, k5c, k6a, k6b, k6c, k7a, k7b, k7c))
+        k = (k1a, k1b, k1c, k2a, k2b, k2c, k3a, k3b, k3c, k4a, k4b, k4c,
+             k5a, k5b, k5c, k6a, k6b, k6c, k7a, k7b, k7c)
 
         # Event scan: boundary contact and theta-target crossings.  Dense
-        # coefficients are built only for a step that brackets an event.
+        # coefficients (one list per component) are built only for a step
+        # that brackets an event.
         u_event = None
         ev = None
+        coef = None
         if domain_gap(th1, z1) - boundary_eps < 0.0:
-            coef = dense.coefficients()
+            coef = _dense_coef(np.array([h]), np.reshape(k, (1, 7, 3)))[0].T.tolist()
             a, b = 0.0, 1.0
             for _ in range(80):
                 m = 0.5 * (a + b)
-                thm, zm, _x = _horner(y, coef, m)
-                if domain_gap(thm, zm) - boundary_eps < 0.0:
+                if domain_gap(_quartic(th, coef[0], m), _quartic(z, coef[1], m)) - boundary_eps < 0.0:
                     b = m
                 else:
                     a = m
@@ -500,11 +452,11 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
             if d0 == 0.0:
                 continue  # crossing at a node belongs to the previous step
             if d0 * d1 < 0.0 or d1 == 0.0:
-                coef = dense.coefficients()
+                coef = coef or _dense_coef(np.array([h]), np.reshape(k, (1, 7, 3)))[0].T.tolist()
                 a, b = 0.0, 1.0
                 for _ in range(60):
                     m = 0.5 * (a + b)
-                    if (_horner(y, coef, m)[0] - tgt) * d0 > 0.0:
+                    if (_quartic(th, coef[0], m) - tgt) * d0 > 0.0:
                         a = m
                     else:
                         b = m
@@ -514,9 +466,11 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
 
         if ev is not None:
             sig_c = sig + u_event * h
-            y_c = _horner(y, dense.coef, u_event)
+            y_c = (_quartic(th, coef[0], u_event), _quartic(z, coef[1], u_event),
+                   _quartic(x, coef[2], u_event))
             # keep the full-step polynomial but restrict its valid span
-            segs.append((sig, u_event * h, y, dense))
+            hs.append(h)
+            stages += k
             sig_nodes.append(sig_c)
             y_nodes.append(y_c)
             if ev[0] == "boundary":
@@ -525,7 +479,8 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
                 stop = EndInfo("theta_crossing", theta_target=ev[1], t_star=sig_c)
             break
 
-        segs.append((sig, h, y, dense))
+        hs.append(h)
+        stages += k
         sig += h
         sig_nodes.append(sig)
         y_nodes.append(y1)
@@ -540,7 +495,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
         last_rejected = False
         h = min(h * fac, max_step)
 
-    return sig_nodes, y_nodes, segs, stop
+    return sig_nodes, y_nodes, hs, stages, stop
 
 
 def _contact_stop(sig_nodes, y_nodes, sig_c, y_c, boundary_eps):
@@ -567,29 +522,33 @@ def _contact_stop(sig_nodes, y_nodes, sig_c, y_c, boundary_eps):
     return EndInfo("boundary_contact", t_star=sig_b, limit_point=(th0, z0))
 
 
-def _finalized(sig_nodes, y_nodes, raw_segs, stop, direction, cfg, start_info):
+def _finalized(sig_nodes, y_nodes, hs, stages, stop, direction, cfg, start_info):
     """Convert internal-time data into an ascending-t Trajectory."""
     sgn = 1.0 if direction > 0 else -1.0
-    segments = []
-    for sig0, span, y0, dense in raw_segs:
-        if direction > 0:
-            t_lo, t_hi = sig0, sig0 + span
-        else:
-            t_lo, t_hi = -(sig0 + span), -sig0
-        # u = (sigma - sig0)/h with sigma = sgn * t
-        segments.append(_Segment(t_lo, t_hi, sgn / dense.h, -sig0 / dense.h, y0, dense))
-    ts = [sgn * s for s in sig_nodes]
-    ys = list(y_nodes)
+    sig = np.asarray(sig_nodes)
+    ys = np.asarray(y_nodes, dtype=float)
+    h = np.asarray(hs, dtype=float)
+    ts = sgn * sig
+    table = {
+        "t_lo": ts[:-1] if direction > 0 else ts[1:],
+        "t_hi": ts[1:] if direction > 0 else ts[:-1],
+        "a": sgn / h,  # u = (sigma - sig0)/h with sigma = sgn * t
+        "b": -sig[:-1] / h,
+        "h": h,
+        "y0": ys[:-1],
+        "stages": np.fromiter(stages, float, len(stages)).reshape(-1, 7, 3),
+        "scale": np.ones((len(h), 3)),
+        "offset": np.zeros((len(h), 3)),
+    }
     stop_t = None if stop.t_star is None else sgn * stop.t_star
     stop = EndInfo(stop.kind, stop.theta_target, stop_t, stop.limit_point)
     if direction > 0:
         left, right = start_info, stop
     else:
-        ts.reverse()
-        ys.reverse()
-        segments.reverse()
+        ts, ys = ts[::-1], ys[::-1]
+        table = {key: col[::-1] for key, col in table.items()}
         left, right = stop, start_info
-    return Trajectory(ts, ys, segments, left, right, direction, cfg)
+    return Trajectory(ts, ys, table, left, right, direction, cfg)
 
 
 def integrate(start: PhasePoint, direction, cfg: IntegratorConfig) -> Trajectory:
@@ -611,8 +570,8 @@ def integrate(start: PhasePoint, direction, cfg: IntegratorConfig) -> Trajectory
     if not _field.in_domain(start):
         raise DomainError(f"start ({start.theta}, {start.z}) not in the domain")
     y0 = (start.theta, start.z, 0.0)
-    nodes, ys, segs, stop = _integrate_raw(y0, float(d), cfg, cfg.boundary_eps)
-    return _finalized(nodes, ys, segs, stop, d, cfg, EndInfo("initial"))
+    raw = _integrate_raw(y0, float(d), cfg, cfg.boundary_eps)
+    return _finalized(*raw, d, cfg, EndInfo("initial"))
 
 
 def launch_separatrix(cfg: IntegratorConfig, s0: float = 1e-3) -> Trajectory:
@@ -634,9 +593,8 @@ def launch_separatrix(cfg: IntegratorConfig, s0: float = 1e-3) -> Trajectory:
         raise SeedError(f"series seed at s0={s0} is outside the domain")
     run_cfg = replace(cfg, boundary_eps=min(cfg.boundary_eps, 0.25 * gap0),
                       theta_targets=(math.pi,))
-    nodes, ys, segs, stop = _integrate_raw((theta_s, z_s, 0.0), 1.0, run_cfg,
-                                           run_cfg.boundary_eps)
-    traj = _finalized(nodes, ys, segs, stop, 1, cfg, EndInfo("series_origin"))
+    raw = _integrate_raw((theta_s, z_s, 0.0), 1.0, run_cfg, run_cfg.boundary_eps)
+    traj = _finalized(*raw, 1, cfg, EndInfo("series_origin"))
     traj.series_s0 = s0
     return traj
 
@@ -655,16 +613,17 @@ def reflect(traj: Trajectory, n: int) -> Trajectory:
     th_c, z_c, x_c = traj.state_at(t_c)
     if not z_c > 1.0:
         raise NotOnAxisError(f"mirror point has z = {z_c} <= 1")
-    two_npi = 2 * n * math.pi
-    ts = (2 * t_c - traj.ts)[::-1].copy()
-    ys = traj.ys[::-1].copy()
-    ys[:, 0] = two_npi - ys[:, 0]
-    ys[:, 2] = 2 * x_c - ys[:, 2]
-    segments = [s.mirrored(n, t_c, x_c) for s in reversed(traj.segments)]
+    r = np.array([-1.0, 1.0, -1.0])
+    q = np.array([2 * n * math.pi, 0.0, 2 * x_c])
+    ts = (2 * t_c - traj.ts)[::-1]
+    ys = r * traj.ys[::-1] + q
+    tab = {key: col[::-1] for key, col in traj.table.items()}
+    tab.update(t_lo=2 * t_c - tab["t_hi"], t_hi=2 * t_c - tab["t_lo"], a=-tab["a"],
+               b=tab["b"] + 2 * tab["a"] * t_c, scale=r * tab["scale"],
+               offset=r * tab["offset"] + q)
     left = traj.right_info.mirrored(n, t_c, x_c)
     right = traj.left_info.mirrored(n, t_c, x_c)
-    out = Trajectory(ts, ys, segments, left, right, -traj.direction, traj.cfg)
-    return out
+    return Trajectory(ts, ys, tab, left, right, -traj.direction, traj.cfg)
 
 
 def concat(a: Trajectory, b: Trajectory, tol: float = 1e-8) -> Trajectory:
@@ -677,4 +636,10 @@ def concat(a: Trajectory, b: Trajectory, tol: float = 1e-8) -> Trajectory:
         raise ValueError(f"junction states differ beyond {tol}: {ya} vs {yb}")
     ts = np.concatenate([a.ts, b.ts[1:]])
     ys = np.concatenate([a.ys, b.ys[1:]])
-    return Trajectory(ts, ys, a.segments + b.segments, a.left_info, b.right_info, 0, a.cfg)
+    table = {key: np.concatenate([a.table[key], b.table[key]]) for key in a.table}
+    return Trajectory(ts, ys, table, a.left_info, b.right_info, 0, a.cfg)
+
+
+def with_mirror(half: Trajectory, n: int = 1) -> Trajectory:
+    """A trajectory followed by its mirror about theta = n*pi (see reflect)."""
+    return concat(half, reflect(half, n))

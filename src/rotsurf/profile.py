@@ -9,7 +9,7 @@ closed-form sphere follows the displayed parametrization centered at
 
 from __future__ import annotations
 
-import bisect as _bisect
+import contextlib
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -26,15 +26,24 @@ from .field import SQRT2, PhasePoint
 from .integrate import (
     IntegratorConfig,
     Trajectory,
-    concat,
     corner_series,
     integrate,
     launch_separatrix,
-    reflect,
+    with_mirror,
 )
 from .shooting import PERIODIC, classify_lambda
 
 TWO_PI = 2.0 * math.pi
+
+
+@contextlib.contextmanager
+def text_sink(sink, mode: str = "r"):
+    """A text handle for a path (opened, LF on write, closed on exit) or a handle as is."""
+    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
+        with open(sink, mode, newline="\n" if "w" in mode else None) as fh:
+            yield fh
+    else:
+        yield sink
 
 
 @dataclass
@@ -74,51 +83,45 @@ class ProfileCurve:
     def span(self) -> tuple[float, float]:
         return float(self.t[0]), float(self.t[-1])
 
-    def eval_at(self, tq: float) -> tuple[float, float, float]:
+    def eval_at(self, tq):
         """(x, z, theta) at tq, from the dense evaluator or spline fallback.
 
-        The fallback fits quintic B-splines (cubic for very short profiles):
+        tq is a time (three floats back) or an array of times (three arrays
+        back).  An evaluator maps a 1-d time array to three arrays.  The
+        fallback fits quintic B-splines (cubic for very short profiles):
         curvature verification differentiates twice, and a cubic fit of
         CSV-loaded data would leak interpolation noise into the residual.
         """
+        ts = np.asarray(tq, dtype=float)
+        flat = ts.reshape(-1)
         if self.evaluator is not None:
-            return self.evaluator(tq)
-        if "splines" not in self.meta:
-            from scipy.interpolate import make_interp_spline
+            out = self.evaluator(flat)
+        else:
+            if "splines" not in self.meta:
+                from scipy.interpolate import make_interp_spline
 
-            k = 5 if len(self.t) > 6 else min(3, len(self.t) - 1)
-            self.meta["splines"] = (
-                make_interp_spline(self.t, self.x, k=k),
-                make_interp_spline(self.t, self.z, k=k),
-                make_interp_spline(self.t, self.theta, k=k),
-            )
-        sx, sz, sth = self.meta["splines"]
-        return float(sx(tq)), float(sz(tq)), float(sth(tq))
+                k = 5 if len(self.t) > 6 else min(3, len(self.t) - 1)
+                self.meta["splines"] = tuple(make_interp_spline(self.t, col, k=k)
+                                             for col in (self.x, self.z, self.theta))
+            out = tuple(spline(flat) for spline in self.meta["splines"])
+        if ts.ndim == 0:
+            return tuple(float(col[0]) for col in out)
+        return out
 
     def write_csv(self, sink) -> None:
         """Header t,x,z,theta; one sample per line at 17 significant digits."""
-        own = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
-        fh = open(sink, "w", newline="\n") if own else sink
-        try:
+        with text_sink(sink, "w") as fh:
             fh.write("t,x,z,theta\n")
             for t, x, z, th in zip(self.t, self.x, self.z, self.theta):
                 fh.write(f"{t:.17g},{x:.17g},{z:.17g},{th:.17g}\n")
-        finally:
-            if own:
-                fh.close()
 
     @classmethod
     def read_csv(cls, source) -> "ProfileCurve":
-        own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-        fh = open(source, "r") if own else source
-        try:
+        with text_sink(source) as fh:
             header = fh.readline().strip()
             if header != "t,x,z,theta":
                 raise ValueError(f"unexpected profile CSV header: {header!r}")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        finally:
-            if own:
-                fh.close()
         return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
 
 
@@ -214,15 +217,12 @@ def build_profile(traj: Trajectory, sample_dt: float = 0.01, kind: str = "Generi
         ts.pop()
     ts.append(raw[-1])
     ts = np.asarray(ts)
-    states = [traj.state_at(t) for t in ts]
-    theta = np.array([s[0] for s in states])
-    z = np.array([s[1] for s in states])
-    x = np.array([s[2] for s in states])
 
-    def evaluator(tq, _traj=traj):
-        th, zz, xx = _traj.state_at(tq)
+    def evaluator(tq):
+        th, zz, xx = traj.states_at(tq).T
         return xx, zz, th
 
+    x, z, theta = evaluator(ts)
     return ProfileCurve(ts, x, z, theta, kind=kind, evaluator=evaluator,
                         meta={"source": "trajectory"})
 
@@ -239,13 +239,11 @@ def sphere_profile(n: int = 1201, trim: float = 1e-6) -> ProfileCurve:
     t = np.linspace(-half, half, n)
 
     def evaluator(tq):
-        return (-SQRT2 * math.sin(tq / SQRT2) - SQRT2,
-                SQRT2 * math.cos(tq / SQRT2),
+        return (-SQRT2 * np.sin(tq / SQRT2) - SQRT2,
+                SQRT2 * np.cos(tq / SQRT2),
                 math.pi + tq / SQRT2)
 
-    x = -SQRT2 * np.sin(t / SQRT2) - SQRT2
-    z = SQRT2 * np.cos(t / SQRT2)
-    theta = math.pi + t / SQRT2
+    x, z, theta = evaluator(t)
     return ProfileCurve(t, x, z, theta, kind="Sphere", evaluator=evaluator,
                         meta={"center": (-SQRT2, 0.0), "radius": SQRT2})
 
@@ -259,7 +257,7 @@ def cylinder_profile(length: float, n: int = 2) -> ProfileCurve:
     t = np.linspace(0.0, length, n)
 
     def evaluator(tq):
-        return tq, 1.0, 0.0
+        return tq.copy(), np.ones_like(tq), np.zeros_like(tq)
 
     return ProfileCurve(t, t.copy(), np.ones_like(t), np.zeros_like(t),
                         kind="Cylinder", evaluator=evaluator)
@@ -279,30 +277,26 @@ def separatrix_profile(cfg: IntegratorConfig, s0: float = 1e-3,
     x_cross = float(launch.xs[-1])
     lambda0 = float(launch.zs[-1])
     b = t_cross + s0
-    half = launch.shifted(dt=-t_cross, dx=-x_cross)
-    full = concat(half, reflect(half, 1))
+    full = with_mirror(launch.shifted(dt=-t_cross, dx=-x_cross))
     _, _, x_ser0 = corner_series(s0)
     x_corner = -x_cross - x_ser0
     t_in = b - s0  # dense data covers [-t_in, t_in]
 
     def evaluator(tq):
-        if tq <= -t_in:
-            s = max(tq + b, 0.0)
-            th, zz, xr = corner_series(s)
-            return x_corner + xr, zz, th
-        if tq >= t_in:
-            s = max(b - tq, 0.0)
-            th, zz, xr = corner_series(s)
-            return -x_corner - xr, zz, TWO_PI - th
-        xx = full.state_at(tq)
-        return xx[2], xx[1], xx[0]
+        out = np.empty((3, len(tq)))
+        left, right = tq <= -t_in, tq >= t_in
+        mid = ~(left | right)
+        th, zz, xr = corner_series(np.maximum(tq[left] + b, 0.0))
+        out[:, left] = x_corner + xr, zz, th
+        th, zz, xr = corner_series(np.maximum(b - tq[right], 0.0))
+        out[:, right] = -x_corner - xr, zz, TWO_PI - th
+        th, zz, xx = full.states_at(tq[mid]).T
+        out[:, mid] = xx, zz, th
+        return tuple(out)
 
     n = int(math.ceil(2.0 * b / sample_dt))
     ts = np.linspace(-b, b, n + 1)
-    vals = [evaluator(t) for t in ts]
-    x = np.array([v[0] for v in vals])
-    z = np.array([v[1] for v in vals])
-    theta = np.array([v[2] for v in vals])
+    x, z, theta = evaluator(ts)
     return ProfileCurve(ts, x, z, theta, kind="Separatrix", evaluator=evaluator,
                         meta={"half_span": b, "lambda0": lambda0,
                               "x_corner": x_corner, "s0": s0})
@@ -326,16 +320,17 @@ def find_period(lam: float, cfg: IntegratorConfig, n_check: int = 800) -> Period
     if t_zero is None:
         raise NotPeriodicError(f"no theta = 0 crossing for lambda={lam}")
     t0 = -t_zero
-    full = concat(back, reflect(back, 1))
+    full = with_mirror(back)
     x_shift = full.state_at(2.0 * t0)[2]
-    res_z = res_th = res_x = 0.0
-    for t in np.linspace(-t0, t0, n_check):
-        th_a, z_a, x_a = full.state_at(float(t))
-        th_b, z_b, x_b = full.state_at(float(t) + 2.0 * t0)
-        res_z = max(res_z, abs(z_b - z_a))
-        res_th = max(res_th, abs(th_b - th_a - TWO_PI))
-        res_x = max(res_x, abs(x_b - x_a - x_shift))
-    return PeriodInfo(t0, 2.0 * t0, x_shift, res_z, res_th, res_x)
+    grid = np.linspace(-t0, t0, n_check)
+    th_a, z_a, x_a = full.states_at(grid).T
+    th_b, z_b, x_b = full.states_at(grid + 2.0 * t0).T
+
+    def worst(d):
+        return float(np.max(np.abs(d), initial=0.0))
+
+    return PeriodInfo(t0, 2.0 * t0, x_shift, worst(z_b - z_a),
+                      worst(th_b - th_a - TWO_PI), worst(x_b - x_a - x_shift))
 
 
 def find_self_intersection(profile: ProfileCurve, t0: float, t1: float) -> IntersectionInfo:
@@ -419,34 +414,30 @@ def extend_separatrix(ext: ExtensionSpec, cfg: IntegratorConfig, *,
         cursor_x += width
 
     def eval_piece(piece, tq):
+        """(x, z, theta) arrays of one piece at the times tq (an array)."""
         t_start, t_end, kind, x_start, th_off = piece
         if kind == "segment":
-            return x_start + (tq - t_start), 1.0, th_off
+            return x_start + (tq - t_start), np.ones_like(tq), np.full_like(tq, th_off)
         tau = (tq - t_start) - b
-        xx, zz, th = sep.eval_at(min(max(tau, -b), b))
+        xx, zz, th = sep.eval_at(np.clip(tau, -b, b))
         return x_start + (xx - x_corner), zz, th + th_off
 
-    starts = [p[0] for p in pieces]
+    starts = np.array([p[0] for p in pieces])
 
     def evaluator(tq):
-        i = min(max(_bisect.bisect_right(starts, tq) - 1, 0), len(pieces) - 1)
-        return eval_piece(pieces[i], tq)
+        idx = np.clip(np.searchsorted(starts, tq, side="right") - 1, 0, len(pieces) - 1)
+        out = np.empty((3, len(tq)))
+        for i in np.unique(idx):
+            sel = idx == i
+            out[:, sel] = eval_piece(pieces[i], tq[sel])
+        return tuple(out)
 
-    ts_all = []
-    vals_all = []
-    for piece in pieces:
-        t_start, t_end = piece[0], piece[1]
+    grids = []
+    for t_start, t_end, *_ in pieces:
         n = max(int(math.ceil((t_end - t_start) / sample_dt)), 1)
-        grid = np.linspace(t_start, t_end, n + 1)
-        if ts_all:
-            grid = grid[1:]
-        ts_all.extend(grid)
-        vals_all.extend(eval_piece(piece, t) for t in grid)
-    ts_all = np.asarray(ts_all)
-    x = np.array([v[0] for v in vals_all])
-    z = np.array([v[1] for v in vals_all])
-    theta = np.array([v[2] for v in vals_all])
-    curve = ProfileCurve(ts_all, x, z, theta, kind="Extension",
+        grids.append(np.linspace(t_start, t_end, n + 1)[1 if grids else 0:])
+    x, z, theta = np.concatenate([eval_piece(p, g) for p, g in zip(pieces, grids)], axis=1)
+    curve = ProfileCurve(np.concatenate(grids), x, z, theta, kind="Extension",
                          junctions=tuple(t for t, _ in junctions),
                          evaluator=evaluator,
                          meta={"half_span": b, "lambda0": sep.meta["lambda0"],
@@ -456,7 +447,7 @@ def extend_separatrix(ext: ExtensionSpec, cfg: IntegratorConfig, *,
     h = h_check
 
     def one_sided(piece, t_j, sgn):
-        f = [eval_piece(piece, t_j + sgn * k * h)[2] for k in range(5)]
+        f = eval_piece(piece, t_j + sgn * np.arange(5) * h)[2].tolist()
         d1 = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
         d2 = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / (h * h)
         d3 = (-5 * f[0] + 18 * f[1] - 24 * f[2] + 14 * f[3] - 3 * f[4]) / (2 * h ** 3)
@@ -469,8 +460,8 @@ def extend_separatrix(ext: ExtensionSpec, cfg: IntegratorConfig, *,
     for t_j, jtype in junctions:
         left = next(p for p in pieces if abs(p[1] - t_j) < 1e-12)
         right = next(p for p in pieces if abs(p[0] - t_j) < 1e-12)
-        xl, zl, thl = eval_piece(left, t_j)
-        xr, zr, thr_ = eval_piece(right, t_j)
+        xl, zl, thl = (float(v[0]) for v in eval_piece(left, np.array([t_j])))
+        xr, zr, thr_ = (float(v[0]) for v in eval_piece(right, np.array([t_j])))
         pos_jump = math.hypot(xr - xl, zr - zl)
         theta_jump = abs(thr_ - thl)
         dl = one_sided(left, t_j, -1.0)
@@ -526,9 +517,7 @@ def verify_profile(profile: ProfileCurve, h: float,
     inner = (ts[2:-2] >= t_lo + end_trim) & (ts[2:-2] <= t_hi - end_trim)
     if n < 8 or not np.any(inner):
         raise TooFewSamplesError(f"only {n} resample steps fit the span")
-    vals = [profile.eval_at(float(t)) for t in ts]
-    xs = np.array([v[0] for v in vals])
-    zs = np.array([v[1] for v in vals])
+    xs, zs, _ = profile.eval_at(ts)
 
     dx = (xs[2:] - xs[:-2]) / (2.0 * h)  # at ts[1:-1]
     dz = (zs[2:] - zs[:-2]) / (2.0 * h)

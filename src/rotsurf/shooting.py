@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BracketError, InvalidLambdaError, RotsurfError
 from .field import SQRT2, PhasePoint
-from .integrate import IntegratorConfig, Trajectory, concat, integrate, reflect
+from .integrate import IntegratorConfig, Trajectory, integrate, with_mirror
 
 SPHERE = "Sphere"
 PERIODIC = "Periodic"
@@ -151,8 +151,7 @@ def _sphere_polyline(n: int) -> np.ndarray:
 
 def full_curve(lam: float, cfg: IntegratorConfig) -> Trajectory:
     """Backward half from (pi, lam) joined with its mirror about theta = pi."""
-    back = backward_trajectory(lam, cfg)
-    return concat(back, reflect(back, 1))
+    return with_mirror(backward_trajectory(lam, cfg))
 
 
 def portrait(

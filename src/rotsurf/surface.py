@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProfileError
-from .profile import ProfileCurve
+from .profile import ProfileCurve, text_sink
 
 
 @dataclass(frozen=True)
@@ -46,54 +46,39 @@ def revolve(profile: ProfileCurve, n_angular: int) -> Mesh:
     verts[:, 1] = np.outer(profile.z, sin_phi).ravel()
     verts[:, 2] = np.outer(profile.z, cos_phi).ravel()
 
-    quads = []
-    for i in range(n_p - 1):
-        base0 = i * n_angular
-        base1 = (i + 1) * n_angular
-        for j in range(n_angular):
-            j1 = (j + 1) % n_angular
-            a, b = base0 + j, base1 + j
-            c, d = base1 + j1, base0 + j1
-            quads.append((a, b, c))
-            quads.append((a, c, d))
-    faces = np.asarray(quads, dtype=np.int64)
+    # Quad (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1),
+    # d = (i, j+1), split into (a, b, c) and (a, c, d); rows run over i, then j.
+    base = np.arange(n_p - 1, dtype=np.int64)[:, None] * n_angular
+    j = np.arange(n_angular, dtype=np.int64)
+    j1 = (j + 1) % n_angular
+    a, b = base + j, base + n_angular + j
+    c, d = base + n_angular + j1, base + j1
+    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
     return Mesh(verts, faces, n_p, n_angular, profile.kind)
 
 
 def export_obj(mesh: Mesh, sink) -> None:
     """Plain OBJ: `v x y z` then 1-based `f a b c` lines, LF, 17 digits."""
-    own = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
-    fh = open(sink, "w", newline="\n") if own else sink
-    try:
+    with text_sink(sink, "w") as fh:
         for v in mesh.vertices:
             fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
         for f in mesh.faces:
             fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def export_mesh_csv(mesh: Mesh, sink) -> None:
     """Vertex table `i,j,x,y,z` (profile index, angular index) for plotting."""
-    own = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
-    fh = open(sink, "w", newline="\n") if own else sink
-    try:
+    with text_sink(sink, "w") as fh:
         fh.write("i,j,x,y,z\n")
         for idx, v in enumerate(mesh.vertices):
             i, j = divmod(idx, mesh.n_angular)
             fh.write(f"{i},{j},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def parse_obj(source) -> tuple[np.ndarray, np.ndarray]:
     """Read back vertices and 0-based faces from the OBJ text format."""
-    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    fh = open(source, "r") if own else source
     verts, faces = [], []
-    try:
+    with text_sink(source) as fh:
         for line in fh:
             parts = line.split()
             if not parts:
@@ -102,7 +87,4 @@ def parse_obj(source) -> tuple[np.ndarray, np.ndarray]:
                 verts.append([float(p) for p in parts[1:4]])
             elif parts[0] == "f":
                 faces.append([int(p) - 1 for p in parts[1:4]])
-    finally:
-        if own:
-            fh.close()
     return np.asarray(verts), np.asarray(faces, dtype=np.int64)

@@ -78,6 +78,9 @@ class TestPortrait:
         assert run("portrait", "--lambdas", "2,inf", "--out", tmp_path / "x.json") == 2
         assert run("portrait", "--lambdas", "2:inf:0.5", "--out", tmp_path / "x.json") == 2
         assert run("portrait", "--lambdas=-inf:2:0.5", "--out", tmp_path / "x.json") == 2
+        # the height count is bounded before any list is built
+        assert run("portrait", "--lambdas", "2:3:1e-320", "--out", tmp_path / "x.json") == 2
+        assert run("portrait", "--lambdas", "2:3:1e-9", "--out", tmp_path / "x.json") == 2
 
 
 class TestCurve:

@@ -13,7 +13,7 @@ from rotsurf.errors import (
     StepUnderflowError,
 )
 from rotsurf.field import slope_sq
-from rotsurf.integrate import _B, _P, corner_series, corner_series_slope
+from rotsurf.integrate import _B, _P, _dense_coef, corner_series, corner_series_slope
 
 SQRT2 = math.sqrt(2.0)
 
@@ -28,6 +28,22 @@ class TestScheme:
         # the dense matrix equal the 5th-order weights
         for i in range(7):
             assert sum(_P[i]) == pytest.approx(_B[i], abs=1e-12)
+
+    def test_dense_coef_is_the_scalar_stage_sum(self):
+        # the vectorized builder keeps the bits of h * (k_1 P_1 + ... + k_7 P_7)
+        # summed left to right from 0.0, as the scalar interpolant did
+        rng = np.random.default_rng(7)
+        h = rng.uniform(1e-4, 0.1, 25)
+        stages = rng.normal(size=(25, 7, 3))
+        coef = _dense_coef(h, stages).tolist()
+        hs, ks = h.tolist(), stages.tolist()
+        for r in range(25):
+            for m in range(4):
+                for i in range(3):
+                    acc = 0.0
+                    for j in range(7):
+                        acc += ks[r][j][i] * _P[j][m]
+                    assert coef[r][m][i] == hs[r] * acc
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -192,6 +208,24 @@ class TestDenseOutput:
             assert s.dz == math.sin(s.theta)
             v = rs.field_eval(rs.PhasePoint(s.theta, s.z))
             assert s.dtheta == v.dtheta
+
+    def test_states_at_is_the_scalar_path(self, cfg, launch):
+        # one table evaluation, row for row the bits of the scalar views,
+        # on plain, mirrored and shifted-then-mirrored tables
+        t_cross, x_cross = float(launch.ts[-1]), float(launch.xs[-1])
+        sep = rs.with_mirror(launch.shifted(dt=-t_cross, dx=-x_cross))
+        for tr in (rs.backward_trajectory(4.0, cfg), rs.full_curve(2.5, cfg), sep):
+            ts = np.concatenate([np.linspace(*tr.t_span, 301), tr.ts])
+            rows = tr.states_at(ts)
+            drows = tr.states_at(ts, deriv=True)
+            assert rows.shape == drows.shape == (len(ts), 3)
+            for t, row, drow in zip(ts, rows, drows):
+                assert tuple(row.tolist()) == tr.state_at(float(t))
+                assert tuple(drow.tolist()) == tr.deriv_at(float(t))
+        lo, hi = sep.t_span
+        with pytest.raises(RangeError):
+            sep.states_at([0.0, hi + 0.5])
+        assert sep.states_at([]).shape == (0, 3)
 
     def test_shift_is_affine_on_dense_output(self, cfg):
         tr = rs.backward_trajectory(2.0, cfg)

@@ -227,6 +227,45 @@ class TestExtension:
         assert np.all(np.diff(curve.theta) >= -1e-12)
 
 
+class TestEvalAt:
+    def test_array_evaluation_reproduces_samples(self, cfg, sep_profile):
+        # every evaluator takes a time array; its samples came from it
+        profiles = [rs.build_profile(rs.full_curve(4.0, cfg)), sep_profile,
+                    rs.sphere_profile(n=301), rs.cylinder_profile(2.0, n=51)]
+        for prof in profiles:
+            x, z, th = prof.eval_at(prof.t)
+            assert np.array_equal(x, prof.x)
+            assert np.array_equal(z, prof.z)
+            assert np.array_equal(th, prof.theta)
+            k = len(prof) // 3
+            one = prof.eval_at(float(prof.t[k]))
+            assert all(type(v) is float for v in one)
+            assert one == (x[k], z[k], th[k])
+
+    def test_extension_pieces(self, cfg):
+        curve, _ = rs.extend_separatrix(ExtensionSpec(3, (0.5, 0.0)), cfg)
+        x, z, th = curve.eval_at(curve.t)
+        # at a junction time the samples hold the left piece's value and the
+        # evaluator takes the right piece; the two agree to rounding
+        inner = ~np.isin(curve.t, curve.junctions)
+        assert np.array_equal(x[inner], curve.x[inner])
+        assert np.array_equal(th[inner], curve.theta[inner])
+        assert np.max(np.abs(z - curve.z)) <= 1e-12
+
+    def test_spline_fallback_vector_and_scalar(self, cfg):
+        prof = rs.build_profile(rs.full_curve(2.0, cfg))
+        buf = io.StringIO()
+        prof.write_csv(buf)
+        buf.seek(0)
+        again = ProfileCurve.read_csv(buf)
+        ts = np.linspace(*again.span, 97)
+        x, z, th = again.eval_at(ts)
+        assert x.shape == z.shape == th.shape == ts.shape
+        for k in (0, 40, 96):
+            assert again.eval_at(float(ts[k])) == (x[k], z[k], th[k])
+        assert np.max(np.abs(again.eval_at(again.t)[1] - again.z)) <= 1e-12
+
+
 class TestVerify:
     def test_sphere_tight(self):
         rep = rs.verify_profile(rs.sphere_profile(), 1e-3)

@@ -23,7 +23,27 @@ def edge_census(faces):
     return reused, boundary
 
 
+def reference_faces(n_p, n_ang):
+    """The face list as a plain double loop over profile and angular indices."""
+    faces = []
+    for i in range(n_p - 1):
+        for j in range(n_ang):
+            j1 = (j + 1) % n_ang
+            a, b = i * n_ang + j, (i + 1) * n_ang + j
+            c, d = (i + 1) * n_ang + j1, i * n_ang + j1
+            faces += [(a, b, c), (a, c, d)]
+    return np.asarray(faces, dtype=np.int64)
+
+
 class TestRevolve:
+    def test_faces_match_reference_loop(self):
+        for prof, n_ang in ((rs.sphere_profile(n=7), 5), (rs.sphere_profile(n=31), 12),
+                            (rs.cylinder_profile(1.0, n=2), 3), (rs.cylinder_profile(2.0, n=9), 16)):
+            mesh = rs.revolve(prof, n_ang)
+            ref = reference_faces(len(prof), n_ang)
+            assert mesh.faces.dtype == np.int64
+            assert np.array_equal(mesh.faces, ref)
+
     def test_vertex_count_and_meridian(self):
         prof = rs.sphere_profile(n=71)
         mesh = rs.revolve(prof, 24)
