@@ -13,12 +13,13 @@ accepted step: its time span, the affine map onto the step's internal
 parameter, the start state, the step size and the 7 stage derivatives, and
 an output scale and offset (see Trajectory).  Reflection, time shifts and
 concatenation are column operations, and states_at evaluates many times
-at once by searchsorted plus Horner.  The quartic coefficients are lazy:
-they are built for the whole table in one vectorized pass on the first
-dense evaluation, so callers that read only nodes and the termination
-record (shooting) never pay for them.  The stepping loop builds them, with
-the same builder, only for the one step that brackets a boundary contact or
-a theta-target crossing.
+at once by searchsorted plus Horner.  The quartic coefficients are not
+stored: each evaluation builds them in one vectorized pass for the rows it
+reads, so callers that read only nodes and the termination record
+(shooting) never pay for them.  The stepping loop builds them, with the
+same builder, only for the one step that brackets a boundary contact or a
+theta-target crossing; crossing_time evaluates its bisection midpoints in
+plain floats on the rows they fall in, with the same builder.
 
 Trajectory time t always increases with theta; backward integration runs in
 an internal parameter and is exposed with t = -sigma, so samples are always
@@ -28,6 +29,7 @@ ascending in both t and theta.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -160,17 +162,27 @@ _P_COLS = np.array(_P)[:, :, None]  # (7, 4, 1): stage j, power m
 
 
 def _dense_coef(h: np.ndarray, stages: np.ndarray) -> np.ndarray:
-    """Quartic coefficients coef[n, m, i] of n steps (m = 0..3 for u .. u^4).
+    """Quartic coefficients coef[m, n, i] of n steps (m = 0..3 for u .. u^4).
 
     h has shape (n,) and stages (n, 7, 3), the 7 stage derivatives of each
     step.  Each coefficient is h * (0.0 + k_1 P_1 + ... + k_7 P_7), summed
     left to right: the bits of the scalar per-step expression this table
-    replaced (plain builtins.sum, Python <= 3.11).
+    replaced (plain builtins.sum, Python <= 3.11).  The stages are laid out
+    as 7 contiguous rows first, so each term is one long elementwise pass.
     """
-    acc = 0.0 + stages[:, 0, None, :] * _P_COLS[0]
+    k = np.ascontiguousarray(stages.transpose(1, 0, 2)).reshape(7, -1)
+    acc = 0.0 + k[0] * _P_COLS[0]
     for j in range(1, 7):
-        acc = acc + stages[:, j, None, :] * _P_COLS[j]
-    return h[:, None, None] * acc
+        acc = acc + k[j] * _P_COLS[j]
+    return h[:, None] * acc.reshape(4, -1, 3)
+
+
+def _step_coef(h: float, k) -> list[list[float]]:
+    """Quartic coefficients of one step as float lists, one per component.
+
+    k is the flat tuple of the step's 21 stage values (see _integrate_raw).
+    """
+    return _dense_coef(np.array([h]), np.reshape(k, (1, 7, 3)))[:, 0].T.tolist()
 
 
 def _quartic(y0, coef, u):
@@ -195,8 +207,8 @@ class Trajectory:
     (stages[n, 7, 3]), and evaluates to scale * p(u) + offset with p the
     quartic interpolant.  Reflection and time shifts compose into (a, b,
     scale, offset), so mirrored and concatenated trajectories keep full dense
-    output.  The coefficients of p (coef[n, 4, 3]) are built for all rows
-    in one pass on the first dense evaluation and kept.
+    output.  The coefficients of p are built, by _dense_coef, only for the
+    rows an evaluation reads.
     """
 
     def __init__(self, ts, ys, table, left_info, right_info, direction, cfg):
@@ -207,7 +219,6 @@ class Trajectory:
         self.right_info = right_info
         self.direction = direction
         self.cfg = cfg
-        self._coef = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -257,13 +268,11 @@ class Trajectory:
         if outside.any():
             raise RangeError(f"t={ts[outside][0]} outside span [{lo}, {hi}]")
         tab = self.table
-        if self._coef is None:
-            self._coef = _dense_coef(tab["h"], tab["stages"])
-        i = np.searchsorted(tab["t_lo"], np.clip(ts, lo, hi), side="right") - 1
-        i = np.clip(i, 0, len(tab["t_lo"]) - 1)
+        # the last row starting at or before t (row 0 before the first start)
+        i = np.searchsorted(tab["t_lo"][1:], np.clip(ts, lo, hi), side="right")
         a = tab["a"][i, None]
         u = a * ts[:, None] + tab["b"][i, None]
-        c1, c2, c3, c4 = self._coef[i].swapaxes(0, 1)
+        c1, c2, c3, c4 = _dense_coef(tab["h"][i], tab["stages"][i])
         if deriv:
             return tab["scale"][i] * (c1 + u * (2 * c2 + u * (3 * c3 + u * 4 * c4))) * a
         return tab["scale"][i] * _quartic(tab["y0"][i], (c1, c2, c3, c4), u) + tab["offset"][i]
@@ -310,20 +319,59 @@ class Trajectory:
         if not lo < theta_target < hi:
             return None
         i = int(np.searchsorted(th, theta_target)) - 1
-        a, b = float(self.ts[i]), float(self.ts[i + 1])
-        fa = float(th[i]) - theta_target
-        for _ in range(100):
-            m = 0.5 * (a + b)
-            fm = self.state_at(m)[0] - theta_target
-            if fm == 0.0:
+        tab, rows = self.table, {}
+
+        def gaps(ms):
+            # theta(m) - theta_target in plain floats on the row states_at
+            # would read, with its coefficients and Horner order: its bits.
+            out = []
+            for m in ms:
+                j = bisect_right(tab["t_lo"], m, 1) - 1
+                if j not in rows:
+                    coef = _dense_coef(tab["h"][j:j + 1], tab["stages"][j:j + 1])
+                    rows[j] = (tab["a"][j].item(), tab["b"][j].item(), tab["y0"][j, 0].item(),
+                               coef[:, 0, 0].tolist(), tab["scale"][j, 0].item(),
+                               tab["offset"][j, 0].item())
+                a, b, y0, coef, scale, offset = rows[j]
+                out.append(scale * _quartic(y0, coef, a * m + b) + offset - theta_target)
+            return out
+
+        return bisect_root(gaps, float(self.ts[i]), float(self.ts[i + 1]), 100, 1)
+
+
+def bisect_root(f, a: float, b: float, max_iter: int, depth: int) -> float:
+    """Root of f on [a, b] by bisection, where f(a) < 0.
+
+    The result is that of the plain loop: m = (a + b)/2, return m when
+    f(m) == 0, else a = m when f(m) < 0 and b = m otherwise, until max_iter
+    halvings or b - a <= 1e-16 * max(1, |a|, |b|); then (a + b)/2.  f maps
+    a list of times to their values, and is called once for the 2**depth - 1
+    midpoints the next depth halvings may visit, so an array evaluator pays
+    its per-call cost once per depth halvings.  Once a and b are adjacent
+    floats the midpoint is one of them and the loop cannot move; its answer
+    is then that midpoint, returned at once.
+    """
+    it = 0
+    while it < max_iter:
+        level, mids = [(a, b)], []
+        for _ in range(depth):
+            ms = [0.5 * (lo + hi) for lo, hi in level]
+            mids += ms
+            level = [span for (lo, hi), m in zip(level, ms) for span in ((lo, m), (m, hi))]
+        vals = f(mids)
+        j = 0
+        for _ in range(min(depth, max_iter - it)):
+            it += 1
+            m, fm = mids[j], vals[j]
+            if fm == 0.0 or m == a or m == b:
                 return m
-            if (fa < 0.0) == (fm < 0.0):
-                a, fa = m, fm
+            if fm < 0.0:
+                a, j = m, 2 * j + 2
             else:
-                b = m
+                b, j = m, 2 * j + 1
             if b - a <= 1e-16 * max(1.0, abs(a), abs(b)):
-                break
-        return 0.5 * (a + b)
+                return 0.5 * (a + b)
+    return 0.5 * (a + b)
 
 
 def _extrapolate_limit(sig_pts, th_pts, z_pts, sig_b):
@@ -437,7 +485,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
         ev = None
         coef = None
         if domain_gap(th1, z1) - boundary_eps < 0.0:
-            coef = _dense_coef(np.array([h]), np.reshape(k, (1, 7, 3)))[0].T.tolist()
+            coef = _step_coef(h, k)
             a, b = 0.0, 1.0
             for _ in range(80):
                 m = 0.5 * (a + b)
@@ -452,7 +500,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
             if d0 == 0.0:
                 continue  # crossing at a node belongs to the previous step
             if d0 * d1 < 0.0 or d1 == 0.0:
-                coef = coef or _dense_coef(np.array([h]), np.reshape(k, (1, 7, 3)))[0].T.tolist()
+                coef = coef or _step_coef(h, k)
                 a, b = 0.0, 1.0
                 for _ in range(60):
                     m = 0.5 * (a + b)
@@ -640,6 +688,6 @@ def concat(a: Trajectory, b: Trajectory, tol: float = 1e-8) -> Trajectory:
     return Trajectory(ts, ys, table, a.left_info, b.right_info, 0, a.cfg)
 
 
-def with_mirror(half: Trajectory, n: int = 1) -> Trajectory:
-    """A trajectory followed by its mirror about theta = n*pi (see reflect)."""
-    return concat(half, reflect(half, n))
+def with_mirror(half: Trajectory) -> Trajectory:
+    """A trajectory followed by its mirror about theta = pi (see reflect)."""
+    return concat(half, reflect(half, 1))

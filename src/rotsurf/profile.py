@@ -26,6 +26,7 @@ from .field import SQRT2, PhasePoint
 from .integrate import (
     IntegratorConfig,
     Trajectory,
+    bisect_root,
     corner_series,
     integrate,
     launch_separatrix,
@@ -347,20 +348,8 @@ def find_self_intersection(profile: ProfileCurve, t0: float, t1: float) -> Inter
     if not (g1 > 0.0 > g0):
         raise NoSignChangeError(
             f"bracket precondition failed: x(-t1)={g1}, x(-t0)={g0}")
-    a, b = t1, t0
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        gm = g(m)
-        if gm == 0.0:
-            a = b = m
-            break
-        if gm > 0.0:
-            a = m
-        else:
-            b = m
-        if b - a <= 1e-16 * max(1.0, b):
-            break
-    t2 = 0.5 * (a + b)
+    # one array evaluation per 5 halvings
+    t2 = bisect_root(lambda ts: -profile.eval_at(-np.array(ts))[0], t1, t0, 200, 5)
     x_p, z_p, _ = profile.eval_at(t2)
     x_m, z_m, _ = profile.eval_at(-t2)
     return IntersectionInfo(

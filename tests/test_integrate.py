@@ -13,7 +13,7 @@ from rotsurf.errors import (
     StepUnderflowError,
 )
 from rotsurf.field import slope_sq
-from rotsurf.integrate import _B, _P, _dense_coef, corner_series, corner_series_slope
+from rotsurf.integrate import _B, _P, _dense_coef, bisect_root, corner_series, corner_series_slope
 
 SQRT2 = math.sqrt(2.0)
 
@@ -43,7 +43,7 @@ class TestScheme:
                     acc = 0.0
                     for j in range(7):
                         acc += ks[r][j][i] * _P[j][m]
-                    assert coef[r][m][i] == hs[r] * acc
+                    assert coef[m][r][i] == hs[r] * acc
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -227,6 +227,38 @@ class TestDenseOutput:
             sep.states_at([0.0, hi + 0.5])
         assert sep.states_at([]).shape == (0, 3)
 
+    def test_crossing_time_is_the_state_at_bisection(self, cfg, launch, monkeypatch):
+        # the float bisection on table rows returns the bits of a plain
+        # bisection through state_at, on plain, reversed and mirrored tables,
+        # and makes no array evaluation per midpoint
+        def by_state_at(tr, target):
+            th = tr.thetas
+            i = int(np.searchsorted(th, target)) - 1
+            a, b = float(tr.ts[i]), float(tr.ts[i + 1])
+            for _ in range(100):
+                m = 0.5 * (a + b)
+                fm = tr.state_at(m)[0] - target
+                if fm == 0.0:
+                    return m
+                if fm < 0.0:
+                    a = m
+                else:
+                    b = m
+                if b - a <= 1e-16 * max(1.0, abs(a), abs(b)):
+                    break
+            return 0.5 * (a + b)
+
+        trajs = (rs.backward_trajectory(4.0, cfg), rs.full_curve(2.5, cfg), launch)
+        targets = [np.linspace(tr.thetas[0], tr.thetas[-1], 9)[1:-1] for tr in trajs]
+        expected = [[by_state_at(tr, float(v)) for v in vs] for tr, vs in zip(trajs, targets)]
+        calls = []
+        states_at = rs.Trajectory.states_at
+        monkeypatch.setattr(rs.Trajectory, "states_at",
+                            lambda self, *a, **k: calls.append(1) or states_at(self, *a, **k))
+        got = [[tr.crossing_time(float(v)) for v in vs] for tr, vs in zip(trajs, targets)]
+        assert got == expected
+        assert calls == []
+
     def test_shift_is_affine_on_dense_output(self, cfg):
         tr = rs.backward_trajectory(2.0, cfg)
         moved = tr.shifted(dt=3.0, dtheta=2 * math.pi, dx=-1.5)
@@ -237,6 +269,42 @@ class TestDenseOutput:
             assert th2 == pytest.approx(th + 2 * math.pi, abs=1e-13)
             assert z2 == pytest.approx(z, abs=1e-13)
             assert x2 == pytest.approx(x - 1.5, abs=1e-13)
+
+
+class TestBisectRoot:
+    @staticmethod
+    def plain(f, a, b, max_iter):
+        for _ in range(max_iter):
+            m = 0.5 * (a + b)
+            fm = f(m)
+            if fm == 0.0:
+                return m
+            if fm < 0.0:
+                a = m
+            else:
+                b = m
+            if b - a <= 1e-16 * max(1.0, abs(a), abs(b)):
+                break
+        return 0.5 * (a + b)
+
+    def test_matches_plain_loop(self):
+        # batched midpoints walk the same path as one-at-a-time bisection,
+        # through exact zeros, NaN (taken as "not below") and iteration caps
+        cases = [
+            (lambda t: t ** 3 - 2.0, 0.0, 3.0),
+            (lambda t: t - 0.375, 0.0, 1.0),
+            (lambda t: math.sin(t) - 0.3, -0.5, 1.0),
+            (lambda t: float("nan") if t > 0.7 else t - 0.9, 0.0, 1.0),
+            (lambda t: t * 1e-300, -1.0, 5.0),
+            (lambda t: math.log(t) - 20.0, 1.0, 1e12),
+        ]
+        for f, a, b in cases:
+            for max_iter in (1, 7, 100, 200):
+                want = self.plain(f, a, b, max_iter)
+                for depth in (1, 3, 5):
+                    got = bisect_root(
+                        lambda ms: [f(m) for m in ms], a, b, max_iter, depth)
+                    assert got == want, (a, b, max_iter, depth)
 
 
 class TestSeriesLaunch:
