@@ -25,7 +25,9 @@ from .profile import (
     extend_separatrix,
     separatrix_profile,
     sphere_profile,
+    text_sink,
     verify_profile,
+    write_rows,
 )
 from .shooting import SEPARATRIX, SPHERE, classify_lambda, find_lambda0, portrait
 from .surface import export_mesh_csv, export_obj, revolve
@@ -156,9 +158,9 @@ def cmd_portrait(args) -> int:
     _write_text(args.out, _json(doc) + "\n")
     stem = args.out.rsplit(".", 1)[0]
     for k, entry in enumerate(rep.entries):
-        lines = ["theta,z"]
-        lines += [f"{p[0]:.17g},{p[1]:.17g}" for p in entry.polyline]
-        _write_text(f"{stem}_{k:02d}.csv", "\n".join(lines) + "\n")
+        with text_sink(f"{stem}_{k:02d}.csv", "w") as fh:
+            fh.write("theta,z\n")
+            write_rows(fh, "%.17g,%.17g\n", len(entry.polyline), entry.polyline)
     print(f"portrait: {len(rep.entries)} entries, lambda0={rep.lambda0.value:.12g} -> {args.out}")
     return 0
 
@@ -213,7 +215,12 @@ def cmd_curve(args) -> int:
     return 0
 
 
+MAX_N_ANGULAR = 1024  # angular samples a revolution mesh may have
+
+
 def cmd_mesh(args) -> int:
+    if not 3 <= args.n_angular <= MAX_N_ANGULAR:
+        raise ValueError(f"--n-angular must be in [3, {MAX_N_ANGULAR}], got {args.n_angular}")
     cfg = _merge_run_config(args).integrator()
     if args.builtin == "sphere":
         prof = sphere_profile()

@@ -14,9 +14,9 @@ parameter, the start state, the step size and the 7 stage derivatives, and
 an output scale and offset (see Trajectory).  Reflection, time shifts and
 concatenation are column operations, and states_at evaluates many times
 at once by searchsorted plus Horner.  The quartic coefficients are not
-stored: each evaluation builds them in one vectorized pass for the rows it
-reads, so callers that read only nodes and the termination record
-(shooting) never pay for them.  The stepping loop builds them, with the
+stored: each evaluation builds them in one vectorized pass, once for each
+distinct row it reads, so callers that read only nodes and the termination
+record (shooting) never pay for them.  The stepping loop builds them, with the
 same builder, only for the one step that brackets a boundary contact or a
 theta-target crossing; crossing_time evaluates its bisection midpoints in
 plain floats on the rows they fall in, with the same builder.
@@ -207,8 +207,8 @@ class Trajectory:
     (stages[n, 7, 3]), and evaluates to scale * p(u) + offset with p the
     quartic interpolant.  Reflection and time shifts compose into (a, b,
     scale, offset), so mirrored and concatenated trajectories keep full dense
-    output.  The coefficients of p are built, by _dense_coef, only for the
-    rows an evaluation reads.
+    output.  The coefficients of p are built, by _dense_coef, once for each
+    distinct row an evaluation reads.
     """
 
     def __init__(self, ts, ys, table, left_info, right_info, direction, cfg):
@@ -259,20 +259,25 @@ class Trajectory:
 
         With deriv, rows of d(theta, z, x)/dt of the interpolant (not of the
         field).  Times within a relative 1e-9 outside the span are taken by
-        the end steps; farther ones raise RangeError.
+        the end steps; farther ones, and NaN, raise RangeError.
         """
         ts = np.asarray(ts, dtype=float).reshape(-1)
         lo, hi = self.t_span
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-        outside = (ts < lo - slack) | (ts > hi + slack)
+        outside = ~((ts >= lo - slack) & (ts <= hi + slack))  # NaN is outside
         if outside.any():
             raise RangeError(f"t={ts[outside][0]} outside span [{lo}, {hi}]")
         tab = self.table
         # the last row starting at or before t (row 0 before the first start)
         i = np.searchsorted(tab["t_lo"][1:], np.clip(ts, lo, hi), side="right")
+        # build each distinct row read once (a mask: cheaper than np.unique)
+        read = np.zeros(len(tab["h"]), dtype=bool)
+        read[i] = True
+        rows = np.flatnonzero(read)
         a = tab["a"][i, None]
         u = a * ts[:, None] + tab["b"][i, None]
-        c1, c2, c3, c4 = _dense_coef(tab["h"][i], tab["stages"][i])
+        coef = _dense_coef(tab["h"][rows], tab["stages"][rows])
+        c1, c2, c3, c4 = coef[:, np.cumsum(read)[i] - 1]
         if deriv:
             return tab["scale"][i] * (c1 + u * (2 * c2 + u * (3 * c3 + u * 4 * c4))) * a
         return tab["scale"][i] * _quartic(tab["y0"][i], (c1, c2, c3, c4), u) + tab["offset"][i]

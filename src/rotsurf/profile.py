@@ -47,6 +47,26 @@ def text_sink(sink, mode: str = "r"):
         yield sink
 
 
+ROW_BLOCK = 128  # rows formatted and written at a time by write_rows
+
+
+def write_rows(fh, fmt: str, n: int, *columns) -> None:
+    """Write n lines, line k formatting row k of the columns side by side with fmt.
+
+    A column is an array with one entry (1-d) or one row of entries (2-d)
+    per line, or a function from an array of line numbers to those
+    entries.  Each block of ROW_BLOCK lines is stacked, formatted by one %
+    and written at once, so no temporary outgrows a block.  '%.17g' % v
+    gives the bytes of f"{v:.17g}", and '%d' of an integral float those of
+    the integer.
+    """
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        block = np.column_stack([col(np.arange(lo, hi)) if callable(col) else col[lo:hi]
+                                 for col in columns])
+        fh.write((fmt * (hi - lo)) % tuple(block.ravel().tolist()))
+
+
 @dataclass
 class ProfileCurve:
     """Sampled unit-speed generator curve, optionally with a dense evaluator.
@@ -113,8 +133,8 @@ class ProfileCurve:
         """Header t,x,z,theta; one sample per line at 17 significant digits."""
         with text_sink(sink, "w") as fh:
             fh.write("t,x,z,theta\n")
-            for t, x, z, th in zip(self.t, self.x, self.z, self.theta):
-                fh.write(f"{t:.17g},{x:.17g},{z:.17g},{th:.17g}\n")
+            write_rows(fh, "%.17g,%.17g,%.17g,%.17g\n", len(self.t),
+                       self.t, self.x, self.z, self.theta)
 
     @classmethod
     def read_csv(cls, source) -> "ProfileCurve":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProfileError
-from .profile import ProfileCurve, text_sink
+from .profile import ProfileCurve, text_sink, write_rows
 
 
 @dataclass(frozen=True)
@@ -60,19 +60,17 @@ def revolve(profile: ProfileCurve, n_angular: int) -> Mesh:
 def export_obj(mesh: Mesh, sink) -> None:
     """Plain OBJ: `v x y z` then 1-based `f a b c` lines, LF, 17 digits."""
     with text_sink(sink, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        write_rows(fh, "v %.17g %.17g %.17g\n", len(mesh.vertices), mesh.vertices)
+        write_rows(fh, "f %d %d %d\n", len(mesh.faces), lambda k: mesh.faces[k] + 1)
 
 
 def export_mesh_csv(mesh: Mesh, sink) -> None:
     """Vertex table `i,j,x,y,z` (profile index, angular index) for plotting."""
+    n_ang = mesh.n_angular
     with text_sink(sink, "w") as fh:
         fh.write("i,j,x,y,z\n")
-        for idx, v in enumerate(mesh.vertices):
-            i, j = divmod(idx, mesh.n_angular)
-            fh.write(f"{i},{j},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}\n")
+        write_rows(fh, "%d,%d,%.17g,%.17g,%.17g\n", len(mesh.vertices),
+                   lambda k: k // n_ang, lambda k: k % n_ang, mesh.vertices)
 
 
 def parse_obj(source) -> tuple[np.ndarray, np.ndarray]:

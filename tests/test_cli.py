@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import rotsurf as rs
+import rotsurf.cli
+import rotsurf.shooting
 from rotsurf.cli import main
+from rotsurf.errors import StepUnderflowError
 
 from oracles import LAMBDA0_REF
 
@@ -72,6 +75,23 @@ class TestPortrait:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a_00.csv").read_bytes() == (tmp_path / "b_00.csv").read_bytes()
 
+    def test_error_entry_writes_header_only(self, tmp_path, monkeypatch):
+        # a failed entry has an empty polyline: its CSV is the header alone
+        real = rs.shooting.full_curve
+
+        def failing(lam, cfg):
+            if lam == 4.0:
+                raise StepUnderflowError("forced")
+            return real(lam, cfg)
+
+        monkeypatch.setattr(rs.shooting, "full_curve", failing)
+        out = tmp_path / "p.json"
+        assert run("portrait", "--lambdas", "2.5,4.0", "--tol", "1e-5", "--out", out) == 0
+        doc = json.loads(out.read_text())
+        assert doc["entries"][1]["error"] == "forced"
+        assert (tmp_path / "p_01.csv").read_bytes() == b"theta,z\n"
+        assert len((tmp_path / "p_00.csv").read_text().splitlines()) > 10
+
     def test_invalid_spec_exit_2(self, tmp_path):
         assert run("portrait", "--lambdas", "0.5,2.0:", "--out", tmp_path / "x.json") == 2
         assert run("portrait", "--lambdas", "1.0", "--out", tmp_path / "x.json") == 2
@@ -133,6 +153,18 @@ class TestMesh:
 
     def test_requires_source_exit_2(self, tmp_path):
         assert run("mesh", "--out", tmp_path / "m.obj") == 2
+
+    def test_n_angular_bounds_exit_2(self, tmp_path, monkeypatch):
+        # rejected before any profile or mesh is built
+        def never(*args, **kwargs):
+            raise AssertionError("built a profile or mesh")
+
+        monkeypatch.setattr(rs.cli, "sphere_profile", never)
+        monkeypatch.setattr(rs.cli, "revolve", never)
+        for n in (rs.cli.MAX_N_ANGULAR + 1, 0, -5):
+            assert run("mesh", "--builtin", "sphere", "--n-angular", n,
+                       "--out", tmp_path / "m.obj") == 2
+        assert not (tmp_path / "m.obj").exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.obj", tmp_path / "b.obj"

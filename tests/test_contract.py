@@ -20,6 +20,11 @@ PINNED = {
     "extend.regularity.json": "c46a3337579d7b6feb713325393997ab28b7056028fe3861d91f56a2c2b55db5",
     "mesh.obj": "8f9b08a13e55571d19e7be3c76871e94b887d969cbe7c3226d6f5a91be503f2e",
     "verify.json": "3b79a562cf1dfa05a2a719c14389a092d51725cea62f146159f5b42ecc87b0d3",
+    "portrait.json": "03458349cd866bb25c46c35f0403937cc5c4ddce2ad8a6f0927a189b7f30639b",
+    "portrait_00.csv": "a9f53649105cf19ee9560446af78b0a7ce6ada10d0aada2568a4af3860b0624d",
+    "portrait_01.csv": "14ee832348cbc26380fc162510481da104c30ad26bf26bdc361ceb4f4b14a851",
+    "sphere.obj": "f6dc46b117d884ed0fe5baa3132c74ba144bdb8636582b83acba51c10a06277a",
+    "mesh.csv": "8189e2160697fda03385511a71c83bca795a03e399e26219bbd53f5aab8eb1fc",
 }
 
 
@@ -32,6 +37,10 @@ def test_output_bytes_pinned(tmp_path):
     run("mesh", "--lambda", "2.5", "--span", "2", "--n-angular", "8",
         "--out", tmp_path / "mesh.obj")
     run("verify", tmp_path / "curve.csv", "--step", "1e-3", "--out", tmp_path / "verify.json")
+    run("portrait", "--lambdas", "2.5,4", "--out", tmp_path / "portrait.json")
+    run("mesh", "--builtin", "sphere", "--n-angular", "12", "--out", tmp_path / "sphere.obj")
+    run("mesh", "--lambda", "2.5", "--span", "2", "--n-angular", "8",
+        "--out", tmp_path / "mesh.csv")
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED}
     assert got == PINNED
 

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from rotsurf.errors import (
 )
 from rotsurf.field import slope_sq
 from rotsurf.integrate import _B, _P, _dense_coef, bisect_root, corner_series, corner_series_slope
+
+integrate_mod = importlib.import_module("rotsurf.integrate")  # rs.integrate is the function
 
 SQRT2 = math.sqrt(2.0)
 
@@ -193,6 +196,29 @@ class TestDenseOutput:
             tr.state_at(hi + 0.5)
         with pytest.raises(RangeError):
             tr.state_at(lo - 0.5)
+
+    def test_nan_time_raises(self, cfg):
+        # NaN fails both sides of the range check, so it counts as outside
+        tr = rs.full_curve(4.0, cfg)
+        with pytest.raises(RangeError):
+            tr.state_at(math.nan)
+        with pytest.raises(RangeError):
+            tr.states_at([0.0, math.nan])
+        with pytest.raises(RangeError):
+            rs.build_profile(tr).eval_at(math.nan)
+
+    def test_states_at_builds_each_row_once(self, cfg, monkeypatch):
+        # times sharing a row share its coefficients: one build per distinct row
+        tr = rs.full_curve(4.0, cfg)
+        ts = np.linspace(*tr.t_span, 1401)
+        expected = tr.states_at(ts)
+        built = []
+        dense_coef = integrate_mod._dense_coef
+        monkeypatch.setattr(integrate_mod, "_dense_coef",
+                            lambda h, stages: built.append(len(h)) or dense_coef(h, stages))
+        assert np.array_equal(tr.states_at(ts), expected)
+        rows = np.searchsorted(tr.table["t_lo"][1:], ts, side="right")
+        assert built == [len(np.unique(rows))] and built[0] < len(ts)
 
     def test_monotone_theta(self, cfg):
         for lam in (1.3, 2.5, 5.0):

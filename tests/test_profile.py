@@ -13,6 +13,7 @@ from rotsurf.errors import (
     NotPeriodicError,
     TooFewSamplesError,
 )
+from rotsurf.profile import ROW_BLOCK
 
 SQRT2 = math.sqrt(2.0)
 
@@ -335,6 +336,24 @@ class TestCsv:
         assert np.array_equal(again.x, prof.x)
         assert np.array_equal(again.z, prof.z)
         assert np.array_equal(again.theta, prof.theta)
+
+    def test_write_csv_is_the_row_loop_at_block_edges(self):
+        # bulk %-formatting gives the bytes of one f-string per row on each
+        # side of a block edge, including signed zero, subnormals and huge
+        # values (a profile has at least 2 samples; the mesh export tests
+        # cover 0 and 1 rows)
+        rng = np.random.default_rng(7)
+        special = np.array([-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0])
+        for n in (2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1):
+            t = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 0.5 * n
+            x, theta = (np.resize(special, n) * rng.choice([1.0, -1.0], n) for _ in range(2))
+            z = np.resize(np.abs(special[1:]), n)
+            prof = ProfileCurve(t, x, z, theta)
+            buf = io.StringIO()
+            prof.write_csv(buf)
+            ref = "t,x,z,theta\n" + "".join(
+                f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}\n" for a, b, c, d in zip(t, x, z, theta))
+            assert buf.getvalue() == ref
 
     def test_header_validated(self):
         with pytest.raises(ValueError):

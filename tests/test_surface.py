@@ -7,6 +7,7 @@ import pytest
 
 import rotsurf as rs
 from rotsurf import Mesh
+from rotsurf.profile import ROW_BLOCK
 
 SQRT2 = math.sqrt(2.0)
 
@@ -124,6 +125,26 @@ class TestExport:
         assert len(lines) == 1 + 6
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
+
+    def test_export_is_the_row_loop_at_block_edges(self):
+        # OBJ and mesh CSV against one f-string per row, on each side of a
+        # block edge, with signed zero, subnormals and huge coordinates
+        rng = np.random.default_rng(11)
+        special = np.array([-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, 2.0])
+        for n in (0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1):
+            verts = np.resize(special, (n, 3)) * rng.choice([1.0, -1.0], (n, 3))
+            faces = rng.integers(0, 10**6, (2 * n, 3))
+            mesh = Mesh(verts, faces, n_profile=max(1, n // 5), n_angular=5, source_kind="test")
+            obj, csv = io.StringIO(), io.StringIO()
+            rs.export_obj(mesh, obj)
+            rs.export_mesh_csv(mesh, csv)
+            ref_obj = "".join(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in verts)
+            ref_obj += "".join(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in faces)
+            ref_csv = "i,j,x,y,z\n" + "".join(
+                f"{k // 5},{k % 5},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}\n"
+                for k, v in enumerate(verts))
+            assert obj.getvalue() == ref_obj
+            assert csv.getvalue() == ref_csv
 
     def test_deterministic_bytes(self):
         mesh = rs.revolve(rs.sphere_profile(n=17), 9)
