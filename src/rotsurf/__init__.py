@@ -18,6 +18,7 @@ from .errors import (
     RotsurfError,
     SeedError,
     SlopeZeroError,
+    StepLimitError,
     StepUnderflowError,
     TooFewSamplesError,
 )

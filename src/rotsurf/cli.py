@@ -95,11 +95,6 @@ def _json(obj) -> str:
     return format(float(obj), ".17g")
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-
-
 # -- lambda specs ----------------------------------------------------------
 
 MAX_RANGE_LAMBDAS = 10_000  # heights one lo:hi:step range may expand to
@@ -155,7 +150,8 @@ def cmd_portrait(args) -> int:
         if entry.error is not None:
             item["error"] = entry.error
         doc["entries"].append(item)
-    _write_text(args.out, _json(doc) + "\n")
+    with text_sink(args.out, "w") as fh:
+        fh.write(_json(doc) + "\n")
     stem = args.out.rsplit(".", 1)[0]
     for k, entry in enumerate(rep.entries):
         with text_sink(f"{stem}_{k:02d}.csv", "w") as fh:
@@ -179,7 +175,8 @@ def cmd_find_lambda0(args) -> int:
         "launch": {"value": z_launch},
         "difference": abs(res.value - z_launch),
     }
-    _write_text(args.out, _json(doc) + "\n")
+    with text_sink(args.out, "w") as fh:
+        fh.write(_json(doc) + "\n")
     print(f"lambda0: bisection={res.value:.12g} launch={z_launch:.12g} "
           f"difference={abs(res.value - z_launch):.3g} -> {args.out}")
     return 0
@@ -216,6 +213,7 @@ def cmd_curve(args) -> int:
 
 
 MAX_N_ANGULAR = 1024  # angular samples a revolution mesh may have
+MAX_CYLINDER_SAMPLES = 20_001  # profile samples of a builtin cylinder (span 200 at 0.01)
 
 
 def cmd_mesh(args) -> int:
@@ -225,7 +223,11 @@ def cmd_mesh(args) -> int:
     if args.builtin == "sphere":
         prof = sphere_profile()
     elif args.builtin == "cylinder":
-        prof = cylinder_profile(args.span, n=max(2, int(round(args.span / 0.01)) + 1))
+        steps = args.span / 0.01
+        if not steps + 1 <= MAX_CYLINDER_SAMPLES:  # also rejects an infinite or NaN span
+            raise ValueError(f"--span {args.span} gives more than {MAX_CYLINDER_SAMPLES} "
+                             f"cylinder samples")
+        prof = cylinder_profile(args.span, n=max(2, round(steps) + 1))
     elif args.lam is not None:
         prof = _profile_for_lambda(args.lam, args.span, cfg)
     else:
@@ -263,7 +265,8 @@ def cmd_extend(args) -> int:
             for j in report.junctions
         ],
     }
-    _write_text(f"{stem}.regularity.json", _json(doc) + "\n")
+    with text_sink(f"{stem}.regularity.json", "w") as fh:
+        fh.write(_json(doc) + "\n")
     orders = ",".join(j.order for j in report.junctions) or "none"
     print(f"extend: copies={args.copies} junction orders: {orders} -> {args.out}")
     return 0
@@ -286,11 +289,8 @@ def cmd_verify(args) -> int:
         "speed_threshold": args.max_speed,
         "pass": ok,
     }
-    text = _json(doc) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    with text_sink(args.out or sys.stdout, "w") as fh:
+        fh.write(_json(doc) + "\n")
     print(f"verify: {'PASS' if ok else 'FAIL'} residual={rep.max_curvature_residual:.3e} "
           f"speed={rep.max_speed_residual:.3e} at h={rep.h:g}")
     return 0 if ok else 4

@@ -21,6 +21,10 @@ class StepUnderflowError(RotsurfError):
     """Step control demanded a step below min_step away from the boundary."""
 
 
+class StepLimitError(RotsurfError):
+    """An integration took more accepted steps than the integrator allows."""
+
+
 class SeedError(RotsurfError):
     """Series seed violates the constraint beyond tolerance."""
 

@@ -40,6 +40,7 @@ from .errors import (
     NotOnAxisError,
     RangeError,
     SeedError,
+    StepLimitError,
     StepUnderflowError,
 )
 from .field import PhasePoint, domain_gap, slope
@@ -70,6 +71,10 @@ _P = (
 )
 
 _ORDER_EXP = -1.0 / 5.0
+# Accepted steps one integration may take.  A span of 200 at max_step 0.1
+# takes 2,000; the cap stops a huge max_time or a tolerance that makes the
+# steps crawl before their lists fill memory.
+MAX_STEPS = 100_000
 
 # Trajectory series at the degenerate corner (0, 1), s = arc length from the
 # corner.  1/18 and 1/72 follow from theta'' -> 0, theta''' -> 1/3; the
@@ -208,7 +213,9 @@ class Trajectory:
     quartic interpolant.  Reflection and time shifts compose into (a, b,
     scale, offset), so mirrored and concatenated trajectories keep full dense
     output.  The coefficients of p are built, by _dense_coef, once for each
-    distinct row an evaluation reads.
+    distinct row an evaluation reads.  The arrays of an integrated
+    trajectory are read-only: shooting hands one trajectory to several
+    callers.
     """
 
     def __init__(self, ts, ys, table, left_info, right_info, direction, cfg):
@@ -455,16 +462,19 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
         x1 = x + h * (b1 * k1c + b2 * k2c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c)
         k7a, k7b, k7c = sgn * slope(th1, z1), sgn * sin(th1), sgn * cos(th1)
 
-        err = h * (e1 * k1a + e2 * k2a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
-        y_abs, y1_abs = abs(th), abs(th1)
-        norm = (err / (abs_tol + rel_tol * (y1_abs if y1_abs > y_abs else y_abs))) ** 2
-        err = h * (e1 * k1b + e2 * k2b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
-        y_abs, y1_abs = abs(z), abs(z1)
-        norm += (err / (abs_tol + rel_tol * (y1_abs if y1_abs > y_abs else y_abs))) ** 2
-        err = h * (e1 * k1c + e2 * k2c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
-        y_abs, y1_abs = abs(x), abs(x1)
-        norm += (err / (abs_tol + rel_tol * (y1_abs if y1_abs > y_abs else y_abs))) ** 2
-        norm = math.sqrt(norm / 3.0)
+        try:
+            err = h * (e1 * k1a + e2 * k2a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
+            y_abs, y1_abs = abs(th), abs(th1)
+            norm = (err / (abs_tol + rel_tol * (y1_abs if y1_abs > y_abs else y_abs))) ** 2
+            err = h * (e1 * k1b + e2 * k2b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
+            y_abs, y1_abs = abs(z), abs(z1)
+            norm += (err / (abs_tol + rel_tol * (y1_abs if y1_abs > y_abs else y_abs))) ** 2
+            err = h * (e1 * k1c + e2 * k2c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
+            y_abs, y1_abs = abs(x), abs(x1)
+            norm += (err / (abs_tol + rel_tol * (y1_abs if y1_abs > y_abs else y_abs))) ** 2
+            norm = math.sqrt(norm / 3.0)
+        except OverflowError:  # float ** 2 raises past 1e308 (tiny tolerances)
+            norm = math.inf
 
         if not norm <= 1.0:  # too large, or NaN
             fac = 0.2 if norm != norm else max(0.2, 0.9 * norm ** _ORDER_EXP)
@@ -539,6 +549,8 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
         y_nodes.append(y1)
         y, th, z, x = y1, th1, z1, x1
         k1a, k1b, k1c = k7a, k7b, k7c
+        if len(hs) == MAX_STEPS:
+            raise StepLimitError(f"more than {MAX_STEPS} steps, at sigma={sig}")
         if norm == 0.0:
             fac = 5.0  # the limit of the expression below as norm -> 0
         else:
@@ -601,6 +613,8 @@ def _finalized(sig_nodes, y_nodes, hs, stages, stop, direction, cfg, start_info)
         ts, ys = ts[::-1], ys[::-1]
         table = {key: col[::-1] for key, col in table.items()}
         left, right = stop, start_info
+    for col in (ts, ys, *table.values()):
+        col.flags.writeable = False  # a memoized trajectory is shared
     return Trajectory(ts, ys, table, left, right, direction, cfg)
 
 

@@ -48,6 +48,7 @@ def text_sink(sink, mode: str = "r"):
 
 
 ROW_BLOCK = 128  # rows formatted and written at a time by write_rows
+MAX_RESAMPLE_STEPS = 1_000_000  # uniform steps verify_profile may resample
 
 
 def write_rows(fh, fmt: str, n: int, *columns) -> None:
@@ -510,14 +511,18 @@ def verify_profile(profile: ProfileCurve, h: float,
     ends: profiles that die on the domain boundary have theta ~ c s^(3/2)
     in the distance s to the end, so difference quotients there measure the
     estimator's own blowup, not the surface.  Interior-smooth profiles are
-    unaffected by the trim.
+    unaffected by the trim.  A step h that cuts the span into more than
+    MAX_RESAMPLE_STEPS steps raises ValueError before anything is resampled.
     """
     if not h > 0.0:
         raise ValueError("h must be positive")
     if end_trim is None:
         end_trim = 10.0 * h
     t_lo, t_hi = profile.span
-    n = int(math.floor((t_hi - t_lo) / h))
+    steps = (t_hi - t_lo) / h
+    if not steps <= MAX_RESAMPLE_STEPS:
+        raise ValueError(f"resample step {h} gives more than {MAX_RESAMPLE_STEPS} steps")
+    n = int(math.floor(steps))
     min_gap = float(np.min(np.diff(profile.t)))
     if len(profile) > 2 and h >= 0.5 * min_gap:
         raise TooFewSamplesError(

@@ -7,10 +7,16 @@ lambda vs sqrt(2)), or -- for exactly one critical lambda0 -- limps into the
 degenerate corner (0, 1).  Distinct heights cannot share a boundary limit
 point, so the crossing predicate has a single threshold in lambda and plain
 bisection is valid.
+
+The last backward trajectory is kept (a one-entry memo keyed on the height
+and the config), so drawing a height right after classifying it integrates
+it once.  A kept trajectory is handed to every caller that asks for it, so
+its node and dense-output arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,8 +67,17 @@ class PortraitReport:
     lambda0: Lambda0Result
 
 
+MEMO_SIZE = 1  # backward trajectories kept: the last one, for classify-then-draw
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def backward_trajectory(lam: float, cfg: IntegratorConfig) -> Trajectory:
-    """Backward integral curve from (pi, lam), stopped at theta = 0 or contact."""
+    """Backward integral curve from (pi, lam), stopped at theta = 0 or contact.
+
+    The last result is reused for the same (lam, cfg), so classify_lambda
+    followed by full_curve integrates once; its arrays are read-only.
+    Clear the memo with backward_trajectory.cache_clear().
+    """
     return integrate(PhasePoint(math.pi, lam), "backward", cfg.with_targets(0.0))
 
 
@@ -114,6 +129,9 @@ def find_lambda0(cfg: IntegratorConfig, tol: float = 1e-8) -> Lambda0Result:
     The initial bracket doubles upward from sqrt(2) (which contacts the
     boundary, so the predicate is false there) until the predicate flips.
     Injectivity of boundary limit points guarantees a single threshold.
+    Bisection stops at hi - lo <= tol, or once lo and hi are adjacent floats
+    (the midpoint is one of them), where the bracket is wider than a tol
+    below one ulp.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -127,6 +145,8 @@ def find_lambda0(cfg: IntegratorConfig, tol: float = 1e-8) -> Lambda0Result:
     iters = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if _crosses(mid, cfg):
             hi = mid
         else:

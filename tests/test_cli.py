@@ -1,16 +1,22 @@
+import contextlib
+import importlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import rotsurf as rs
 import rotsurf.cli
 import rotsurf.shooting
 from rotsurf.cli import main
-from rotsurf.errors import StepUnderflowError
+from rotsurf.errors import RotsurfError, StepUnderflowError
 
 from oracles import LAMBDA0_REF
+
+integrate_mod = importlib.import_module("rotsurf.integrate")  # rs.integrate is the function
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,6 +45,16 @@ class TestFindLambda0:
             lo, hi = json.loads(out.read_text())["bisection"]["bracket"]
             widths.append(hi - lo)
         assert widths[1] < widths[0]
+
+    def test_tiny_tol_stops_at_adjacent_floats(self, cfg, tmp_path):
+        # below one ulp the midpoint is lo or hi: the bracket cannot shrink
+        res = rs.find_lambda0(cfg, tol=1e-300)
+        lo, hi = res.bracket
+        assert hi == math.nextafter(lo, math.inf)
+        assert res.iterations <= 64
+        out = tmp_path / "tiny.json"
+        assert run("find-lambda0", "--tol", "1e-20", "--out", out) == 0
+        assert json.loads(out.read_text())["bisection"]["bracket"] == [lo, hi]
 
 
 class TestPortrait:
@@ -126,6 +142,13 @@ class TestCurve:
         assert run("curve", "--lambda", "inf", "--out", tmp_path / "x.csv") == 2
         assert run("curve", "--lambda", "4", "--span", "-1", "--out", tmp_path / "x.csv") == 2
 
+    def test_step_cap_exit_3(self, tmp_path, monkeypatch):
+        # a periodic height integrates for the whole span, up to the cap
+        monkeypatch.setattr(integrate_mod, "MAX_STEPS", 1000)
+        for argv in (("curve", "--lambda", "4"), ("mesh", "--lambda", "4", "--n-angular", "8")):
+            assert run(*argv, "--span", "1e300", "--out", tmp_path / "x.csv") == 3
+        assert not (tmp_path / "x.csv").exists()
+
     def test_zero_error_norm_step(self, tmp_path):
         # the span leaves a sliver last step whose error estimate is exactly 0
         out = tmp_path / "c.csv"
@@ -165,6 +188,31 @@ class TestMesh:
             assert run("mesh", "--builtin", "sphere", "--n-angular", n,
                        "--out", tmp_path / "m.obj") == 2
         assert not (tmp_path / "m.obj").exists()
+
+    def test_cylinder_span_bounds_exit_2(self, tmp_path, monkeypatch, capsys):
+        # the sample count is checked before the profile is built
+        built = []
+
+        def cylinder(span, n):
+            built.append(n)
+            raise RotsurfError("not built")
+
+        def never(*args, **kwargs):
+            raise AssertionError("built a mesh")
+
+        monkeypatch.setattr(rs.cli, "cylinder_profile", cylinder)
+        monkeypatch.setattr(rs.cli, "revolve", never)
+        top = 0.01 * (rs.cli.MAX_CYLINDER_SAMPLES - 1)
+        for span in ("inf", "nan", "1e9", "1e300", repr(top + 0.01)):
+            capsys.readouterr()
+            assert run("mesh", "--builtin", "cylinder", "--span", span,
+                       "--out", tmp_path / "m.obj") == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert built == []
+        assert run("mesh", "--builtin", "cylinder", "--span", repr(top),
+                   "--out", tmp_path / "m.obj") == 3
+        assert built == [rs.cli.MAX_CYLINDER_SAMPLES]
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.obj", tmp_path / "b.obj"
@@ -239,3 +287,76 @@ class TestConfigFile:
         conf.write_text("rel_tol 1e-10\n")
         assert run("curve", "--lambda", "1.2", "--config", conf,
                    "--out", tmp_path / "x.csv") == 2
+
+
+# Hostile values for every numeric flag, next to ordinary ones.
+HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
+
+
+def _values(*ordinary):
+    """Half hostile, half ordinary."""
+    return st.one_of(st.sampled_from(HOSTILE), st.sampled_from(ordinary))
+
+
+@st.composite
+def _argv(draw, csv):
+    """A command and flags; every flag is --name=value, so '-1' is a value."""
+    cmd = draw(st.sampled_from(("curve", "mesh", "portrait", "find-lambda0", "verify")))
+    heights = _values("1.2", repr(SQRT2), "2.5", "3.2136243987", "4")
+    argv = [cmd]
+    if cmd == "curve":
+        argv += [f"--lambda={draw(heights)}", f"--span={draw(_values('0.5', '3'))}"]
+    elif cmd == "mesh":
+        source = draw(st.sampled_from(("sphere", "cylinder", "lambda")))
+        argv.append(f"--lambda={draw(heights)}" if source == "lambda" else f"--builtin={source}")
+        argv += [f"--span={draw(_values('0.5', '3'))}",
+                 f"--n-angular={draw(st.integers(-2, 64))}"]
+    elif cmd == "portrait":
+        spec = draw(st.one_of(
+            st.lists(heights, min_size=1, max_size=3).map(",".join),
+            st.tuples(heights, heights, _values("0.5")).map(":".join)))
+        argv += [f"--lambdas={spec}", f"--tol={draw(_values('1e-3', '1e-8'))}"]
+    elif cmd == "find-lambda0":
+        argv.append(f"--tol={draw(_values('1e-3', '1e-8'))}")
+    else:
+        argv += [csv, f"--step={draw(_values('1e-3', '5e-3'))}",
+                 f"--max-residual={draw(_values('1e-4'))}",
+                 f"--max-speed={draw(_values('1e-6'))}"]
+    for flag in ("--rel-tol", "--abs-tol", "--boundary-eps"):
+        if draw(st.integers(0, 3)) == 3:  # one vector in four sets it
+            argv.append(f"{flag}={draw(_values('1e-10'))}")
+    return argv
+
+
+class TestHostileArgv:
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("hostile")
+        run("curve", "--lambda", "4", "--span", "3", "--out", work / "c.csv")
+        return work
+
+    def test_exit_codes(self, work):
+        @settings(max_examples=60, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(argv=_argv(str(work / "c.csv")))
+        # vectors that once hung, allocated without bound or raised
+        @example(argv=["curve", "--lambda=4", "--span=1e300"])
+        @example(argv=["find-lambda0", "--tol=1e-300", "--abs-tol=1e-300"])
+        @example(argv=["portrait", "--lambdas=4", "--rel-tol=1e-300", "--abs-tol=1e-300"])
+        @example(argv=["mesh", "--builtin=cylinder", "--span=inf"])
+        @example(argv=["verify", str(work / "c.csv"), "--step=1e-9"])
+        def check(argv):
+            out = str(work / ("o.json" if argv[0] in ("portrait", "find-lambda0", "verify")
+                              else "o.csv"))
+            err = io.StringIO()
+            # any other exception escaping main (a traceback) fails the example
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main(argv + [f"--out={out}"])
+                except SystemExit as exc:  # argparse rejects the vector
+                    code = exc.code
+            assert code in (0, 2, 3, 4), (argv, err.getvalue())
+            if code in (2, 3):
+                assert err.getvalue().count("\n") == 1 or err.getvalue().startswith("usage:")
+
+        check()

@@ -11,6 +11,7 @@ from rotsurf.errors import (
     NotOnAxisError,
     RangeError,
     SeedError,
+    StepLimitError,
     StepUnderflowError,
 )
 from rotsurf.field import slope_sq
@@ -152,6 +153,22 @@ class TestEvents:
                              max_step=0.1)
         with pytest.raises(StepUnderflowError):
             rs.integrate(PhasePoint(0.4, 3.0), "forward", c)
+
+    def test_step_limit(self, monkeypatch):
+        # a periodic curve with a huge max_time stops at the step cap
+        monkeypatch.setattr(integrate_mod, "MAX_STEPS", 50)
+        c = IntegratorConfig(max_time=1e300)
+        with pytest.raises(StepLimitError):
+            rs.integrate(PhasePoint(0.3, 2.0), "forward", c)
+        assert len(rs.integrate(PhasePoint(0.3, 2.0), "forward",
+                                IntegratorConfig(max_time=1.0)).ts) < 50
+
+    def test_error_norm_overflow_rejects_the_step(self):
+        # err / tol overflows float ** 2 for tolerances near 1e-300: a
+        # rejected step (then underflow), not an OverflowError
+        c = IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300)
+        with pytest.raises(StepUnderflowError):
+            rs.integrate(PhasePoint(math.pi, 4.0), "backward", c)
 
 
 class TestDenseOutput:

@@ -13,7 +13,7 @@ from rotsurf.errors import (
     NotPeriodicError,
     TooFewSamplesError,
 )
-from rotsurf.profile import ROW_BLOCK
+from rotsurf.profile import MAX_RESAMPLE_STEPS, ROW_BLOCK
 
 SQRT2 = math.sqrt(2.0)
 
@@ -298,6 +298,13 @@ class TestVerify:
         prof = rs.sphere_profile(n=1201)
         with pytest.raises(TooFewSamplesError):
             rs.verify_profile(prof, 0.01)  # sample gap ~3.7e-3
+
+    def test_too_many_steps_rejected(self):
+        # checked before the resample grid is allocated
+        prof = rs.cylinder_profile(3.0, n=301)
+        for h in (1e-300, 0.5 * 3.0 / MAX_RESAMPLE_STEPS):
+            with pytest.raises(ValueError):
+                rs.verify_profile(prof, h)
 
     def test_tiny_span_rejected(self):
         prof = rs.cylinder_profile(0.1, n=5)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import rotsurf as rs
+import rotsurf.shooting
 from rotsurf.errors import InvalidLambdaError
 
 from oracles import LAMBDA0_REF
@@ -147,3 +148,62 @@ class TestPortrait:
         tight = cfg.tightened(10.0)
         for lam in (1.2, 2.0, lambda0.value + 0.5):
             assert rs.classify_lambda(lam, cfg).tag == rs.classify_lambda(lam, tight).tag
+
+
+class TestMemo:
+    """backward_trajectory keeps its last result, and only that one."""
+
+    HEIGHTS = (1.2, 2.5, 4.0)
+
+    @pytest.fixture
+    def integrations(self, monkeypatch):
+        # other tests may have left a matching entry
+        rs.backward_trajectory.cache_clear()
+        calls = []
+        real = rs.shooting.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rs.shooting, "integrate", counted)
+        yield calls
+        rs.backward_trajectory.cache_clear()
+
+    def test_classify_then_draw_integrates_once(self, cfg, integrations):
+        rs.classify_lambda(4.0, cfg)
+        rs.full_curve(4.0, cfg)
+        assert len(integrations) == 1
+
+    def test_no_result_survives_to_the_next_height(self, cfg, integrations):
+        per_pass = []
+        for _ in range(2):
+            before = len(integrations)
+            for lam in self.HEIGHTS:
+                rs.classify_lambda(lam, cfg)
+                rs.full_curve(lam, cfg)
+            per_pass.append(len(integrations) - before)
+        assert per_pass == [3, 3]
+        assert rs.backward_trajectory.cache_info().maxsize == rs.shooting.MEMO_SIZE == 1
+
+    def test_full_curve_is_the_unmemoized_curve(self, cfg, integrations):
+        for lam in self.HEIGHTS:
+            rs.classify_lambda(lam, cfg)
+            got = rs.full_curve(lam, cfg)
+            half = rs.integrate(rs.PhasePoint(math.pi, lam), "backward", cfg.with_targets(0.0))
+            ref = rs.with_mirror(half)
+            assert got.ts.tobytes() == ref.ts.tobytes()
+            assert got.ys.tobytes() == ref.ys.tobytes()
+            assert got.table.keys() == ref.table.keys()
+            for key in ref.table:
+                assert got.table[key].tobytes() == ref.table[key].tobytes(), key
+            assert (got.left_info, got.right_info) == (ref.left_info, ref.right_info)
+        assert len(integrations) == len(self.HEIGHTS)
+
+    def test_returned_arrays_are_read_only(self, cfg):
+        traj = rs.backward_trajectory(4.0, cfg)
+        with pytest.raises(ValueError):
+            traj.ts[0] = 0.0
+        for col in (traj.ys, *traj.table.values()):
+            assert not col.flags.writeable
+        assert traj is rs.backward_trajectory(4.0, cfg)
