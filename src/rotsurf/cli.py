@@ -163,9 +163,11 @@ def cmd_portrait(args) -> int:
 
 def cmd_find_lambda0(args) -> int:
     cfg = _merge_run_config(args).integrator()
-    res = find_lambda0(cfg, tol=args.tol)
-    launch = launch_separatrix(cfg)
-    z_launch = float(launch.zs[-1])
+    if not args.tol > 0.0:  # invalid input exits 2 before any integration
+        raise ValueError("tol must be positive")
+    # one launch: the bisection's estimate and the printed cross-check
+    z_launch = float(launch_separatrix(cfg).zs[-1])
+    res = find_lambda0(cfg, tol=args.tol, estimate=z_launch)
     doc = {
         "bisection": {
             "value": res.value,
@@ -214,6 +216,8 @@ def cmd_curve(args) -> int:
 
 MAX_N_ANGULAR = 1024  # angular samples a revolution mesh may have
 MAX_CYLINDER_SAMPLES = 20_001  # profile samples of a builtin cylinder (span 200 at 0.01)
+# vertices a revolution mesh may have: the largest builtin cylinder's, about 2 GB to build
+MAX_MESH_VERTICES = MAX_CYLINDER_SAMPLES * MAX_N_ANGULAR
 
 
 def cmd_mesh(args) -> int:
@@ -232,6 +236,9 @@ def cmd_mesh(args) -> int:
         prof = _profile_for_lambda(args.lam, args.span, cfg)
     else:
         raise ValueError("mesh needs --builtin sphere|cylinder or --lambda")
+    if len(prof) * args.n_angular > MAX_MESH_VERTICES:
+        raise ValueError(f"{len(prof)} profile samples x {args.n_angular} angles exceed "
+                         f"{MAX_MESH_VERTICES} mesh vertices")
     mesh = revolve(prof, args.n_angular)
     if args.out.endswith(".csv"):
         export_mesh_csv(mesh, args.out)
@@ -351,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-speed", dest="max_speed", type=float, default=1e-6,
                    help="unit-speed residual threshold")
     p.add_argument("--out", default=None)
-    common(p)
     p.set_defaults(func=cmd_verify)
 
     return top

@@ -8,6 +8,16 @@ degenerate corner (0, 1).  Distinct heights cannot share a boundary limit
 point, so the crossing predicate has a single threshold in lambda and plain
 bisection is valid.
 
+The same threshold lets find_lambda0 skip most of its integrations.  The
+series launch estimates lambda0 (within 5e-10 at the default config);
+integrating the two heights CERT_MARGIN below and above the estimate
+certifies the predicate ("no" at and below the first, "yes" at and above
+the second) when the two disagree that way.  Bisection then integrates only the midpoints strictly
+between them.  When the certificates fail, or there is no usable estimate,
+every midpoint is integrated.  Either way the midpoints, the answers and so
+the result are those of the plain bisection: a wrong estimate costs time,
+never bits.
+
 The last backward trajectory is kept (a one-entry memo keyed on the height
 and the config), so drawing a height right after classifying it integrates
 it once.  A kept trajectory is handed to every caller that asks for it, so
@@ -24,7 +34,7 @@ import numpy as np
 
 from .errors import BracketError, InvalidLambdaError, RotsurfError
 from .field import SQRT2, PhasePoint
-from .integrate import IntegratorConfig, Trajectory, integrate, with_mirror
+from .integrate import IntegratorConfig, Trajectory, integrate, launch_separatrix, with_mirror
 
 SPHERE = "Sphere"
 PERIODIC = "Periodic"
@@ -123,7 +133,32 @@ def classify_lambda(
     raise RotsurfError(f"classification inconclusive for lambda={lam}: hit {stop.kind}")
 
 
-def find_lambda0(cfg: IntegratorConfig, tol: float = 1e-8) -> Lambda0Result:
+CERT_MARGIN = 1e-7  # half-width of the certified window around the lambda0 estimate
+
+
+def _certified_window(cfg: IntegratorConfig, estimate: float | None) -> tuple[float, float]:
+    """Heights (a, b) with the predicate false at lam <= a and true at lam >= b.
+
+    Both are integrated, so the window rests on the single threshold, not on
+    the estimate.  (-inf, inf), which certifies nothing, when the launch or
+    a certificate fails, the estimate is not finite or not above
+    sqrt(2) + CERT_MARGIN, or the two heights do not straddle the threshold.
+    """
+    nothing = (-math.inf, math.inf)
+    try:
+        if estimate is None:
+            estimate = float(launch_separatrix(cfg).zs[-1])
+        a, b = estimate - CERT_MARGIN, estimate + CERT_MARGIN
+        if not (SQRT2 < a and b < math.inf) or _crosses(a, cfg) or not _crosses(b, cfg):
+            return nothing
+    except RotsurfError:
+        return nothing
+    return a, b
+
+
+def find_lambda0(
+    cfg: IntegratorConfig, tol: float = 1e-8, *, estimate: float | None = None
+) -> Lambda0Result:
     """Bisection on "the backward trajectory crosses theta = 0 above z = 1".
 
     The initial bracket doubles upward from sqrt(2) (which contacts the
@@ -132,12 +167,27 @@ def find_lambda0(cfg: IntegratorConfig, tol: float = 1e-8) -> Lambda0Result:
     Bisection stops at hi - lo <= tol, or once lo and hi are adjacent floats
     (the midpoint is one of them), where the bracket is wider than a tol
     below one ulp.
+
+    estimate (the terminal z of launch_separatrix, launched here when None)
+    centres a window of half-width CERT_MARGIN whose ends are integrated
+    first; heights outside a certified window are answered without
+    integrating them.  With a single threshold those answers are the ones
+    integration would give, so the result equals the plain bisection's bit
+    for bit whatever the estimate: a wrong or unusable one only means every
+    height is integrated.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    no_below, yes_above = _certified_window(cfg, estimate)
+
+    def crosses(lam: float) -> bool:
+        if lam <= no_below:
+            return False
+        return lam >= yes_above or _crosses(lam, cfg)
+
     lo = SQRT2
     hi = 2.0 * SQRT2
-    while not _crosses(hi, cfg):
+    while not crosses(hi):
         lo = hi
         hi *= 2.0
         if hi > 65536.0:
@@ -147,7 +197,7 @@ def find_lambda0(cfg: IntegratorConfig, tol: float = 1e-8) -> Lambda0Result:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _crosses(mid, cfg):
+        if crosses(mid):
             hi = mid
         else:
             lo = mid

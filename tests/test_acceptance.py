@@ -13,6 +13,7 @@ import pytest
 
 import rotsurf as rs
 from rotsurf import ExtensionSpec, PhasePoint
+from rotsurf.field import slope
 
 from oracles import LAMBDA0_REF, lambda0_bisection
 
@@ -167,12 +168,13 @@ def test_criterion_8_field_properties(cfg):
         nonlocal n_samples, worst_constraint, worst_low, monotone_ok
         lo, hi = tr.t_span
         grid = np.linspace(lo, hi, 900)
-        for t in grid:
-            s = tr.dense_eval(float(t))
-            res = abs(s.dtheta ** 2 + math.cos(s.theta) ** 2 / s.z ** 2 - 1.0)
+        # dense states in one call; dtheta from the field, as dense_eval gives it
+        for theta, z, _ in tr.states_at(grid).tolist():
+            dtheta = slope(theta, z)
+            res = abs(dtheta ** 2 + math.cos(theta) ** 2 / z ** 2 - 1.0)
             worst_constraint = max(worst_constraint, res)
-            if s.z < 1.0:
-                worst_low = max(worst_low, s.dtheta - abs(math.sin(s.theta)))
+            if z < 1.0:
+                worst_low = max(worst_low, dtheta - abs(math.sin(theta)))
         monotone_ok &= bool(np.all(np.diff(tr.thetas) > 0.0))
         n_samples += len(grid)
 

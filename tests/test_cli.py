@@ -56,6 +56,28 @@ class TestFindLambda0:
         assert run("find-lambda0", "--tol", "1e-20", "--out", out) == 0
         assert json.loads(out.read_text())["bisection"]["bracket"] == [lo, hi]
 
+    def test_one_launch_per_command(self, tmp_path, monkeypatch):
+        # the launch is both the bisection's estimate and the cross-check
+        launches = []
+        real = rs.cli.launch_separatrix
+
+        def counted(cfg):
+            launches.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(rs.cli, "launch_separatrix", counted)
+        monkeypatch.setattr(rs.shooting, "launch_separatrix", counted)
+        assert run("find-lambda0", "--tol", "1e-8", "--out", tmp_path / "l.json") == 0
+        assert len(launches) == 1
+
+    def test_bad_tol_exit_2_before_launch(self, tmp_path, monkeypatch):
+        def never(cfg):
+            raise AssertionError("launched")
+
+        monkeypatch.setattr(rs.cli, "launch_separatrix", never)
+        for tol in ("0", "-1", "nan"):
+            assert run("find-lambda0", "--tol", tol, "--out", tmp_path / "l.json") == 2
+
 
 class TestPortrait:
     def test_json_schema_and_order(self, tmp_path):
@@ -214,6 +236,28 @@ class TestMesh:
                    "--out", tmp_path / "m.obj") == 3
         assert built == [rs.cli.MAX_CYLINDER_SAMPLES]
 
+    def test_total_size_bound_exit_2(self, cfg, tmp_path, monkeypatch, capsys):
+        # len(profile) * n_angular is checked before revolve allocates
+        revolved = []
+
+        def revolve(prof, n_angular):
+            revolved.append(len(prof) * n_angular)
+            raise RotsurfError("not revolved")
+
+        monkeypatch.setattr(rs.cli, "revolve", revolve)
+        n_vertices = len(rs.cli._profile_for_lambda(2.5, 2.0, cfg)) * 8
+        argv = ("mesh", "--lambda", "2.5", "--span", "2", "--n-angular", "8",
+                "--out", tmp_path / "m.obj")
+        monkeypatch.setattr(rs.cli, "MAX_MESH_VERTICES", n_vertices - 1)
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert revolved == []
+        monkeypatch.setattr(rs.cli, "MAX_MESH_VERTICES", n_vertices)
+        assert run(*argv) == 3
+        assert revolved == [n_vertices]
+
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.obj", tmp_path / "b.obj"
         run("mesh", "--builtin", "sphere", "--n-angular", "12", "--out", a)
@@ -265,6 +309,17 @@ class TestExtendAndVerify:
 
     def test_verify_missing_file_exit_2(self, tmp_path):
         assert run("verify", tmp_path / "nope.csv") == 2
+
+    @pytest.mark.parametrize("flag", ["--rel-tol=nan", "--abs-tol=nan",
+                                      "--boundary-eps=1e-10", "--config=run.conf"])
+    def test_verify_rejects_integrator_flags(self, tmp_path, capsys, flag):
+        # verify integrates nothing, so it takes no integrator settings
+        curve = tmp_path / "c.csv"
+        assert run("curve", "--lambda", "4.0", "--span", "2", "--out", curve) == 0
+        with pytest.raises(SystemExit) as exc:
+            run("verify", curve, flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -25,6 +25,7 @@ PINNED = {
     "portrait_01.csv": "14ee832348cbc26380fc162510481da104c30ad26bf26bdc361ceb4f4b14a851",
     "sphere.obj": "f6dc46b117d884ed0fe5baa3132c74ba144bdb8636582b83acba51c10a06277a",
     "mesh.csv": "8189e2160697fda03385511a71c83bca795a03e399e26219bbd53f5aab8eb1fc",
+    "lambda0.json": "8bbdbff4e6040652b634a81eb7bc60a47eaf4f3c46b874e53e4280cd75b2c0de",
 }
 
 
@@ -41,6 +42,7 @@ def test_output_bytes_pinned(tmp_path):
     run("mesh", "--builtin", "sphere", "--n-angular", "12", "--out", tmp_path / "sphere.obj")
     run("mesh", "--lambda", "2.5", "--span", "2", "--n-angular", "8",
         "--out", tmp_path / "mesh.csv")
+    run("find-lambda0", "--tol", "1e-8", "--out", tmp_path / "lambda0.json")
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED}
     assert got == PINNED
 

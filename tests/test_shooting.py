@@ -207,3 +207,110 @@ class TestMemo:
         for col in (traj.ys, *traj.table.values()):
             assert not col.flags.writeable
         assert traj is rs.backward_trajectory(4.0, cfg)
+
+
+def plain_bisection(cfg, tol):
+    """The doubling-plus-bisection loop integrating every height it visits.
+
+    Returns the result and the visited heights in order, for comparison
+    with find_lambda0's certified skip.
+    """
+    visited = []
+
+    def crosses(lam):
+        visited.append(lam)
+        return rs.backward_trajectory(lam, cfg).termination.kind == "theta_crossing"
+
+    lo, hi = SQRT2, 2.0 * SQRT2
+    while not crosses(hi):
+        lo, hi = hi, 2.0 * hi
+    iters = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if crosses(mid):
+            hi = mid
+        else:
+            lo = mid
+        iters += 1
+    return rs.Lambda0Result(0.5 * (lo + hi), (lo, hi), iters), visited
+
+
+SKIP_CONFIGS = {
+    "default": rs.IntegratorConfig(),
+    "tightened": rs.IntegratorConfig().tightened(10.0),
+    "loose": rs.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9),
+}
+
+
+class TestCertifiedSkip:
+    """find_lambda0 integrates only near the launch estimate, with the plain result."""
+
+    PINNED = rs.Lambda0Result(3.2136243981774015, (3.2136243955432233, 3.2136244008115797), 29)
+
+    @pytest.fixture
+    def heights(self, monkeypatch):
+        # _crosses is called once per integrated height; start from an empty memo
+        rs.backward_trajectory.cache_clear()
+        calls = []
+        real = rs.shooting._crosses
+
+        def counted(lam, cfg):
+            calls.append(lam)
+            return real(lam, cfg)
+
+        monkeypatch.setattr(rs.shooting, "_crosses", counted)
+        yield calls
+        rs.backward_trajectory.cache_clear()
+
+    # tol -> (heights find_lambda0 integrates, heights the plain loop does),
+    # the same on every config of SKIP_CONFIGS
+    COUNTS = {1e-4: (2, 17), 1e-8: (8, 31), 1e-12: (21, 44), 1e-300: (31, 54)}
+
+    @pytest.mark.parametrize("name", sorted(SKIP_CONFIGS))
+    @pytest.mark.parametrize("tol", sorted(COUNTS))
+    def test_equals_plain_bisection(self, name, tol, heights):
+        cfg = SKIP_CONFIGS[name]
+        got = rs.find_lambda0(cfg, tol=tol)
+        want, visited = plain_bisection(cfg, tol)
+        assert got == want
+        assert (len(heights), len(visited)) == self.COUNTS[tol]
+
+    def test_default_solve_integrates_eight_heights(self, cfg, heights):
+        res = rs.find_lambda0(cfg, tol=1e-8)
+        assert res == self.PINNED
+        assert len(heights) == 8
+        a, b = heights[:2]
+        assert b - a == pytest.approx(2 * rs.shooting.CERT_MARGIN, rel=1e-6)
+        _, visited = plain_bisection(cfg, 1e-8)
+        assert heights[2:] == [h for h in visited if a < h < b]
+
+    def test_launch_value_is_the_default_estimate(self, cfg, launch, heights):
+        rs.find_lambda0(cfg, tol=1e-8, estimate=float(launch.zs[-1]))
+        by_estimate = list(heights)
+        heights.clear()
+        rs.find_lambda0(cfg, tol=1e-8)
+        assert heights == by_estimate
+
+    @pytest.mark.parametrize("case", ["wrong", "nan", "seed_error"])
+    def test_fallback_integrates_every_height(self, cfg, launch, heights, monkeypatch, case):
+        kwargs = {}
+        if case == "wrong":
+            kwargs["estimate"] = float(launch.zs[-1]) + 1e-3
+        elif case == "nan":
+            kwargs["estimate"] = math.nan
+        else:
+            def no_launch(cfg):
+                raise rs.SeedError("forced")
+
+            monkeypatch.setattr(rs.shooting, "launch_separatrix", no_launch)
+        res = rs.find_lambda0(cfg, tol=1e-8, **kwargs)
+        assert res == self.PINNED
+        _, visited = plain_bisection(cfg, 1e-8)
+        n_loop = len(visited)
+        assert n_loop == 31
+        # the loop's own heights come last; before them only the wrong
+        # estimate's lower certificate, which already crosses
+        assert heights[-n_loop:] == visited
+        assert len(heights) - n_loop == (1 if case == "wrong" else 0)
