@@ -41,7 +41,6 @@ from .integrate import (
     EndInfo,
     IntegratorConfig,
     Trajectory,
-    TrajectorySample,
     concat,
     corner_series,
     integrate,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -33,21 +33,8 @@ from .shooting import SEPARATRIX, SPHERE, classify_lambda, find_lambda0, portrai
 from .surface import export_mesh_csv, export_obj, revolve
 
 
-@dataclass
-class RunConfig:
-    """Integrator settings merged from defaults, a key=value file, and flags."""
-
-    rel_tol: float = IntegratorConfig.rel_tol
-    abs_tol: float = IntegratorConfig.abs_tol
-    boundary_eps: float = IntegratorConfig.boundary_eps
-    max_step: float = IntegratorConfig.max_step
-    min_step: float = IntegratorConfig.min_step
-    max_time: float = IntegratorConfig.max_time
-
-    def integrator(self, **overrides) -> IntegratorConfig:
-        kw = {f.name: getattr(self, f.name) for f in fields(self)}
-        kw.update(overrides)
-        return IntegratorConfig(**kw)
+# IntegratorConfig fields a config file may set (the targets are the commands' own)
+CONFIG_KEYS = tuple(f.name for f in fields(IntegratorConfig) if f.name != "theta_targets")
 
 
 def _load_config_file(path: str) -> dict:
@@ -64,16 +51,19 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _merge_run_config(args) -> RunConfig:
-    file_vals = _load_config_file(args.config) if args.config else {}
-    rc = RunConfig()
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
+def _merge_run_config(args) -> IntegratorConfig:
+    """The default IntegratorConfig, updated by the --config file, then by flags."""
+    values = _load_config_file(args.config) if args.config else {}
+    for key in values:
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{args.config}: unknown config key {key!r} "
+                             f"(accepted: {', '.join(CONFIG_KEYS)})")
+    values = {key: float(val) for key, val in values.items()}
+    for key in CONFIG_KEYS:
+        flag = getattr(args, key, None)
         if flag is not None:
-            setattr(rc, f.name, float(flag))
-        elif f.name in file_vals:
-            setattr(rc, f.name, float(file_vals[f.name]))
-    return rc
+            values[key] = flag
+    return replace(IntegratorConfig(), **values)
 
 
 # -- deterministic JSON (floats at 17 significant digits) -----------------
@@ -132,7 +122,7 @@ def _parse_lambdas(spec: str) -> list[float]:
 
 def cmd_portrait(args) -> int:
     lams = _parse_lambdas(args.lambdas) if args.lambdas else []
-    cfg = _merge_run_config(args).integrator()
+    cfg = _merge_run_config(args)
     rep = portrait(lams, cfg, tol_lambda0=args.tol)
     doc = {
         "lambda0": {
@@ -162,7 +152,7 @@ def cmd_portrait(args) -> int:
 
 
 def cmd_find_lambda0(args) -> int:
-    cfg = _merge_run_config(args).integrator()
+    cfg = _merge_run_config(args)
     if not args.tol > 0.0:  # invalid input exits 2 before any integration
         raise ValueError("tol must be positive")
     # one launch: the bisection's estimate and the printed cross-check
@@ -205,7 +195,7 @@ def _profile_for_lambda(lam: float, span: float, cfg: IntegratorConfig) -> Profi
 def cmd_curve(args) -> int:
     if args.lam is None:
         raise ValueError("curve needs --lambda")
-    cfg = _merge_run_config(args).integrator()
+    cfg = _merge_run_config(args)
     prof = _profile_for_lambda(args.lam, args.span, cfg)
     prof.write_csv(args.out)
     lo, hi = prof.span
@@ -223,7 +213,7 @@ MAX_MESH_VERTICES = MAX_CYLINDER_SAMPLES * MAX_N_ANGULAR
 def cmd_mesh(args) -> int:
     if not 3 <= args.n_angular <= MAX_N_ANGULAR:
         raise ValueError(f"--n-angular must be in [3, {MAX_N_ANGULAR}], got {args.n_angular}")
-    cfg = _merge_run_config(args).integrator()
+    cfg = _merge_run_config(args)
     if args.builtin == "sphere":
         prof = sphere_profile()
     elif args.builtin == "cylinder":
@@ -252,7 +242,7 @@ def cmd_mesh(args) -> int:
 def cmd_extend(args) -> int:
     segments = tuple(float(s) for s in args.segments.split(",")) if args.segments else ()
     spec = ExtensionSpec(args.copies, segments)
-    cfg = _merge_run_config(args).integrator()
+    cfg = _merge_run_config(args)
     curve, report = extend_separatrix(spec, cfg)
     curve.write_csv(args.out)
     stem = args.out.rsplit(".", 1)[0]

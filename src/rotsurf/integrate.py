@@ -84,6 +84,7 @@ MAX_STEPS = 100_000
 SERIES_A = (1 / 18, 1 / 432, -17 / 77760)
 SERIES_B = (1 / 72, 1 / 2592, -17 / 622080)
 _X7 = -1 / 4536  # x(s) = s - s^7/4536 + O(s^9), from x' = cos(theta(s))
+SERIES_S0 = 1e-3  # arc length of the series seed that launch_separatrix integrates from
 
 
 def corner_series(s: float) -> tuple[float, float, float]:
@@ -136,16 +137,6 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    theta: float
-    z: float
-    x: float
-    dtheta: float
-    dz: float
-
-
-@dataclass(frozen=True)
 class EndInfo:
     """How a trajectory ends (or starts) at one of its two time endpoints."""
 
@@ -154,7 +145,7 @@ class EndInfo:
     t_star: float | None = None
     limit_point: tuple[float, float] | None = None
 
-    def mirrored(self, n: int, t_c: float, x_c: float) -> "EndInfo":
+    def mirrored(self, n: int, t_c: float) -> "EndInfo":
         tgt = None if self.theta_target is None else 2 * n * math.pi - self.theta_target
         ts = None if self.t_star is None else 2 * t_c - self.t_star
         lp = None
@@ -218,14 +209,12 @@ class Trajectory:
     callers.
     """
 
-    def __init__(self, ts, ys, table, left_info, right_info, direction, cfg):
+    def __init__(self, ts, ys, table, left_info, right_info):
         self.ts = np.asarray(ts, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.table = table
         self.left_info = left_info
         self.right_info = right_info
-        self.direction = direction
-        self.cfg = cfg
 
     # -- basic accessors ---------------------------------------------------
 
@@ -251,13 +240,6 @@ class Trajectory:
         if self.right_info.kind != "initial":
             return self.right_info
         return self.left_info
-
-    def samples(self) -> list[TrajectorySample]:
-        out = []
-        for t, (th, z, x) in zip(self.ts, self.ys):
-            out.append(TrajectorySample(float(t), float(th), float(z), float(x),
-                                        slope(th, z), math.sin(th)))
-        return out
 
     # -- dense output ------------------------------------------------------
 
@@ -292,14 +274,6 @@ class Trajectory:
     def state_at(self, t: float) -> tuple[float, float, float]:
         return tuple(self.states_at((t,))[0].tolist())
 
-    def deriv_at(self, t: float) -> tuple[float, float, float]:
-        """d(theta, z, x)/dt of the interpolant (not of the field)."""
-        return tuple(self.states_at((t,), deriv=True)[0].tolist())
-
-    def dense_eval(self, t: float) -> TrajectorySample:
-        th, z, x = self.state_at(t)
-        return TrajectorySample(t, th, z, x, slope(th, z), math.sin(th))
-
     def shifted(self, dt: float = 0.0, dtheta: float = 0.0, dx: float = 0.0) -> "Trajectory":
         """Translate in time, angle lift, and abscissa (all affine, dense output kept)."""
         move = (dtheta, 0.0, dx)
@@ -317,7 +291,7 @@ class Trajectory:
         table = dict(tab, t_lo=tab["t_lo"] + dt, t_hi=tab["t_hi"] + dt,
                      b=tab["b"] - tab["a"] * dt, offset=tab["offset"] + move)
         return Trajectory(self.ts + dt, self.ys + move, table, sh(self.left_info),
-                          sh(self.right_info), self.direction, self.cfg)
+                          sh(self.right_info))
 
     def crossing_time(self, theta_target: float) -> float | None:
         """Time of theta(t) = theta_target; None when outside the theta range."""
@@ -400,7 +374,7 @@ def _extrapolate_limit(sig_pts, th_pts, z_pts, sig_b):
     return quad(sig_pts, th_pts, sig_b), quad(sig_pts, z_pts, sig_b)
 
 
-def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
+def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
     """Core stepping loop in internal time sigma >= 0.
 
     Returns (sig_nodes, y_nodes, hs, stages, stop): step i runs from node i
@@ -420,7 +394,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig, boundary_eps: float):
     e1, e2, e3, e4, e5, e6, e7 = _E
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
     max_step, min_step, max_time = cfg.max_step, cfg.min_step, cfg.max_time
-    targets = cfg.theta_targets
+    boundary_eps, targets = cfg.boundary_eps, cfg.theta_targets
 
     th, z, x = y_start
     y = (th, z, x)
@@ -587,7 +561,7 @@ def _contact_stop(sig_nodes, y_nodes, sig_c, y_c, boundary_eps):
     return EndInfo("boundary_contact", t_star=sig_b, limit_point=(th0, z0))
 
 
-def _finalized(sig_nodes, y_nodes, hs, stages, stop, direction, cfg, start_info):
+def _finalized(sig_nodes, y_nodes, hs, stages, stop, direction, start_info):
     """Convert internal-time data into an ascending-t Trajectory."""
     sgn = 1.0 if direction > 0 else -1.0
     sig = np.asarray(sig_nodes)
@@ -615,39 +589,35 @@ def _finalized(sig_nodes, y_nodes, hs, stages, stop, direction, cfg, start_info)
         left, right = stop, start_info
     for col in (ts, ys, *table.values()):
         col.flags.writeable = False  # a memoized trajectory is shared
-    return Trajectory(ts, ys, table, left, right, direction, cfg)
+    return Trajectory(ts, ys, table, left, right)
 
 
 def integrate(start: PhasePoint, direction, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the field from an interior start until an event stops it.
 
-    direction is "forward"/"backward" (or +1/-1); backward runs the negated
-    field.  Stops at the first of: a theta-target crossing from
-    cfg.theta_targets (located by bisection on the dense output), boundary
-    contact (domain gap below cfg.boundary_eps, limit point extrapolated),
-    or cfg.max_time.  The abscissa x is co-integrated with x' = cos(theta),
-    x(0) = 0 at the start state.
+    direction is "forward" or "backward"; backward runs the negated field.
+    Stops at the first of: a theta-target crossing from cfg.theta_targets
+    (located by bisection on the dense output), boundary contact (domain gap
+    below cfg.boundary_eps, limit point extrapolated), or cfg.max_time.
+    The abscissa x is co-integrated with x' = cos(theta), x(0) = 0 at the
+    start state.
     """
-    if isinstance(direction, str):
-        d = {"forward": 1, "backward": -1}.get(direction)
-        if d is None:
-            raise ValueError(f"unknown direction {direction!r}")
-    else:
-        d = 1 if direction > 0 else -1
+    d = {"forward": 1, "backward": -1}.get(direction)
+    if d is None:
+        raise ValueError(f"unknown direction {direction!r}")
     if not _field.in_domain(start):
         raise DomainError(f"start ({start.theta}, {start.z}) not in the domain")
     y0 = (start.theta, start.z, 0.0)
-    raw = _integrate_raw(y0, float(d), cfg, cfg.boundary_eps)
-    return _finalized(*raw, d, cfg, EndInfo("initial"))
+    return _finalized(*_integrate_raw(y0, float(d), cfg), d, EndInfo("initial"))
 
 
-def launch_separatrix(cfg: IntegratorConfig, s0: float = 1e-3) -> Trajectory:
+def launch_separatrix(cfg: IntegratorConfig, s0: float = SERIES_S0) -> Trajectory:
     """Forward trajectory from the corner-series seed up to theta = pi.
 
     The terminal z estimates the critical shooting height.  The seed sits at
     arc length s0 from the corner; its constraint residual is checked before
     trusting it.  x(0) = 0 at the seed (rebase to the corner via s0 and the
-    series when needed); trajectory attribute series_s0 records the seed.
+    series when needed).
     """
     theta_s, z_s, _ = corner_series(s0)
     dth = corner_series_slope(s0)
@@ -660,10 +630,8 @@ def launch_separatrix(cfg: IntegratorConfig, s0: float = 1e-3) -> Trajectory:
         raise SeedError(f"series seed at s0={s0} is outside the domain")
     run_cfg = replace(cfg, boundary_eps=min(cfg.boundary_eps, 0.25 * gap0),
                       theta_targets=(math.pi,))
-    raw = _integrate_raw((theta_s, z_s, 0.0), 1.0, run_cfg, run_cfg.boundary_eps)
-    traj = _finalized(*raw, 1, cfg, EndInfo("series_origin"))
-    traj.series_s0 = s0
-    return traj
+    return _finalized(*_integrate_raw((theta_s, z_s, 0.0), 1.0, run_cfg), 1,
+                      EndInfo("series_origin"))
 
 
 def reflect(traj: Trajectory, n: int) -> Trajectory:
@@ -688,9 +656,8 @@ def reflect(traj: Trajectory, n: int) -> Trajectory:
     tab.update(t_lo=2 * t_c - tab["t_hi"], t_hi=2 * t_c - tab["t_lo"], a=-tab["a"],
                b=tab["b"] + 2 * tab["a"] * t_c, scale=r * tab["scale"],
                offset=r * tab["offset"] + q)
-    left = traj.right_info.mirrored(n, t_c, x_c)
-    right = traj.left_info.mirrored(n, t_c, x_c)
-    return Trajectory(ts, ys, tab, left, right, -traj.direction, traj.cfg)
+    return Trajectory(ts, ys, tab, traj.right_info.mirrored(n, t_c),
+                      traj.left_info.mirrored(n, t_c))
 
 
 def concat(a: Trajectory, b: Trajectory, tol: float = 1e-8) -> Trajectory:
@@ -704,7 +671,7 @@ def concat(a: Trajectory, b: Trajectory, tol: float = 1e-8) -> Trajectory:
     ts = np.concatenate([a.ts, b.ts[1:]])
     ys = np.concatenate([a.ys, b.ys[1:]])
     table = {key: np.concatenate([a.table[key], b.table[key]]) for key in a.table}
-    return Trajectory(ts, ys, table, a.left_info, b.right_info, 0, a.cfg)
+    return Trajectory(ts, ys, table, a.left_info, b.right_info)
 
 
 def with_mirror(half: Trajectory) -> Trajectory:

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .field import SQRT2, PhasePoint
 from .integrate import (
+    SERIES_S0,
     IntegratorConfig,
     Trajectory,
     bisect_root,
@@ -48,7 +49,12 @@ def text_sink(sink, mode: str = "r"):
 
 
 ROW_BLOCK = 128  # rows formatted and written at a time by write_rows
-MAX_RESAMPLE_STEPS = 1_000_000  # uniform steps verify_profile may resample
+# uniform steps verify_profile may resample, and samples a glued curve may have
+MAX_RESAMPLE_STEPS = 1_000_000
+SAMPLE_DT = 0.01  # largest time step between stored samples of a built profile
+SPHERE_TRIM = 1e-6  # the closed-form sphere stops this short of its two poles
+N_PERIOD_CHECK = 800  # points of the one-period overlap find_period measures on
+H_CHECK = 4e-3  # finite-difference step of extend_separatrix's junction grading
 
 
 def write_rows(fh, fmt: str, n: int, *columns) -> None:
@@ -182,8 +188,8 @@ class ExtensionSpec:
             raise ExtensionSpecError(
                 f"{self.copies} copies need {self.copies - 1} segment lengths, "
                 f"got {len(self.segment_lengths)}")
-        if any(l < 0.0 for l in self.segment_lengths):
-            raise ExtensionSpecError("segment lengths must be non-negative")
+        if not all(0.0 <= l < math.inf for l in self.segment_lengths):  # NaN fails too
+            raise ExtensionSpecError("segment lengths must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -217,25 +223,25 @@ class VerificationReport:
 # -- construction --------------------------------------------------------
 
 
-def build_profile(traj: Trajectory, sample_dt: float = 0.01, kind: str = "Generic") -> ProfileCurve:
-    """Extract (t, x, z, theta) from a trajectory, regularized to sample_dt.
+def build_profile(traj: Trajectory, kind: str = "Generic") -> ProfileCurve:
+    """Extract (t, x, z, theta) from a trajectory, regularized to SAMPLE_DT.
 
-    Gaps larger than sample_dt are filled from the dense output; nodes
-    closer than sample_dt/4 are dropped (except the endpoints), so the
+    Gaps larger than SAMPLE_DT are filled from the dense output; nodes
+    closer than SAMPLE_DT/4 are dropped (except the endpoints), so the
     stored grid stays compatible with fine resampling.
     """
     raw = [float(traj.ts[0])]
     for a, b in zip(traj.ts[:-1], traj.ts[1:]):
         gap = float(b - a)
-        if gap > sample_dt:
-            n = int(math.ceil(gap / sample_dt))
+        if gap > SAMPLE_DT:
+            n = int(math.ceil(gap / SAMPLE_DT))
             raw.extend(float(a) + gap * k / n for k in range(1, n))
         raw.append(float(b))
     ts = [raw[0]]
     for t in raw[1:-1]:
-        if t - ts[-1] >= 0.25 * sample_dt:
+        if t - ts[-1] >= 0.25 * SAMPLE_DT:
             ts.append(t)
-    if raw[-1] - ts[-1] < 0.25 * sample_dt and len(ts) > 1:
+    if raw[-1] - ts[-1] < 0.25 * SAMPLE_DT and len(ts) > 1:
         ts.pop()
     ts.append(raw[-1])
     ts = np.asarray(ts)
@@ -249,15 +255,15 @@ def build_profile(traj: Trajectory, sample_dt: float = 0.01, kind: str = "Generi
                         meta={"source": "trajectory"})
 
 
-def sphere_profile(n: int = 1201, trim: float = 1e-6) -> ProfileCurve:
+def sphere_profile(n: int = 1201) -> ProfileCurve:
     """Closed-form arc-length semicircle of radius sqrt(2) about (-sqrt(2), 0).
 
-    The open span (-sqrt(2) pi/2, sqrt(2) pi/2) is trimmed by `trim` at both
-    ends so that z stays positive (the surface misses its two poles).
+    The open span (-sqrt(2) pi/2, sqrt(2) pi/2) is trimmed by SPHERE_TRIM at
+    both ends so that z stays positive (the surface misses its two poles).
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    half = SQRT2 * math.pi / 2.0 - trim
+    half = SQRT2 * math.pi / 2.0 - SPHERE_TRIM
     t = np.linspace(-half, half, n)
 
     def evaluator(tq):
@@ -285,24 +291,23 @@ def cylinder_profile(length: float, n: int = 2) -> ProfileCurve:
                         kind="Cylinder", evaluator=evaluator)
 
 
-def separatrix_profile(cfg: IntegratorConfig, s0: float = 1e-3,
-                       sample_dt: float = 0.01) -> ProfileCurve:
+def separatrix_profile(cfg: IntegratorConfig) -> ProfileCurve:
     """The critical profile on its full finite span [-b, b].
 
     Internally: series launch up to theta = pi, re-based so theta(0) = pi and
-    x(0) = 0, mirrored about theta = pi; the two short tails within s0 of
-    the corners are evaluated from the series itself.  meta carries
-    half_span (b), lambda0 (terminal height), and x_corner = x(-b).
+    x(0) = 0, mirrored about theta = pi; the two short tails within
+    SERIES_S0 of the corners are evaluated from the series itself.  meta
+    carries half_span (b), lambda0 (terminal height), and x_corner = x(-b).
     """
-    launch = launch_separatrix(cfg, s0=s0)
+    launch = launch_separatrix(cfg)
     t_cross = float(launch.ts[-1])
     x_cross = float(launch.xs[-1])
     lambda0 = float(launch.zs[-1])
-    b = t_cross + s0
+    b = t_cross + SERIES_S0
     full = with_mirror(launch.shifted(dt=-t_cross, dx=-x_cross))
-    _, _, x_ser0 = corner_series(s0)
+    _, _, x_ser0 = corner_series(SERIES_S0)
     x_corner = -x_cross - x_ser0
-    t_in = b - s0  # dense data covers [-t_in, t_in]
+    t_in = b - SERIES_S0  # dense data covers [-t_in, t_in]
 
     def evaluator(tq):
         out = np.empty((3, len(tq)))
@@ -316,18 +321,18 @@ def separatrix_profile(cfg: IntegratorConfig, s0: float = 1e-3,
         out[:, mid] = xx, zz, th
         return tuple(out)
 
-    n = int(math.ceil(2.0 * b / sample_dt))
+    n = int(math.ceil(2.0 * b / SAMPLE_DT))
     ts = np.linspace(-b, b, n + 1)
     x, z, theta = evaluator(ts)
     return ProfileCurve(ts, x, z, theta, kind="Separatrix", evaluator=evaluator,
                         meta={"half_span": b, "lambda0": lambda0,
-                              "x_corner": x_corner, "s0": s0})
+                              "x_corner": x_corner, "s0": SERIES_S0})
 
 
 # -- periodicity and self-intersection ------------------------------------
 
 
-def find_period(lam: float, cfg: IntegratorConfig, n_check: int = 800) -> PeriodInfo:
+def find_period(lam: float, cfg: IntegratorConfig) -> PeriodInfo:
     """Period data for a height above the critical one, with verification.
 
     t0 is the theta = 0 crossing time of the backward trajectory; the shift
@@ -344,7 +349,7 @@ def find_period(lam: float, cfg: IntegratorConfig, n_check: int = 800) -> Period
     t0 = -t_zero
     full = with_mirror(back)
     x_shift = full.state_at(2.0 * t0)[2]
-    grid = np.linspace(-t0, t0, n_check)
+    grid = np.linspace(-t0, t0, N_PERIOD_CHECK)
     th_a, z_a, x_a = full.states_at(grid).T
     th_b, z_b, x_b = full.states_at(grid + 2.0 * t0).T
 
@@ -384,22 +389,23 @@ def find_self_intersection(profile: ProfileCurve, t0: float, t1: float) -> Inter
 # -- the glued family -----------------------------------------------------
 
 
-def extend_separatrix(ext: ExtensionSpec, cfg: IntegratorConfig, *,
-                      s0: float = 1e-3, sample_dt: float = 0.01,
-                      h_check: float = 4e-3) -> tuple[ProfileCurve, RegularityReport]:
+def extend_separatrix(ext: ExtensionSpec,
+                      cfg: IntegratorConfig) -> tuple[ProfileCurve, RegularityReport]:
     """Glue copies of the critical profile with horizontal unit-height segments.
 
     The glued curve starts at t = 0, x = 0 with the left corner of the first
     copy; each copy lifts theta by 2 pi, each segment holds theta constant.
     Zero-length segments collapse to direct copy-copy junctions.  The report
     measures one-sided jumps of theta and its first three derivatives at
-    every junction (one-sided finite differences at step h_check) and grades
-    the junction C0..C4+ against thresholds max(1e-3, 50 h^(4-k)).
+    every junction (one-sided finite differences at step h = H_CHECK) and
+    grades the junction C0..C4+ against thresholds max(1e-3, 50 h^(4-k)).
 
     With copies=1 the result is the critical profile itself, re-based to
-    t in [0, 2b] and x(0) = 0.
+    t in [0, 2b] and x(0) = 0.  A plan whose glued curve would have more
+    than MAX_RESAMPLE_STEPS samples raises ValueError before its grid is
+    built.
     """
-    sep = separatrix_profile(cfg, s0=s0, sample_dt=sample_dt)
+    sep = separatrix_profile(cfg)
     b = sep.meta["half_span"]
     x_corner = sep.meta["x_corner"]
     width = -2.0 * x_corner
@@ -442,9 +448,11 @@ def extend_separatrix(ext: ExtensionSpec, cfg: IntegratorConfig, *,
             out[:, sel] = eval_piece(pieces[i], tq[sel])
         return tuple(out)
 
+    steps = np.maximum(np.ceil([(p[1] - p[0]) / SAMPLE_DT for p in pieces]), 1.0)
+    if not steps.sum() + 1 <= MAX_RESAMPLE_STEPS:  # also when the glued span overflows
+        raise ValueError(f"glued curve would have more than {MAX_RESAMPLE_STEPS} samples")
     grids = []
-    for t_start, t_end, *_ in pieces:
-        n = max(int(math.ceil((t_end - t_start) / sample_dt)), 1)
+    for (t_start, t_end, *_), n in zip(pieces, steps.astype(int)):
         grids.append(np.linspace(t_start, t_end, n + 1)[1 if grids else 0:])
     x, z, theta = np.concatenate([eval_piece(p, g) for p, g in zip(pieces, grids)], axis=1)
     curve = ProfileCurve(np.concatenate(grids), x, z, theta, kind="Extension",
@@ -454,7 +462,7 @@ def extend_separatrix(ext: ExtensionSpec, cfg: IntegratorConfig, *,
                                "copy_width": width})
 
     # One-sided regularity measurement at each junction.
-    h = h_check
+    h = H_CHECK
 
     def one_sided(piece, t_j, sgn):
         f = eval_piece(piece, t_j + sgn * np.arange(5) * h)[2].tolist()

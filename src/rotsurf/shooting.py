@@ -95,37 +95,35 @@ def _crosses(lam: float, cfg: IntegratorConfig) -> bool:
     return backward_trajectory(lam, cfg).termination.kind == "theta_crossing"
 
 
-def classify_lambda(
-    lam: float,
-    cfg: IntegratorConfig,
-    *,
-    tol_sphere: float = 1e-9,
-    band: float = 1e-9,
-) -> LambdaClass:
+TOL_SPHERE = 1e-9  # heights this close to sqrt(2) are the closed-form sphere
+BAND = 1e-9  # ambiguity band around the corner (0, 1): closer is Separatrix
+
+
+def classify_lambda(lam: float, cfg: IntegratorConfig) -> LambdaClass:
     """Assign one of the five cases to a shooting height.
 
-    lam = sqrt(2) (within tol_sphere) is special-cased to the closed-form
+    lam = sqrt(2) (within TOL_SPHERE) is special-cased to the closed-form
     semicircle.  Trajectories creeping into the corner (0, 1) closer than
-    the ambiguity band are reported as Separatrix rather than guessed a
+    the ambiguity BAND are reported as Separatrix rather than guessed a
     side.  Heights just above the critical one legitimately cross theta = 0
     and are classified Periodic.
     """
     if not 1.0 < lam < math.inf:
         raise InvalidLambdaError(f"need finite lambda > 1, got {lam}")
-    if abs(lam - SQRT2) <= tol_sphere:
+    if abs(lam - SQRT2) <= TOL_SPHERE:
         return LambdaClass(SPHERE, limit_point=(math.pi / 2.0, 0.0), span=SPHERE_HALF_SPAN)
 
     traj = backward_trajectory(lam, cfg)
     stop = traj.termination
     if stop.kind == "theta_crossing":
         z_cross = float(traj.zs[0])
-        if z_cross - 1.0 <= band:
+        if z_cross - 1.0 <= BAND:
             return LambdaClass(SEPARATRIX, crossing_z=z_cross, lambda0_bracket=(lam, lam))
         return LambdaClass(PERIODIC, crossing_z=z_cross)
     if stop.kind == "boundary_contact":
         theta0, z0 = stop.limit_point
         span = abs(stop.t_star)
-        if abs(z0 - 1.0) <= band and abs(theta0) <= 2.0 * math.sqrt(2.0 * band):
+        if abs(z0 - 1.0) <= BAND and abs(theta0) <= 2.0 * math.sqrt(2.0 * BAND):
             return LambdaClass(SEPARATRIX, limit_point=(theta0, z0), span=span,
                                lambda0_bracket=(lam, lam))
         tag = INCOMPLETE_LOW if lam < SQRT2 else INCOMPLETE_HIGH
@@ -224,15 +222,10 @@ def full_curve(lam: float, cfg: IntegratorConfig) -> Trajectory:
     return with_mirror(backward_trajectory(lam, cfg))
 
 
-def portrait(
-    lambdas,
-    cfg: IntegratorConfig,
-    *,
-    tol_lambda0: float = 1e-8,
-    n_polyline: int = 400,
-    tol_sphere: float = 1e-9,
-    band: float = 1e-9,
-) -> PortraitReport:
+N_POLYLINE = 400  # most points of one portrait polyline
+
+
+def portrait(lambdas, cfg: IntegratorConfig, *, tol_lambda0: float = 1e-8) -> PortraitReport:
     """Classify a sweep of heights and attach plot-ready (theta, z) polylines.
 
     Per-entry failures are recorded in the entry instead of aborting the
@@ -242,12 +235,12 @@ def portrait(
     entries = []
     for lam in sorted(float(l) for l in lambdas):
         try:
-            klass = classify_lambda(lam, cfg, tol_sphere=tol_sphere, band=band)
+            klass = classify_lambda(lam, cfg)
             if klass.tag == SPHERE:
-                poly = _sphere_polyline(n_polyline)
+                poly = _sphere_polyline(N_POLYLINE)
             else:
                 traj = full_curve(lam, cfg)
-                poly = _decimate(np.column_stack([traj.thetas, traj.zs]), n_polyline)
+                poly = _decimate(np.column_stack([traj.thetas, traj.zs]), N_POLYLINE)
             entries.append(PortraitEntry(lam, klass, poly))
         except RotsurfError as exc:
             entries.append(PortraitEntry(lam, None, np.empty((0, 2)), error=str(exc)))

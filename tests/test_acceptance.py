@@ -92,13 +92,13 @@ def test_criterion_4_separatrix_asymptotics(launch):
     # asserted together with the 1% band at 1e-4.
     def diagnostics(theta_at):
         t = launch.crossing_time(theta_at)
-        s = launch.dense_eval(t)
-        r4 = rs.asymptotics(PhasePoint(s.theta, s.z)).r4
+        th, z, _ = launch.state_at(t)
+        r4 = rs.asymptotics(PhasePoint(th, z)).r4
         d = 2e-3
-        sp = launch.dense_eval(t + d)
-        sm = launch.dense_eval(t - d)
-        th3 = (rs.theta_second(PhasePoint(sp.theta, sp.z))
-               - rs.theta_second(PhasePoint(sm.theta, sm.z))) / (2 * d)
+        th_p, z_p, _ = launch.state_at(t + d)
+        th_m, z_m, _ = launch.state_at(t - d)
+        th3 = (rs.theta_second(PhasePoint(th_p, z_p))
+               - rs.theta_second(PhasePoint(th_m, z_m))) / (2 * d)
         return abs(r4 / rs.R4_LIMIT - 1.0), abs(th3 / rs.THETA3_LIMIT - 1.0)
 
     devs = [diagnostics(th) for th in (1e-2, 1e-3, 1e-4)]
@@ -168,7 +168,7 @@ def test_criterion_8_field_properties(cfg):
         nonlocal n_samples, worst_constraint, worst_low, monotone_ok
         lo, hi = tr.t_span
         grid = np.linspace(lo, hi, 900)
-        # dense states in one call; dtheta from the field, as dense_eval gives it
+        # dense states in one call; dtheta from the field at each state
         for theta, z, _ in tr.states_at(grid).tolist():
             dtheta = slope(theta, z)
             res = abs(dtheta ** 2 + math.cos(theta) ** 2 / z ** 2 - 1.0)

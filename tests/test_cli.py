@@ -279,6 +279,24 @@ class TestExtendAndVerify:
         assert run("extend", "--copies", "3", "--segments", "1.0",
                    "--out", tmp_path / "x.csv") == 3
 
+    @pytest.mark.parametrize("length", ["nan", "inf"])
+    def test_extend_non_finite_segment_exit_3(self, tmp_path, capsys, length):
+        # NaN once failed "> 0" and was glued as a direct copy-copy junction
+        out = tmp_path / "x.csv"
+        assert run("extend", "--copies", "2", "--segments", length, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "finite" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_extend_sample_bound_exit_2(self, tmp_path, capsys):
+        # a 1e9 segment would need 1e11 samples: refused before any grid is built
+        out = tmp_path / "x.csv"
+        assert run("extend", "--copies", "2", "--segments", "1e9", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(rs.profile.MAX_RESAMPLE_STEPS) in err
+        assert not out.exists()
+
     def test_verify_pass_and_fail(self, tmp_path):
         curve = tmp_path / "c.csv"
         run("curve", "--lambda", "4.0", "--span", "8", "--out", curve)
@@ -343,6 +361,25 @@ class TestConfigFile:
         assert run("curve", "--lambda", "1.2", "--config", conf,
                    "--out", tmp_path / "x.csv") == 2
 
+    def test_unknown_key_exit_2(self, tmp_path, capsys):
+        # a misspelt key was once ignored, and the run used the default
+        conf = tmp_path / "typo.conf"
+        conf.write_text("rel_tl = 1e-3\n")
+        out = tmp_path / "x.csv"
+        assert run("curve", "--lambda", "4", "--span", "2", "--config", conf,
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "'rel_tl'" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_merge_is_an_integrator_config(self, tmp_path):
+        # defaults, then the file's values, then the flags
+        conf = tmp_path / "run.conf"
+        conf.write_text("max_time = 50\nrel_tol = 1e-10\n")
+        args = rs.cli.build_parser().parse_args(
+            ["curve", "--config", str(conf), "--rel-tol", "1e-9", "--out", "x.csv"])
+        assert rs.cli._merge_run_config(args) == rs.IntegratorConfig(max_time=50.0, rel_tol=1e-9)
+
 
 # Hostile values for every numeric flag, next to ordinary ones.
 HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
@@ -356,7 +393,7 @@ def _values(*ordinary):
 @st.composite
 def _argv(draw, csv):
     """A command and flags; every flag is --name=value, so '-1' is a value."""
-    cmd = draw(st.sampled_from(("curve", "mesh", "portrait", "find-lambda0", "verify")))
+    cmd = draw(st.sampled_from(("curve", "mesh", "portrait", "find-lambda0", "extend", "verify")))
     heights = _values("1.2", repr(SQRT2), "2.5", "3.2136243987", "4")
     argv = [cmd]
     if cmd == "curve":
@@ -373,6 +410,9 @@ def _argv(draw, csv):
         argv += [f"--lambdas={spec}", f"--tol={draw(_values('1e-3', '1e-8'))}"]
     elif cmd == "find-lambda0":
         argv.append(f"--tol={draw(_values('1e-3', '1e-8'))}")
+    elif cmd == "extend":
+        segments = ",".join(draw(st.lists(_values("0.5", "0"), max_size=3)))
+        argv += [f"--copies={draw(st.integers(-1, 4))}", f"--segments={segments}"]
     else:
         argv += [csv, f"--step={draw(_values('1e-3', '5e-3'))}",
                  f"--max-residual={draw(_values('1e-4'))}",
@@ -400,6 +440,9 @@ class TestHostileArgv:
         @example(argv=["portrait", "--lambdas=4", "--rel-tol=1e-300", "--abs-tol=1e-300"])
         @example(argv=["mesh", "--builtin=cylinder", "--span=inf"])
         @example(argv=["verify", str(work / "c.csv"), "--step=1e-9"])
+        @example(argv=["extend", "--copies=2", "--segments=inf"])
+        @example(argv=["extend", "--copies=2", "--segments=nan"])
+        @example(argv=["extend", "--copies=2", "--segments=1e9"])
         def check(argv):
             out = str(work / ("o.json" if argv[0] in ("portrait", "find-lambda0", "verify")
                               else "o.csv"))

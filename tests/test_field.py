@@ -7,8 +7,15 @@ from hypothesis import given, settings, strategies as st
 import rotsurf as rs
 from rotsurf import PhasePoint
 from rotsurf.errors import DomainError
+from rotsurf.field import slope
 
 SQRT2 = math.sqrt(2.0)
+
+
+def dtheta_at(tr, t):
+    """theta' of the field at the dense state of tr at time t."""
+    th, z, _ = tr.state_at(t)
+    return slope(th, z)
 
 
 class TestDomain:
@@ -100,17 +107,17 @@ class TestThetaSecond:
             th, z, _ = tr.state_at(float(t))
             want = rs.theta_second(PhasePoint(th, z))
             d = 1e-5
-            sp = tr.dense_eval(float(t) + d).dtheta
-            sm = tr.dense_eval(float(t) - d).dtheta
+            sp = dtheta_at(tr, float(t) + d)
+            sm = dtheta_at(tr, float(t) - d)
             assert (sp - sm) / (2 * d) == pytest.approx(want, rel=2e-4, abs=1e-7)
 
     def test_separatrix_small_angle(self, launch):
         # near the corner theta'' ~ s/3, small but nonzero
         t = launch.crossing_time(1e-3)
-        s = launch.dense_eval(t)
-        val = rs.theta_second(PhasePoint(s.theta, s.z))
+        th, z, _ = launch.state_at(t)
+        val = rs.theta_second(PhasePoint(th, z))
         d = 2e-3
-        fd = (launch.dense_eval(t + d).dtheta - launch.dense_eval(t - d).dtheta) / (2 * d)
+        fd = (dtheta_at(launch, t + d) - dtheta_at(launch, t - d)) / (2 * d)
         assert val == pytest.approx(fd, rel=1e-3)
         assert abs(val) < 0.1
 
@@ -137,19 +144,19 @@ class TestAsymptotics:
         # r1, r2, r3 -> 0 and r4 -> 4 sqrt(2)/3 approaching the corner;
         # the vanishing ratios decay like s^2/9, s/4, sqrt(s)
         t = launch.crossing_time(1e-4)
-        s = launch.dense_eval(t)
-        rep = rs.asymptotics(PhasePoint(s.theta, s.z))
+        th, z, _ = launch.state_at(t)
+        rep = rs.asymptotics(PhasePoint(th, z))
         t_far = launch.crossing_time(1e-2)
-        s_far = launch.dense_eval(t_far)
-        far = rs.asymptotics(PhasePoint(s_far.theta, s_far.z))
+        th_far, z_far, _ = launch.state_at(t_far)
+        far = rs.asymptotics(PhasePoint(th_far, z_far))
         assert rep.r1 < far.r1 and rep.r1 < 2e-3
         assert rep.r2 < far.r2 and rep.r2 < 0.04
         assert rep.r3 < far.r3 and rep.r3 < 0.4
         assert rep.r4 == pytest.approx(rs.R4_LIMIT, rel=1e-2)
         # recorded approach rate: at theta = 1e-2 the ratio is still ~4% away
         t2 = launch.crossing_time(1e-2)
-        s2 = launch.dense_eval(t2)
-        rep2 = rs.asymptotics(PhasePoint(s2.theta, s2.z))
+        th2, z2, _ = launch.state_at(t2)
+        rep2 = rs.asymptotics(PhasePoint(th2, z2))
         dev = abs(rep2.r4 / rs.R4_LIMIT - 1.0)
         assert 0.02 < dev < 0.06
 

@@ -14,7 +14,7 @@ from rotsurf.errors import (
     StepLimitError,
     StepUnderflowError,
 )
-from rotsurf.field import slope_sq
+from rotsurf.field import slope, slope_sq
 from rotsurf.integrate import _B, _P, _dense_coef, bisect_root, corner_series, corner_series_slope
 
 integrate_mod = importlib.import_module("rotsurf.integrate")  # rs.integrate is the function
@@ -146,6 +146,11 @@ class TestEvents:
         with pytest.raises(DomainError):
             rs.integrate(PhasePoint(math.pi, 1.0), "forward", cfg)
 
+    @pytest.mark.parametrize("direction", [1, -1, "sideways"])
+    def test_direction_is_forward_or_backward(self, cfg, direction):
+        with pytest.raises(ValueError, match="unknown direction"):
+            rs.integrate(PhasePoint(0.3, 2.0), direction, cfg)
+
     def test_step_underflow_without_boundary(self, cfg):
         # min_step too close to max_step: the controller cannot satisfy the
         # tolerance in the smooth interior, which is a config bug, not contact
@@ -183,9 +188,9 @@ class TestDenseOutput:
     def test_state_constraint_at_midpoints(self, cfg):
         tr = rs.backward_trajectory(2.0, cfg)
         mids = 0.5 * (tr.ts[:-1] + tr.ts[1:])
-        for t in mids[::3]:
-            s = tr.dense_eval(float(t))
-            res = s.dtheta ** 2 + math.cos(s.theta) ** 2 / s.z ** 2 - 1.0
+        for th, z, _ in tr.states_at(mids[::3]).tolist():
+            dtheta = slope(th, z)
+            res = dtheta ** 2 + math.cos(th) ** 2 / z ** 2 - 1.0
             assert abs(res) <= 1e-8
 
     def test_interpolant_defect_recorded(self, cfg):
@@ -195,9 +200,9 @@ class TestDenseOutput:
         for lam in (1.2, 2.0, 2.8, 4.2):
             tr = rs.backward_trajectory(lam, cfg)
             lo, hi = tr.t_span
-            for t in np.linspace(lo + 1e-9, hi - 1e-9, 500):
-                th, z, x = tr.state_at(float(t))
-                dth, dz, dx = tr.deriv_at(float(t))
+            grid = np.linspace(lo + 1e-9, hi - 1e-9, 500)
+            rows = zip(grid, tr.states_at(grid).tolist(), tr.states_at(grid, deriv=True).tolist())
+            for t, (th, z, x), (dth, dz, dx) in rows:
                 defect = max(abs(dth * dth - slope_sq(th, z)),
                              abs(dz - math.sin(th)), abs(dx - math.cos(th)))
                 worst_all = max(worst_all, defect)
@@ -245,12 +250,11 @@ class TestDenseOutput:
 
     def test_sample_records_field_slopes(self, cfg):
         tr = rs.backward_trajectory(3.0, cfg)
-        samples = tr.samples()
-        assert len(samples) == len(tr.ts)
-        for s in samples[::5]:
-            assert s.dz == math.sin(s.theta)
-            v = rs.field_eval(rs.PhasePoint(s.theta, s.z))
-            assert s.dtheta == v.dtheta
+        assert len(tr.ys) == len(tr.ts)
+        for th, z, _ in tr.ys[::5].tolist():
+            v = rs.field_eval(rs.PhasePoint(th, z))
+            assert v.dz == math.sin(th)
+            assert slope(th, z) == v.dtheta
 
     def test_states_at_is_the_scalar_path(self, cfg, launch):
         # one table evaluation, row for row the bits of the scalar views,
@@ -264,7 +268,8 @@ class TestDenseOutput:
             assert rows.shape == drows.shape == (len(ts), 3)
             for t, row, drow in zip(ts, rows, drows):
                 assert tuple(row.tolist()) == tr.state_at(float(t))
-                assert tuple(drow.tolist()) == tr.deriv_at(float(t))
+                assert tuple(drow.tolist()) == tuple(
+                    tr.states_at((float(t),), deriv=True)[0].tolist())
         lo, hi = sep.t_span
         with pytest.raises(RangeError):
             sep.states_at([0.0, hi + 0.5])
@@ -395,10 +400,10 @@ class TestSeriesLaunch:
         def d3(theta_at):
             t = launch.crossing_time(theta_at)
             d = 2e-3
-            sp = launch.dense_eval(t + d)
-            sm = launch.dense_eval(t - d)
-            a = theta_second(PhasePoint(sp.theta, sp.z))
-            b = theta_second(PhasePoint(sm.theta, sm.z))
+            th_p, z_p, _ = launch.state_at(t + d)
+            th_m, z_m, _ = launch.state_at(t - d)
+            a = theta_second(PhasePoint(th_p, z_p))
+            b = theta_second(PhasePoint(th_m, z_m))
             return (a - b) / (2 * d)
 
         assert d3(1e-4) == pytest.approx(1.0 / 3.0, rel=1e-2)
