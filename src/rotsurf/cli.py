@@ -38,6 +38,11 @@ CONFIG_KEYS = tuple(f.name for f in fields(IntegratorConfig) if f.name != "theta
 
 
 def _load_config_file(path: str) -> dict:
+    """The key = value lines of a config file as {key: float}; '#' starts a comment.
+
+    A line without '=', a key outside CONFIG_KEYS or a value float() rejects
+    is a ValueError naming the file and line.
+    """
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -47,18 +52,20 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key, val = key.strip(), val.strip()
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r} "
+                                 f"(accepted: {', '.join(CONFIG_KEYS)})")
+            try:
+                values[key] = float(val)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {val!r}") from None
     return values
 
 
 def _merge_run_config(args) -> IntegratorConfig:
     """The default IntegratorConfig, updated by the --config file, then by flags."""
     values = _load_config_file(args.config) if args.config else {}
-    for key in values:
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"{args.config}: unknown config key {key!r} "
-                             f"(accepted: {', '.join(CONFIG_KEYS)})")
-    values = {key: float(val) for key, val in values.items()}
     for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:

@@ -8,6 +8,9 @@ curvatures summing to one:
 
 defined on the open region z > |cos(theta)|.  Everything here is a pure
 function of (theta, z); the integrator lives in :mod:`rotsurf.integrate`.
+Its stepping loop copies the arithmetic of slope and domain_gap inline, and
+a test holds every stage it stores to these functions bit for bit: change
+one, change the other.
 """
 
 from __future__ import annotations

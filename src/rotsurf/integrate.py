@@ -8,6 +8,10 @@ handled by events, not by implicit methods: stage evaluations that land
 outside the domain are clamped, and an accepted step whose end falls within
 ``boundary_eps`` of the boundary is cut at the contact event.
 
+The stepping loop evaluates the field inline with exactly the arithmetic of
+field.slope and field.domain_gap, which stay the reference: a test checks
+every stored stage against them bit for bit.
+
 Dense output is one table per trajectory, numpy columns with a row per
 accepted step: its time span, the affine map onto the step's internal
 parameter, the start state, the step size and the 7 stage derivatives, and
@@ -125,8 +129,8 @@ class IntegratorConfig:
             raise ValueError("max_time must be positive and finite")
         if not 0.0 < self.min_step < self.max_step:
             raise ValueError("need 0 < min_step < max_step")
-        if not self.boundary_eps > 0.0:
-            raise ValueError("boundary_eps must be positive")
+        if not 0.0 < self.boundary_eps < math.inf:
+            raise ValueError("boundary_eps must be positive and finite")
         object.__setattr__(self, "theta_targets", tuple(self.theta_targets))
 
     def tightened(self, factor: float) -> "IntegratorConfig":
@@ -386,9 +390,15 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
     The stage, solution and error sums are written out over locals in the
     tableau's left-to-right order, zero weights included, so every float
     equals that of the textbook summation.  The field is (sgn * slope,
-    sgn * sin, sgn * cos) of (theta, z); x does not feed back.
+    sgn * sin, sgn * cos) of (theta, z); x does not feed back.  Stages 2..7
+    evaluate it inline with field.py's arithmetic (one cos serves z + cos
+    and the x component), and the FSAL stage's min(z - cos, z + cos) is the
+    end state's domain_gap for the event scan; only k1 of the start state
+    calls slope.  Step-size clamps are comparisons with min's and max's tie
+    semantics.  TestScheme::test_stages_are_the_field_module holds every
+    stored stage to field.py bit for bit.
     """
-    sin, cos = math.sin, math.cos
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A[1:6]
     b1, b2, b3, b4, b5, b6, _ = _B
     e1, e2, e3, e4, e5, e6, e7 = _E
@@ -414,27 +424,51 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
         if sig >= max_time:
             stop = EndInfo("time_cap", t_star=sig)
             break
-        h = min(h, max_step, max_time - sig)
+        # h = min(h, max_step, max_time - sig), ties to the earlier argument
+        if max_step < h:
+            h = max_step
+        r = max_time - sig
+        if r < h:
+            h = r
 
-        # Stages 2..6, then the FSAL stage at y1 (row 7 of A equals b).
+        # Stages 2..6, then the FSAL stage at y1 (row 7 of A equals b); zm,
+        # zp and q are field.z_minus_cos, z_plus_cos and slope_sq.
         t_, z_ = th + h * (a21 * k1a), z + h * (a21 * k1b)
-        k2a, k2b, k2c = sgn * slope(t_, z_), sgn * sin(t_), sgn * cos(t_)
+        s, c = sin(0.5 * t_), cos(t_)
+        zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
+        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        k2a, k2b, k2c = sgn * (sqrt(q) if q > 0.0 else 0.0), sgn * sin(t_), sgn * c
         t_ = th + h * (a31 * k1a + a32 * k2a)
         z_ = z + h * (a31 * k1b + a32 * k2b)
-        k3a, k3b, k3c = sgn * slope(t_, z_), sgn * sin(t_), sgn * cos(t_)
+        s, c = sin(0.5 * t_), cos(t_)
+        zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
+        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        k3a, k3b, k3c = sgn * (sqrt(q) if q > 0.0 else 0.0), sgn * sin(t_), sgn * c
         t_ = th + h * (a41 * k1a + a42 * k2a + a43 * k3a)
         z_ = z + h * (a41 * k1b + a42 * k2b + a43 * k3b)
-        k4a, k4b, k4c = sgn * slope(t_, z_), sgn * sin(t_), sgn * cos(t_)
+        s, c = sin(0.5 * t_), cos(t_)
+        zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
+        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        k4a, k4b, k4c = sgn * (sqrt(q) if q > 0.0 else 0.0), sgn * sin(t_), sgn * c
         t_ = th + h * (a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a)
         z_ = z + h * (a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b)
-        k5a, k5b, k5c = sgn * slope(t_, z_), sgn * sin(t_), sgn * cos(t_)
+        s, c = sin(0.5 * t_), cos(t_)
+        zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
+        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        k5a, k5b, k5c = sgn * (sqrt(q) if q > 0.0 else 0.0), sgn * sin(t_), sgn * c
         t_ = th + h * (a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a)
         z_ = z + h * (a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b)
-        k6a, k6b, k6c = sgn * slope(t_, z_), sgn * sin(t_), sgn * cos(t_)
+        s, c = sin(0.5 * t_), cos(t_)
+        zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
+        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        k6a, k6b, k6c = sgn * (sqrt(q) if q > 0.0 else 0.0), sgn * sin(t_), sgn * c
         th1 = th + h * (b1 * k1a + b2 * k2a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a)
         z1 = z + h * (b1 * k1b + b2 * k2b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b)
         x1 = x + h * (b1 * k1c + b2 * k2c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c)
-        k7a, k7b, k7c = sgn * slope(th1, z1), sgn * sin(th1), sgn * cos(th1)
+        s, c = sin(0.5 * th1), cos(th1)
+        zm, zp = (z1 - 1.0) + 2.0 * s * s, z1 + c
+        q = zm * zp / (z1 * z1) if z1 > 0.0 else 0.0
+        k7a, k7b, k7c = sgn * (sqrt(q) if q > 0.0 else 0.0), sgn * sin(th1), sgn * c
 
         try:
             err = h * (e1 * k1a + e2 * k2a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
@@ -473,7 +507,8 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
         u_event = None
         ev = None
         coef = None
-        if domain_gap(th1, z1) - boundary_eps < 0.0:
+        # domain_gap(th1, z1) is min(zm, zp) of the FSAL stage
+        if (zp if zp < zm else zm) - boundary_eps < 0.0:
             coef = _step_coef(h, k)
             a, b = 0.0, 1.0
             for _ in range(80):
@@ -528,11 +563,18 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
         if norm == 0.0:
             fac = 5.0  # the limit of the expression below as norm -> 0
         else:
-            fac = min(5.0, max(0.2, 0.9 * norm ** _ORDER_EXP))
-        if last_rejected:
-            fac = min(fac, 1.0)
+            # min(5.0, max(0.2, f)), then min(fac, 1.0) and min(h * fac, max_step)
+            fac = 0.9 * norm ** _ORDER_EXP
+            if not fac > 0.2:
+                fac = 0.2
+            if not fac < 5.0:
+                fac = 5.0
+        if last_rejected and 1.0 < fac:
+            fac = 1.0
         last_rejected = False
-        h = min(h * fac, max_step)
+        h *= fac
+        if max_step < h:
+            h = max_step
 
     return sig_nodes, y_nodes, hs, stages, stop
 

@@ -372,6 +372,27 @@ class TestConfigFile:
         assert "'rel_tl'" in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_bad_value_names_file_line_and_key(self, tmp_path, capsys):
+        # the bare float() error named neither the file, the line nor the key
+        conf = tmp_path / "bad.conf"
+        conf.write_text("# tolerances\nabs_tol = 1e-12\nrel_tol = abc\n")
+        out = tmp_path / "x.csv"
+        assert run("curve", "--lambda", "4", "--span", "2", "--config", conf,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {conf}:3: bad value for rel_tol: 'abc'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [("curve", "--lambda", "4", "--span", "2"),
+                                      ("find-lambda0",)])
+    def test_infinite_boundary_eps_exit_2(self, tmp_path, capsys, argv):
+        # it once passed validation: curve exited 2 on its non-increasing
+        # profile times, find-lambda0 3 after doubling lambda to 2^16
+        out = tmp_path / "o.out"
+        assert run(*argv, "--boundary-eps", "inf", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "boundary_eps" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_merge_is_an_integrator_config(self, tmp_path):
         # defaults, then the file's values, then the flags
         conf = tmp_path / "run.conf"

@@ -1,5 +1,6 @@
 import importlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from rotsurf.errors import (
     StepUnderflowError,
 )
 from rotsurf.field import slope, slope_sq
-from rotsurf.integrate import _B, _P, _dense_coef, bisect_root, corner_series, corner_series_slope
+from rotsurf.integrate import _A, _B, _P, _dense_coef, bisect_root, corner_series, corner_series_slope
 
 integrate_mod = importlib.import_module("rotsurf.integrate")  # rs.integrate is the function
 
@@ -57,7 +58,9 @@ class TestScheme:
         with pytest.raises(ValueError):
             IntegratorConfig(boundary_eps=-1.0)
         for bad in ({"rel_tol": math.inf}, {"abs_tol": math.inf}, {"max_time": 0.0},
-                    {"max_time": -1.0}, {"max_time": math.inf}, {"max_time": math.nan}):
+                    {"max_time": -1.0}, {"max_time": math.inf}, {"max_time": math.nan},
+                    {"boundary_eps": 0.0}, {"boundary_eps": math.inf},
+                    {"boundary_eps": math.nan}):
             with pytest.raises(ValueError):
                 IntegratorConfig(**bad)
 
@@ -69,6 +72,60 @@ class TestScheme:
             assert len(rs.backward_trajectory(lam, cfg).ts) == n_nodes
         assert lambda0.iterations == 29
         assert lambda0.value == 3.2136243981774015
+
+    @pytest.mark.parametrize("which", ["periodic 4.0", "contact 1.2", "contact 2.5",
+                                       "launch", "forward"])
+    def test_stages_are_the_field_module(self, cfg, launch, which):
+        # the stepping loop evaluates the field inline; every stored stage
+        # must equal (sgn * slope, sgn * sin, sgn * cos) from field.py, bit
+        # for bit, at its state: the row's start y0 for the FSAL stage k1,
+        # and y0 + h * (a_i1 k_1 + ...) summed left to right for k2..k7
+        if which == "launch":
+            tr, sgn = launch, 1.0
+        elif which == "forward":
+            tr, sgn = rs.integrate(PhasePoint(0.3, 2.0), "forward",
+                                   cfg.with_targets(2 * math.pi)), 1.0
+        else:
+            tr, sgn = rs.backward_trajectory(float(which.split()[1]), cfg), -1.0
+
+        def bits(th, z):
+            return [(sgn * v).hex() for v in (slope(th, z), math.sin(th), math.cos(th))]
+
+        tab = tr.table
+        y0s, hs, stages = tab["y0"].tolist(), tab["h"].tolist(), tab["stages"].tolist()
+        assert [[v.hex() for v in k[0]] for k in stages] == [bits(th, z) for th, z, _ in y0s]
+        for (th, z, _), h, k in zip(y0s, hs, stages):
+            for i in range(1, 7):
+                acc = [_A[i][0] * k[0][0], _A[i][0] * k[0][1]]
+                for j in range(1, i):
+                    acc = [acc[0] + _A[i][j] * k[j][0], acc[1] + _A[i][j] * k[j][1]]
+                assert [v.hex() for v in k[i]] == bits(th + h * acc[0], z + h * acc[1])
+        if which == "contact 1.2":
+            assert repr(tr.termination) == (
+                "EndInfo(kind='boundary_contact', theta_target=None, t_star=-1.1732185421482195, "
+                "limit_point=(2.5903520416452137, 0.851875414138503))")
+        elif which == "contact 2.5":
+            assert repr(tr.termination) == (
+                "EndInfo(kind='boundary_contact', theta_target=None, t_star=-2.543356083411398, "
+                "limit_point=(0.8408236144873501, 0.6668493006655158))")
+
+    def test_field_calls_per_trajectory(self, cfg, monkeypatch):
+        # exact counts: slope only for the start stage k1, domain_gap for the
+        # start check, plus, at a contact, the 80 bisection probes of the
+        # contact step and the 2 gaps of the limit-point extrapolation
+        calls = Counter()
+        for name in ("slope", "domain_gap"):
+            def counted(*args, _real=getattr(integrate_mod, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(integrate_mod, name, counted)
+        for lam, n_nodes, n_gaps in ((4.0, 117, 1), (1.2, 112, 83)):
+            calls.clear()
+            rs.backward_trajectory.cache_clear()
+            assert len(rs.backward_trajectory(lam, cfg).ts) == n_nodes
+            assert calls == {"slope": 1, "domain_gap": n_gaps}
+        rs.backward_trajectory.cache_clear()
 
     def test_design_order_convergence(self, cfg):
         # with slack tolerances the step cap drives the error: halving
