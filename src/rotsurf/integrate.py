@@ -417,8 +417,12 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
     stages = []
     last_rejected = False
 
-    if domain_gap(th, z) <= 0.0:
+    gap = domain_gap(th, z)
+    if gap <= 0.0:
         raise DomainError("start state outside the domain")
+    if gap <= boundary_eps:  # the first step would end at a contact at sigma ~ 0
+        raise ValueError(f"start state's domain gap {gap:.6g} is within "
+                         f"boundary_eps = {boundary_eps:.6g} of the boundary")
 
     while True:
         if sig >= max_time:
@@ -642,7 +646,8 @@ def integrate(start: PhasePoint, direction, cfg: IntegratorConfig) -> Trajectory
     (located by bisection on the dense output), boundary contact (domain gap
     below cfg.boundary_eps, limit point extrapolated), or cfg.max_time.
     The abscissa x is co-integrated with x' = cos(theta), x(0) = 0 at the
-    start state.
+    start state.  A start whose domain gap is at most cfg.boundary_eps
+    would stop at once, so it is a ValueError naming boundary_eps.
     """
     d = {"forward": 1, "backward": -1}.get(direction)
     if d is None:

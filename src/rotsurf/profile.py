@@ -116,22 +116,25 @@ class ProfileCurve:
 
         tq is a time (three floats back) or an array of times (three arrays
         back).  An evaluator maps a 1-d time array to three arrays.  The
-        fallback fits quintic B-splines (cubic for very short profiles):
-        curvature verification differentiates twice, and a cubic fit of
-        CSV-loaded data would leak interpolation noise into the residual.
+        fallback is one vector-valued quintic B-spline interpolant of the
+        columns (x, z, theta), cubic for very short profiles: curvature
+        verification differentiates twice, and a cubic fit of CSV-loaded
+        data would leak interpolation noise into the residual.  The columns
+        share one collocation solve and one basis evaluation, and each
+        equals its own scalar interpolant bit for bit.
         """
         ts = np.asarray(tq, dtype=float)
         flat = ts.reshape(-1)
         if self.evaluator is not None:
             out = self.evaluator(flat)
         else:
-            if "splines" not in self.meta:
+            if "spline" not in self.meta:
                 from scipy.interpolate import make_interp_spline
 
                 k = 5 if len(self.t) > 6 else min(3, len(self.t) - 1)
-                self.meta["splines"] = tuple(make_interp_spline(self.t, col, k=k)
-                                             for col in (self.x, self.z, self.theta))
-            out = tuple(spline(flat) for spline in self.meta["splines"])
+                self.meta["spline"] = make_interp_spline(
+                    self.t, np.column_stack((self.x, self.z, self.theta)), k=k)
+            out = tuple(self.meta["spline"](flat).T)
         if ts.ndim == 0:
             return tuple(float(col[0]) for col in out)
         return out

@@ -393,6 +393,22 @@ class TestConfigFile:
         assert "boundary_eps" in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("portrait", "--lambdas", "2,4", "--boundary-eps", "10"),
+        ("curve", "--lambda", "4", "--span", "2", "--boundary-eps", "10"),
+        ("curve", "--lambda", "1.00000000001"),
+        ("find-lambda0", "--boundary-eps", "1e300"),
+    ])
+    def test_start_within_boundary_eps_exit_2(self, tmp_path, capsys, argv):
+        # a start whose domain gap is at most boundary_eps stopped at once:
+        # portrait exited 0 with lambda0 = 13.00..., curve 2 on non-increasing
+        # profile times, find-lambda0 3 after doubling lambda to 2^16
+        out = tmp_path / "o.out"
+        assert run(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "boundary_eps" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_merge_is_an_integrator_config(self, tmp_path):
         # defaults, then the file's values, then the flags
         conf = tmp_path / "run.conf"

@@ -26,12 +26,15 @@ PINNED = {
     "sphere.obj": "f6dc46b117d884ed0fe5baa3132c74ba144bdb8636582b83acba51c10a06277a",
     "mesh.csv": "8189e2160697fda03385511a71c83bca795a03e399e26219bbd53f5aab8eb1fc",
     "lambda0.json": "8bbdbff4e6040652b634a81eb7bc60a47eaf4f3c46b874e53e4280cd75b2c0de",
+    "verify_extend.json": "ba7e316209dd24e3cceae80664d87d2c4abdf917e451aa61589731ddc3172167",
+    "clamped.csv": "c47aa09de5bb1cc93cdb7e4bbd0c5bba3ad633e8c222a563a577c9d558c3a8c9",
+    "verify_clamped.json": "762ad68172c2fb30fb655a19548f09309a17b9ca5db9086490d15df22b643e0d",
 }
 
 
 def test_output_bytes_pinned(tmp_path):
-    def run(*argv):
-        assert main([str(a) for a in argv]) == 0
+    def run(*argv, code=0):
+        assert main([str(a) for a in argv]) == code
 
     run("curve", "--lambda", "4", "--span", "6", "--out", tmp_path / "curve.csv")
     run("extend", "--copies", "2", "--segments", "0.5", "--out", tmp_path / "extend.csv")
@@ -43,6 +46,13 @@ def test_output_bytes_pinned(tmp_path):
     run("mesh", "--lambda", "2.5", "--span", "2", "--n-angular", "8",
         "--out", tmp_path / "mesh.csv")
     run("find-lambda0", "--tol", "1e-8", "--out", tmp_path / "lambda0.json")
+    # the CSV spline on two more kinds of curve: a glued extension, and an
+    # incomplete curve clamped to its finite span (its verdict is FAIL)
+    run("verify", tmp_path / "extend.csv", "--step", "1e-3",
+        "--out", tmp_path / "verify_extend.json")
+    run("curve", "--lambda", "1.8", "--span", "3", "--out", tmp_path / "clamped.csv")
+    run("verify", tmp_path / "clamped.csv", "--step", "1e-3",
+        "--out", tmp_path / "verify_clamped.json", code=4)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED}
     assert got == PINNED
 

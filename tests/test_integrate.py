@@ -203,6 +203,18 @@ class TestEvents:
         with pytest.raises(DomainError):
             rs.integrate(PhasePoint(math.pi, 1.0), "forward", cfg)
 
+    def test_start_within_boundary_eps_rejected(self, cfg):
+        # domain gap of (pi, 4) is 3: its first step would end in contact
+        for eps in (3.0, 10.0, 1e300):
+            with pytest.raises(ValueError, match="boundary_eps"):
+                rs.integrate(PhasePoint(math.pi, 4.0), "backward",
+                             IntegratorConfig(boundary_eps=eps))
+        tr = rs.integrate(PhasePoint(math.pi, 4.0), "backward", IntegratorConfig(boundary_eps=2.9))
+        assert tr.termination.kind == "boundary_contact"
+        # the launch caps its boundary_eps at a quarter of the seed's gap
+        launch = rs.launch_separatrix(IntegratorConfig(boundary_eps=1e300))
+        assert launch.termination.kind == "theta_crossing"
+
     @pytest.mark.parametrize("direction", [1, -1, "sideways"])
     def test_direction_is_forward_or_backward(self, cfg, direction):
         with pytest.raises(ValueError, match="unknown direction"):

@@ -276,6 +276,30 @@ class TestEvalAt:
             assert again.eval_at(float(ts[k])) == (x[k], z[k], th[k])
         assert np.max(np.abs(again.eval_at(again.t)[1] - again.z)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 1000])
+    def test_vector_spline_is_the_per_column_spline(self, n):
+        # one interpolant of the stacked columns equals three scalar ones
+        # bit for bit: same knots, same collocation solve per column
+        from scipy.interpolate import make_interp_spline
+
+        rng = np.random.default_rng(n)
+        t = np.cumsum(rng.uniform(0.2, 3.0, n)) * 1e-2  # non-uniform times
+        cols = (rng.normal(size=n), rng.uniform(0.5, 2.0, n),
+                np.cumsum(rng.uniform(0.0, 0.1, n)))
+        prof = ProfileCurve(t, *cols)
+        k = 5 if n > 6 else min(3, n - 1)
+        dense = np.linspace(t[0], t[-1], 4001)
+        for ts in (t, dense):
+            got = prof.eval_at(ts)
+            for col, g in zip(cols, got):
+                ref = make_interp_spline(t, col, k=k)(ts)
+                assert g.shape == ts.shape
+                assert np.array_equal(g.view(np.int64), ref.view(np.int64))
+        tq = float(dense[1234])
+        one = prof.eval_at(tq)
+        assert all(type(v) is float for v in one)
+        assert one == tuple(float(make_interp_spline(t, col, k=k)(tq)) for col in cols)
+
 
 class TestVerify:
     def test_sphere_tight(self):
