@@ -8,6 +8,7 @@ digits, deterministic byte-for-byte for a given config.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import fields, replace
@@ -300,7 +301,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args keeps no state)."""
     top = argparse.ArgumentParser(prog="rotsurf", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -48,7 +49,7 @@ def text_sink(sink, mode: str = "r"):
         yield sink
 
 
-ROW_BLOCK = 128  # rows formatted and written at a time by write_rows
+ROW_BLOCK = 128  # rows formatted and written at a time by write_rows and mesh export
 # uniform steps verify_profile may resample, and samples a glued curve may have
 MAX_RESAMPLE_STEPS = 1_000_000
 SAMPLE_DT = 0.01  # largest time step between stored samples of a built profile
@@ -61,16 +62,13 @@ def write_rows(fh, fmt: str, n: int, *columns) -> None:
     """Write n lines, line k formatting row k of the columns side by side with fmt.
 
     A column is an array with one entry (1-d) or one row of entries (2-d)
-    per line, or a function from an array of line numbers to those
-    entries.  Each block of ROW_BLOCK lines is stacked, formatted by one %
+    per line.  Each block of ROW_BLOCK lines is stacked, formatted by one %
     and written at once, so no temporary outgrows a block.  '%.17g' % v
-    gives the bytes of f"{v:.17g}", and '%d' of an integral float those of
-    the integer.
+    gives the bytes of f"{v:.17g}".
     """
     for lo in range(0, n, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, n)
-        block = np.column_stack([col(np.arange(lo, hi)) if callable(col) else col[lo:hi]
-                                 for col in columns])
+        block = np.column_stack([col[lo:hi] for col in columns])
         fh.write((fmt * (hi - lo)) % tuple(block.ravel().tolist()))
 
 
@@ -152,7 +150,12 @@ class ProfileCurve:
             header = fh.readline().strip()
             if header != "t,x,z,theta":
                 raise ValueError(f"unexpected profile CSV header: {header!r}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # a file without rows is rejected below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        n_cols = data.shape[1] if len(data) else 0
+        if n_cols != 4:
+            raise ValueError(f"profile CSV rows have {n_cols} columns, expected 4 (t,x,z,theta)")
         return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
 
 

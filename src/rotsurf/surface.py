@@ -9,13 +9,16 @@ ends stay open, no caps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateProfileError
-from .profile import ProfileCurve, text_sink, write_rows
+from .profile import ROW_BLOCK, ProfileCurve, text_sink
+
+FACE_BLOCK = 4096  # faces turned into ASCII digits and written at a time by export_obj
 
 
 @dataclass(frozen=True)
@@ -57,20 +60,111 @@ def revolve(profile: ProfileCurve, n_angular: int) -> Mesh:
     return Mesh(verts, faces, n_p, n_angular, profile.kind)
 
 
+def _write_vertex_rows(fh, vertices: np.ndarray, sep: str, heads) -> None:
+    """Write `head x sep y sep z` for each vertex, heads(lo, hi) giving rows lo..hi-1's heads.
+
+    Rows go out ROW_BLOCK at a time.  Within a block x is formatted once per
+    run of bit-identical values (a ring of a revolved mesh; comparing bits
+    keeps -0.0 apart from 0.0), and only y and z go through the block's
+    single %.  The bytes are those of one f"{v:.17g}" per value.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    yz = f"{sep}%.17g{sep}%.17g\n"
+    n = len(vertices)
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        x = vertices[lo:hi, 0]
+        bits = x.view(np.int64)
+        cuts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), hi - lo]
+        head = heads(lo, hi)
+        rows = [(tail := "%.17g" % x[a] + yz).join(head[a:b]) + tail
+                for a, b in zip(cuts, cuts[1:])]
+        fh.write("".join(rows) % tuple(vertices[lo:hi, 1:].ravel().tolist()))
+
+
+@functools.cache
+def _digit_quads() -> np.ndarray:
+    """The four ASCII digits of 0000..9999, each held in the bytes of one uint32.
+
+    Built on the first face export, so importing the package costs nothing.
+    """
+    digits = np.arange(10_000)[:, None] // (1000, 100, 10, 1) % 10 + ord("0")
+    quads = digits.astype(np.uint8).view(np.uint32).ravel()
+    quads.flags.writeable = False  # shared by every call
+    return quads
+
+
+def _face_template(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bytes and keep-mask of one `f a b c` row whose numbers have width digits.
+
+    Each number gets a cell: a lead ('f ' before the first, ' ' before the
+    others), a '-' slot, the digits, and a '\n' slot kept after the last.
+    """
+    cell = np.zeros((3, width + 4), np.uint8)
+    cell[:, 0] = np.frombuffer(b"f  ", np.uint8)
+    cell[:, 1:3] = np.frombuffer(b" -", np.uint8)
+    cell[:, -1] = ord("\n")
+    keep = np.zeros((3, width + 4), bool)
+    keep[:, :2] = ((True, True), (True, False), (True, False))
+    keep[:, width + 2] = True  # a number's last digit
+    keep[2, -1] = True
+    return cell, keep
+
+
+def _face_text(faces: np.ndarray) -> str:
+    """The `f a b c` rows of faces (1-based), built as ASCII digits in numpy.
+
+    Every number is written at the block's largest width and its leading
+    zeros are masked out, so the bytes are those of one f"{v}" per value.
+    """
+    v = faces + 1
+    neg = v < 0
+    mag = v.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # |v| by wraparound, also for -2**63
+    width = len(str(int(mag.max())))
+    n_quads = (width + 3) // 4
+    table = _digit_quads()
+    quads = np.empty(mag.shape + (n_quads,), np.uint32)
+    q = mag
+    for k in range(n_quads - 1, -1, -1):
+        d = q // 10_000
+        quads[..., k] = table[q - d * 10_000]
+        q = d
+    cell_row, keep_row = _face_template(width)
+    cell = np.empty(mag.shape + (width + 4,), np.uint8)
+    cell[:] = cell_row
+    cell[..., 3:-1] = quads.view(np.uint8)[..., 4 * n_quads - width:]
+    keep = np.empty(cell.shape, bool)
+    keep[:] = keep_row
+    keep[..., 2] = neg
+    for p in range(width - 1):  # a digit is kept when the number reaches its place
+        np.greater_equal(mag, 10 ** (width - 1 - p), out=keep[..., 3 + p])
+    return str(memoryview(cell[keep]), "ascii")
+
+
 def export_obj(mesh: Mesh, sink) -> None:
     """Plain OBJ: `v x y z` then 1-based `f a b c` lines, LF, 17 digits."""
     with text_sink(sink, "w") as fh:
-        write_rows(fh, "v %.17g %.17g %.17g\n", len(mesh.vertices), mesh.vertices)
-        write_rows(fh, "f %d %d %d\n", len(mesh.faces), lambda k: mesh.faces[k] + 1)
+        _write_vertex_rows(fh, mesh.vertices, " ", lambda lo, hi: ["v "] * (hi - lo))
+        for lo in range(0, len(mesh.faces), FACE_BLOCK):
+            fh.write(_face_text(mesh.faces[lo:lo + FACE_BLOCK]))
 
 
 def export_mesh_csv(mesh: Mesh, sink) -> None:
     """Vertex table `i,j,x,y,z` (profile index, angular index) for plotting."""
     n_ang = mesh.n_angular
+    cols = [f"{j}," for j in range(n_ang)]
+
+    def heads(lo, hi):  # "i,j," of vertex k = i * n_ang + j
+        out = []
+        for i in range(lo // n_ang, (hi - 1) // n_ang + 1):
+            ring = f"{i},"
+            out += [ring + j for j in cols[max(lo - i * n_ang, 0):hi - i * n_ang]]
+        return out
+
     with text_sink(sink, "w") as fh:
         fh.write("i,j,x,y,z\n")
-        write_rows(fh, "%d,%d,%.17g,%.17g,%.17g\n", len(mesh.vertices),
-                   lambda k: k // n_ang, lambda k: k % n_ang, mesh.vertices)
+        _write_vertex_rows(fh, mesh.vertices, ",", heads)
 
 
 def parse_obj(source) -> tuple[np.ndarray, np.ndarray]:

@@ -264,6 +264,19 @@ class TestMesh:
         run("mesh", "--builtin", "sphere", "--n-angular", "12", "--out", b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_parser_built_once_keeps_no_state(self, tmp_path):
+        # main reuses one parser: a --builtin run must not leak into the next
+        assert rs.cli.build_parser() is rs.cli.build_parser()
+        assert run("mesh", "--builtin", "sphere", "--n-angular", "8",
+                   "--out", tmp_path / "s.obj") == 0
+        argv = ["mesh", "--lambda", "4", "--span", "1", "--n-angular", "8", "--out"]
+        after, alone = tmp_path / "after.obj", tmp_path / "alone.obj"
+        assert rs.cli.build_parser().parse_args(argv + [str(after)]).builtin is None
+        assert run(*argv, after) == 0
+        rs.cli.build_parser.cache_clear()
+        assert run(*argv, alone) == 0
+        assert after.read_bytes() == alone.read_bytes()
+
 
 class TestExtendAndVerify:
     def test_extend_report(self, tmp_path):
@@ -327,6 +340,22 @@ class TestExtendAndVerify:
 
     def test_verify_missing_file_exit_2(self, tmp_path):
         assert run("verify", tmp_path / "nope.csv") == 2
+
+    @pytest.mark.parametrize("rows, n_cols", [
+        ("", 0),  # header only
+        ("0,0,1\n0.1,0.1,1\n", 3),
+        ("0,0,1,0,9\n0.1,0.1,1,0,9\n", 5),
+    ])
+    def test_verify_column_count_exit_2(self, tmp_path, capsys, rows, n_cols):
+        # 0 and 3 columns once raised IndexError (a traceback, exit 1); a fifth
+        # column was silently ignored
+        csv, out = tmp_path / "p.csv", tmp_path / "v.json"
+        csv.write_text("t,x,z,theta\n" + rows)
+        assert run("verify", csv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"have {n_cols} columns" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--rel-tol=nan", "--abs-tol=nan",
                                       "--boundary-eps=1e-10", "--config=run.conf"])

@@ -8,6 +8,7 @@ import pytest
 import rotsurf as rs
 from rotsurf import Mesh
 from rotsurf.profile import ROW_BLOCK
+from rotsurf.surface import FACE_BLOCK
 
 SQRT2 = math.sqrt(2.0)
 
@@ -131,17 +132,35 @@ class TestExport:
         # block edge, with signed zero, subnormals and huge coordinates
         rng = np.random.default_rng(11)
         special = np.array([-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, 2.0])
+        meshes = []
         for n in (0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1):
             verts = np.resize(special, (n, 3)) * rng.choice([1.0, -1.0], (n, 3))
             faces = rng.integers(0, 10**6, (2 * n, 3))
-            mesh = Mesh(verts, faces, n_profile=max(1, n // 5), n_angular=5, source_kind="test")
+            meshes.append(Mesh(verts, faces, n_profile=max(1, n // 5), n_angular=5,
+                               source_kind="test"))
+        # runs of x that == would merge (0.0 then -0.0) or split (NaN)
+        x = np.repeat([0.0, -0.0, np.nan, 1.0], ROW_BLOCK // 2 + 1)
+        verts = np.column_stack([x, rng.standard_normal((len(x), 2))])
+        meshes.append(Mesh(verts, np.zeros((0, 3), np.int64), 4, len(x) // 4, "test"))
+        # revolved meshes: rings of n_angular equal x across ROW_BLOCK edges
+        for n_angular in (3, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 1024):
+            meshes.append(rs.revolve(rs.sphere_profile(n=7 if n_angular < 1024 else 3),
+                                     n_angular))
+        # 1-based vertex numbers go from 9,999 to 10,000 inside one face block,
+        # and in the last faces only the second and third columns reach 10,000
+        wide = rs.revolve(rs.sphere_profile(n=100), 100)
+        block = (np.flatnonzero(wide.faces == 9999)[0] // 3) // FACE_BLOCK * FACE_BLOCK
+        assert {9999, 10000} <= set((wide.faces[block:block + FACE_BLOCK] + 1).ravel())
+        meshes.append(wide)
+        for mesh in meshes:
+            verts, faces, n_ang = mesh.vertices, mesh.faces, mesh.n_angular
             obj, csv = io.StringIO(), io.StringIO()
             rs.export_obj(mesh, obj)
             rs.export_mesh_csv(mesh, csv)
             ref_obj = "".join(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in verts)
             ref_obj += "".join(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in faces)
             ref_csv = "i,j,x,y,z\n" + "".join(
-                f"{k // 5},{k % 5},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}\n"
+                f"{k // n_ang},{k % n_ang},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}\n"
                 for k, v in enumerate(verts))
             assert obj.getvalue() == ref_obj
             assert csv.getvalue() == ref_csv
