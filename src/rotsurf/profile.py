@@ -114,12 +114,12 @@ class ProfileCurve:
 
         tq is a time (three floats back) or an array of times (three arrays
         back).  An evaluator maps a 1-d time array to three arrays.  The
-        fallback is one vector-valued quintic B-spline interpolant of the
-        columns (x, z, theta), cubic for very short profiles: curvature
-        verification differentiates twice, and a cubic fit of CSV-loaded
-        data would leak interpolation noise into the residual.  The columns
-        share one collocation solve and one basis evaluation, and each
-        equals its own scalar interpolant bit for bit.
+        fallback is one not-a-knot quintic spline interpolant of the columns
+        (x, z, theta) (`spline.interpolate`), cubic for very short profiles:
+        curvature verification differentiates twice, and a cubic fit of
+        CSV-loaded data would leak interpolation noise into the residual.
+        The columns share one solve and one evaluation, and each equals its
+        own scalar interpolant bit for bit.
         """
         ts = np.asarray(tq, dtype=float)
         flat = ts.reshape(-1)
@@ -127,12 +127,10 @@ class ProfileCurve:
             out = self.evaluator(flat)
         else:
             if "spline" not in self.meta:
-                from scipy.interpolate import make_interp_spline
+                from .spline import interpolate
 
-                k = 5 if len(self.t) > 6 else min(3, len(self.t) - 1)
-                self.meta["spline"] = make_interp_spline(
-                    self.t, np.column_stack((self.x, self.z, self.theta)), k=k)
-            out = tuple(self.meta["spline"](flat).T)
+                self.meta["spline"] = interpolate(self.t, np.stack((self.x, self.z, self.theta)))
+            out = tuple(self.meta["spline"](flat))
         if ts.ndim == 0:
             return tuple(float(col[0]) for col in out)
         return out
@@ -156,6 +154,10 @@ class ProfileCurve:
         n_cols = data.shape[1] if len(data) else 0
         if n_cols != 4:
             raise ValueError(f"profile CSV rows have {n_cols} columns, expected 4 (t,x,z,theta)")
+        if not np.isfinite(data).all():
+            row, col = np.argwhere(~np.isfinite(data))[0]
+            raise ValueError(f"profile CSV row {row + 1} (line {row + 2}): "
+                             f"{header.split(',')[col]} is {data[row, col]}, not a finite number")
         return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
 
 

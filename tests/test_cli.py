@@ -3,6 +3,10 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +360,47 @@ class TestExtendAndVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"have {n_cols} columns" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("column", ["t", "x", "z", "theta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_verify_non_finite_value_exit_2(self, tmp_path, capsys, column, value):
+        # a NaN x once gave FAIL residual=nan (exit 4), a NaN theta PASS, and
+        # a NaN z the numeric failure "profile has z <= 0" (exit 3)
+        curve, out = tmp_path / "c.csv", tmp_path / "v.json"
+        assert run("curve", "--lambda", "4.0", "--span", "2", "--out", curve) == 0
+        lines = curve.read_text().splitlines()
+        row = lines[40].split(",")
+        row["t,x,z,theta".split(",").index(column)] = value
+        lines[40] = ",".join(row)
+        curve.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("verify", curve, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"row 40 (line 41): {column} is {value}" in err
+        assert not out.exists()
+
+    def test_verify_runs_without_scipy(self, tmp_path):
+        # the CSV spline is the package's own: with scipy unimportable, curve
+        # and verify still exit 0 and load no scipy module
+        curve = tmp_path / "c.csv"
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from rotsurf.cli import main\n"
+            f"codes = (main(['curve', '--lambda', '4', '--span', '2', '--out', {str(curve)!r}]),\n"
+            f"         main(['verify', {str(curve)!r}, '--step', '1e-3']))\n"
+            "loaded = [m for m, mod in sys.modules.items()\n"
+            "          if m.split('.')[0] == 'scipy' and mod is not None]\n"
+            "print(codes, loaded)\n"
+            "sys.exit(codes != (0, 0) or bool(loaded))\n")
+        src = str(Path(rs.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.splitlines()[-1] == "(0, 0) []"
 
     @pytest.mark.parametrize("flag", ["--rel-tol=nan", "--abs-tol=nan",
                                       "--boundary-eps=1e-10", "--config=run.conf"])

@@ -10,7 +10,10 @@ before it is called a regression.
 
 import ast
 import hashlib
+import json
 from pathlib import Path
+
+import pytest
 
 from rotsurf.cli import main
 
@@ -19,22 +22,27 @@ PINNED = {
     "extend.csv": "a67b0d6c98cdc803f2facad97a1cbbab4e4376f6be177a2c1d2b1aa43f3c03e6",
     "extend.regularity.json": "c46a3337579d7b6feb713325393997ab28b7056028fe3861d91f56a2c2b55db5",
     "mesh.obj": "8f9b08a13e55571d19e7be3c76871e94b887d969cbe7c3226d6f5a91be503f2e",
-    "verify.json": "3b79a562cf1dfa05a2a719c14389a092d51725cea62f146159f5b42ecc87b0d3",
+    "verify.json": "b2af0a95024038aeb660c02adeb1da27284cf855b733eba2d281f3ac6bb82df1",
     "portrait.json": "03458349cd866bb25c46c35f0403937cc5c4ddce2ad8a6f0927a189b7f30639b",
     "portrait_00.csv": "a9f53649105cf19ee9560446af78b0a7ce6ada10d0aada2568a4af3860b0624d",
     "portrait_01.csv": "14ee832348cbc26380fc162510481da104c30ad26bf26bdc361ceb4f4b14a851",
     "sphere.obj": "f6dc46b117d884ed0fe5baa3132c74ba144bdb8636582b83acba51c10a06277a",
     "mesh.csv": "8189e2160697fda03385511a71c83bca795a03e399e26219bbd53f5aab8eb1fc",
     "lambda0.json": "8bbdbff4e6040652b634a81eb7bc60a47eaf4f3c46b874e53e4280cd75b2c0de",
-    "verify_extend.json": "ba7e316209dd24e3cceae80664d87d2c4abdf917e451aa61589731ddc3172167",
+    "verify_extend.json": "cda52651ce082a47d60269d7a707fbcdaa3ac35e8bf5ab65019af02ae6222895",
     "clamped.csv": "c47aa09de5bb1cc93cdb7e4bbd0c5bba3ad633e8c222a563a577c9d558c3a8c9",
-    "verify_clamped.json": "762ad68172c2fb30fb655a19548f09309a17b9ca5db9086490d15df22b643e0d",
+    "verify_clamped.json": "8294540412eb78c9872f03c0fd10a85d1849f9e2cab1a7237382eed88b16a95c",
 }
 
 
-def test_output_bytes_pinned(tmp_path):
+def _emit_pinned(tmp_path):
+    """Emit every pinned file into tmp_path; return the exit code of each command by output name."""
+    codes = {}
+
     def run(*argv, code=0):
-        assert main([str(a) for a in argv]) == code
+        name = Path(argv[-1]).name
+        codes[name] = main([str(a) for a in argv])
+        assert codes[name] == code
 
     run("curve", "--lambda", "4", "--span", "6", "--out", tmp_path / "curve.csv")
     run("extend", "--copies", "2", "--segments", "0.5", "--out", tmp_path / "extend.csv")
@@ -53,8 +61,46 @@ def test_output_bytes_pinned(tmp_path):
     run("curve", "--lambda", "1.8", "--span", "3", "--out", tmp_path / "clamped.csv")
     run("verify", tmp_path / "clamped.csv", "--step", "1e-3",
         "--out", tmp_path / "verify_clamped.json", code=4)
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED}
+    return tmp_path, codes
+
+
+@pytest.fixture(scope="module")
+def pinned(tmp_path_factory):
+    return _emit_pinned(tmp_path_factory.mktemp("pinned"))
+
+
+def test_output_bytes_pinned(pinned):
+    out, _ = pinned
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED}
     assert got == PINNED
+
+
+# The verify reports as scipy's make_interp_spline gave them, before the
+# package fitted its own spline: the exit code and every field but the two
+# residuals are pinned exactly, and the residuals, which difference the
+# spline twice at h = 1e-3, may move at rounding level only.
+SCIPY_VERIFY = {
+    "verify.json": (0, 3.6931257463290734e-07, 1.6759945198341342e-07, 12001, True),
+    "verify_extend.json": (0, 4.7774053679727757e-07, 1.677879649664149e-07, 19797, True),
+    "verify_clamped.json": (4, 0.0001676440671579682, 1.666887313733767e-07, 4320, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCIPY_VERIFY))
+def test_verify_reports_match_the_scipy_spline(pinned, name):
+    out, codes = pinned
+    code, curvature, speed, n_points, verdict = SCIPY_VERIFY[name]
+    assert codes[name] == code
+    doc = json.loads((out / name).read_text())
+    assert list(doc) == ["max_curvature_residual", "max_speed_residual", "monotone_violations",
+                         "n_points", "h", "end_trim", "threshold", "speed_threshold", "pass"]
+    assert doc["pass"] is verdict
+    assert doc["monotone_violations"] == 0
+    assert doc["n_points"] == n_points
+    assert (doc["h"], doc["end_trim"], doc["threshold"], doc["speed_threshold"]) == (
+        0.001, 0.01, 0.0001, 9.9999999999999995e-07)
+    assert abs(doc["max_curvature_residual"] - curvature) <= 1e-8
+    assert abs(doc["max_speed_residual"] - speed) <= 1e-8
 
 
 def test_oracles_import_no_package_module():

@@ -14,6 +14,7 @@ from rotsurf.errors import (
     TooFewSamplesError,
 )
 from rotsurf.profile import MAX_RESAMPLE_STEPS, ROW_BLOCK
+from rotsurf.spline import interpolate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -274,31 +275,62 @@ class TestEvalAt:
         assert x.shape == z.shape == th.shape == ts.shape
         for k in (0, 40, 96):
             assert again.eval_at(float(ts[k])) == (x[k], z[k], th[k])
+        # a sorted array with more times than knots finds its pieces by one
+        # search per knot, any other array by one search per time: the same
+        # pieces, the same bits (the grid hits every sample time too)
+        dense = np.unique(np.concatenate((np.linspace(*again.span, 8 * len(again)), again.t)))
+        order = np.random.default_rng(3).permutation(len(dense))
+        shuffled = again.eval_at(dense[order])
+        for col, got in zip(again.eval_at(dense), shuffled):
+            assert np.array_equal(col[order].view(np.int64), got.view(np.int64))
         assert np.max(np.abs(again.eval_at(again.t)[1] - again.z)) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 1000])
     def test_vector_spline_is_the_per_column_spline(self, n):
         # one interpolant of the stacked columns equals three scalar ones
-        # bit for bit: same knots, same collocation solve per column
-        from scipy.interpolate import make_interp_spline
-
+        # bit for bit: the data only meet elementwise operations
         rng = np.random.default_rng(n)
         t = np.cumsum(rng.uniform(0.2, 3.0, n)) * 1e-2  # non-uniform times
         cols = (rng.normal(size=n), rng.uniform(0.5, 2.0, n),
                 np.cumsum(rng.uniform(0.0, 0.1, n)))
         prof = ProfileCurve(t, *cols)
-        k = 5 if n > 6 else min(3, n - 1)
         dense = np.linspace(t[0], t[-1], 4001)
+        alone = [interpolate(t, col[None]) for col in cols]
         for ts in (t, dense):
             got = prof.eval_at(ts)
-            for col, g in zip(cols, got):
-                ref = make_interp_spline(t, col, k=k)(ts)
+            for g, fit in zip(got, alone):
+                ref = fit(ts)[0]
                 assert g.shape == ts.shape
                 assert np.array_equal(g.view(np.int64), ref.view(np.int64))
         tq = float(dense[1234])
         one = prof.eval_at(tq)
         assert all(type(v) is float for v in one)
-        assert one == tuple(float(make_interp_spline(t, col, k=k)(tq)) for col in cols)
+        assert one == tuple(float(fit(np.array([tq]))[0, 0]) for fit in alone)
+
+    def test_scipy_make_interp_spline_is_the_same_spline(self, cfg):
+        # The reference implementation of the same not-a-knot spline.  Both
+        # solve the same system, so they differ by rounding only: within
+        # 1e-12 of the largest value, on random data with noise (the worst
+        # seen is 1.2e-13) and on a profile CSV (2e-14).
+        interp = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(11)
+        cases = []
+        for n in list(range(2, 9)) + [1000]:
+            t = np.cumsum(rng.uniform(0.2, 3.0, n)) * 1e-2
+            cases.append((t, np.stack((rng.normal(size=n), rng.uniform(0.5, 2.0, n),
+                                       np.cumsum(rng.uniform(0.0, 0.1, n))))))
+        buf = io.StringIO()
+        rs.build_profile(rs.full_curve(1.8, cfg)).write_csv(buf)  # clamped, as verify reads it
+        buf.seek(0)
+        csv = ProfileCurve.read_csv(buf)
+        cases.append((csv.t, np.stack((csv.x, csv.z, csv.theta))))
+        for t, ys in cases:
+            n = len(t)
+            k = 5 if n > 6 else min(3, n - 1)
+            ts = np.concatenate((t, np.linspace(t[0], t[-1], 4001)))
+            ref = interp.make_interp_spline(t, ys.T, k=k)(ts).T
+            got = interpolate(t, ys)(ts)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ys)), n
 
 
 class TestVerify:
