@@ -156,8 +156,8 @@ class ProfileCurve:
             raise ValueError(f"profile CSV rows have {n_cols} columns, expected 4 (t,x,z,theta)")
         if not np.isfinite(data).all():
             row, col = np.argwhere(~np.isfinite(data))[0]
-            raise ValueError(f"profile CSV row {row + 1} (line {row + 2}): "
-                             f"{header.split(',')[col]} is {data[row, col]}, not a finite number")
+            raise ValueError(f"profile CSV data row {row + 1}: {header.split(',')[col]} "
+                             f"is {data[row, col]}, not a finite number")
         return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
 
 

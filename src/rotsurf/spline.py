@@ -10,10 +10,16 @@ the nodes t[0], t[3], t[4], ..., t[n-4], t[n-1].  At each inner node the
 third and fourth derivatives agree on both sides; each end node has the
 two conditions that its piece passes through the two samples inside it.
 Each condition couples a node to its neighbours only, so the unknowns
-solve a 2x2 block-tridiagonal system: a few levels of cyclic reduction
-and a few block Jacobi sweeps, a number of numpy calls that grows no
-faster than log n.  Every operation on the data is elementwise, so the
-fit of several columns equals the fit of each column alone bit for bit.
+solve a 2x2 block-tridiagonal system: a few levels of cyclic reduction,
+then block Jacobi sweeps once the couplings left are small, in a number
+of numpy calls that grows like log n.  Every operation on the data is
+elementwise, so the fit of several columns equals the fit of each column
+alone bit for bit.
+
+The conditions weigh the pieces on either side of a node by powers of
+their widths, so they lose accuracy as neighbouring sample gaps grow
+apart, by about eps * r^3 for a factor r between them.  Samples whose
+neighbouring gaps differ by more than MAX_GAP_RATIO are refused.
 """
 
 from __future__ import annotations
@@ -40,15 +46,17 @@ _HERMITE = np.array([[10.0, -6.0, -4.0, -1.5, 0.5],
                      [-15.0, 8.0, 7.0, 1.5, -1.0],
                      [6.0, -3.0, -3.0, -0.5, 0.5]])[:, :, None, None]
 _EYE = np.eye(2).reshape(2, 2, 1)
-# Scaled couplings below this are dropped: they move a solution by far
-# less than its rounding error of about 1e-16 of it.
-COUPLING_DROP = 1e-18
-# Below this largest scaled coupling, four Jacobi sweeps or fewer reach
-# COUPLING_DROP, which costs less than two more levels of reduction.
-JACOBI_START = 1e-4
-# Levels of reduction before the couplings are first measured: a spline's
-# are still near 1e-2 after three (reducing further is exact anyway).
-FIRST_TEST = 4
+# Once the scaled couplings of a level are this small, block Jacobi sweeps
+# finish the reduced system in fewer numpy calls than further levels: a
+# level costs about five sweeps.  A profile's couplings fall to about 1e-2
+# after three levels and 1e-5 after four, where 7 and 3 sweeps reach EPS;
+# reducing to one equation would take 5 to 8 more levels.
+SWEEP_BELOW = 1e-2
+EPS = float(np.finfo(float).eps)
+# Largest factor between neighbouring sample gaps.  Up to here the fit's
+# error stays within a few times that of a B-spline collocation solve of
+# the same spline (both measured against a 50-digit solve).
+MAX_GAP_RATIO = 16.0
 
 
 class Spline:
@@ -66,7 +74,7 @@ class Spline:
 
     def __call__(self, tq):
         """Values at the 1-d times tq, one row per column: shape (columns, len(tq))."""
-        p = _pieces(self.breaks, tq)
+        p = np.searchsorted(self.breaks, tq, side="right")
         u = (tq - self.anchor.take(p)) * self.scale.take(p)
         v = self.coef[DEGREE].take(p, axis=1)
         v *= u
@@ -77,18 +85,20 @@ class Spline:
         return v
 
 
-def _pieces(breaks, tq):
-    """searchsorted(breaks, tq, side="right"), from one search per break when tq is sorted."""
-    if len(tq) > len(breaks) and (tq[1:] >= tq[:-1]).all():
-        bounds = np.empty(len(breaks) + 2, dtype=np.intp)
-        bounds[0], bounds[-1] = 0, len(tq)
-        bounds[1:-1] = np.searchsorted(tq, breaks)
-        return np.repeat(np.arange(len(breaks) + 1), bounds[1:] - bounds[:-1])
-    return np.searchsorted(breaks, tq, side="right")
-
-
 def interpolate(t, ys) -> Spline:
-    """The not-a-knot spline through (t[i], ys[:, i]); t strictly increasing, ys (columns, n)."""
+    """The not-a-knot spline through (t[i], ys[:, i]); t strictly increasing, ys (columns, n).
+
+    Raises ValueError where two neighbouring gaps of t differ by a factor
+    of more than MAX_GAP_RATIO.
+    """
+    if len(t) > 2:
+        gaps = t[1:] - t[:-1]
+        ratio = gaps[1:] / gaps[:-1]
+        limit = MAX_GAP_RATIO * (1.0 + 1e-9)  # gaps meant to differ by the limit pass
+        if not 1.0 / limit <= ratio.min() <= ratio.max() <= limit:
+            i = int(np.argmax(np.maximum(ratio, 1.0 / ratio)))
+            raise ValueError(f"samples {i + 1} to {i + 3}: neighbouring time gaps differ by a factor "
+                             f"of {max(ratio[i], 1.0 / ratio[i]):.3g}, more than {MAX_GAP_RATIO:g}")
     if len(t) > 6:
         return _quintic(t, ys)
     return _short(t, ys, min(3, len(t) - 1))
@@ -167,72 +177,70 @@ def _cyclic_reduction(R):
     """Solve A_i u_{i-1} + B_i u_i + C_i u_{i+1} = r_i, i < N, for 2-vectors u_i per column.
 
     R is (2, 6 + nc, N): the two rows of [A_i | C_i | r_i | B_i] for each i,
-    with A_0 = C_{N-1} = 0.  Each level scales every equation by B_i^-1 and
-    eliminates the even ones from the odd ones.  A spline's scaled couplings
-    shrink like 0.43^(2^level); once their largest row sum q is at most
-    JACOBI_START, block Jacobi sweeps finish the job, each one cutting the
-    error by q, until it is below COUPLING_DROP of the solution.  Back
-    substitution then recovers the eliminated equations.  The number of
-    levels and sweeps depends on the mesh only.  Returns u as (2, nc, N).
+    with A_0 = C_{N-1} = 0.  Each level scales every equation by B_i^-1,
+    to u_i + A~_i u_{i-1} + C~_i u_{i+1} = r~_i, and eliminates the even
+    ones from the odd ones.  The scaled couplings shrink fast from level to
+    level; once their largest row sum q is at most SWEEP_BELOW (0 when one
+    equation is left), block Jacobi sweeps u <- r~ - A~ u_{i-1} - C~ u_{i+1}
+    from u = r~, each cutting the error by q, solve the last level to
+    within EPS of u.  Back substitution then recovers the eliminated
+    equations.  Returns u as (2, nc, N).
     """
-    nc = R.shape[1] - 6
-    W = 4 + nc
+    W = R.shape[1] - 2
     levels = []
     while True:
         N = R.shape[2]
         B = R[:, W:]
-        inv_t = B[::-1, ::-1] * (_COFACTOR_SIGN / (B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]))
-        S = inv_t[0][:, None] * R[0, :W]  # the scaled rows [A~ | C~ | r~]
-        S += inv_t[1][:, None] * R[1, :W]
-        if N == 1:
+        cross = B[:, 0] * B[::-1, 1]  # B00 B11, B10 B01
+        inv_t = B[::-1, ::-1] * (_COFACTOR_SIGN / (cross[0] - cross[1]))  # (B^-1)^T
+        parts = inv_t[:, :, None] * R[:, None, :W]
+        S = np.empty((2, W, N + 1))  # the scaled rows [A~ | C~ | r~], a zero row past them
+        S[:, :, N] = 0.0
+        np.add(parts[0], parts[1], out=S[:, :, :N])
+        q = np.abs(S[:, 0:4]).sum(axis=1).max()
+        if not q > SWEEP_BELOW:
             break
-        if len(levels) >= FIRST_TEST:
-            q = np.abs(S[:, 0:4]).sum(axis=1).max()
-            if not q > JACOBI_START:
-                break
-        # even rows, a zero row past them (the equation u = 0), odd rows
-        ne = N - N // 2
-        S = np.concatenate((S[:, :, 0::2], np.zeros((2, W, 1)), S[:, :, 1::2]), axis=2)
-        K = S[:, :, ne + 1:]
-        nk = K.shape[2]
-        # [A~ C~]_i times the rows on either side: [A~ | C~ | r~]_{i-1}, _{i+1}
-        lr = _couple(K, _neighbours(S, nk))
-        R = np.empty((2, W + 2, nk))
-        np.negative(lr[0, :, 0:2], out=R[:, 0:2])
-        np.negative(lr[1, :, 2:4], out=R[:, 2:4])
-        np.subtract(K[:, 4:], lr[0, :, 4:], out=R[:, 4:W])
-        R[:, 4:W] -= lr[1, :, 4:]
-        np.subtract(_EYE, lr[0, :, 2:4], out=R[:, W:])
-        R[:, W:] -= lr[1, :, 0:2]
-        levels.append(S[:, :, :ne])
-    # u with a zero past each end, so that neighbours are plain shifts
-    u = np.zeros((2, nc, N + 2))
-    u[:, :, 1:-1] = S[:, 4:]
-    if N > 1 and q > COUPLING_DROP:
-        sides = _neighbours(u, N, 2)  # reads u, which each sweep updates in place
-        for _ in range(math.ceil(math.log(COUPLING_DROP) / math.log(q)) - 1):
-            np.subtract(S[:, 4:], _couple(S, sides).sum(axis=0), out=u[:, :, 1:-1])
-    for G in reversed(levels):
-        ne, nk = G.shape[2], u.shape[2] - 2
-        finer = np.zeros((2, nc, ne + nk + 2))
-        np.subtract(G[:, 4:], _couple(G, _neighbours(u, ne)).sum(axis=0), out=finer[:, :, 1:-1:2])
-        finer[:, :, 2:-1:2] = u[:, :, 1:-1]
-        u = finer
+        levels.append(S)
+        # each odd equation with its neighbours substituted, negated
+        lr = _couple(S[:, 0:4, 1:N:2], _neighbours(S, N // 2, 2))
+        R = np.empty((2, W + 2, N // 2))
+        R[:, 0:2] = lr[:, 0, 0:2]
+        R[:, 2:4] = lr[:, 1, 2:4]
+        np.add(lr[:, 0, 4:], lr[:, 1, 4:], out=R[:, 4:W])
+        R[:, 4:W] -= S[:, 4:, 1:N:2]
+        np.add(lr[:, 0, 2:4], lr[:, 1, 0:2], out=R[:, W:])
+        R[:, W:] -= _EYE
+    u = np.zeros((2, W - 4, N + 2))  # u with a zero past each end
+    u[:, :, 1:-1] = S[:, 4:, :N]
+    if q > 0.0:
+        sides = _neighbours(u, N, 1)  # reads u, which each sweep updates in place
+        for _ in range(math.ceil(math.log(EPS) / math.log(q)) - 1):
+            lr = _couple(S[:, 0:4, :N], sides)
+            np.subtract(S[:, 4:, :N], lr[:, 0], out=u[:, :, 1:-1])
+            u[:, :, 1:-1] -= lr[:, 1]
+    for S in reversed(levels):
+        N = S.shape[2] - 1
+        full = np.zeros((2, W - 4, N + 2))
+        full[:, :, 2:N + 1:2] = u[:, :, 1:-1]
+        even = full[:, :, 1:N + 1:2]
+        lr = _couple(S[:, 0:4, 0:N:2], _neighbours(full, N - N // 2, 2))
+        np.subtract(S[:, 4:, 0:N:2], lr[:, 0], out=even)
+        even -= lr[:, 1]
+        u = full
     return u[:, :, 1:-1]
 
 
-def _neighbours(a, n, gap=1):
-    """a[..., :n] and a[..., gap:n + gap] of a C-contiguous array, stacked on a new first axis."""
-    return np.ndarray((2,) + a.shape[:-1] + (n,), a.dtype, a, 0,
-                      (gap * a.strides[-1],) + a.strides)
+def _neighbours(a, n, step):
+    """a[..., 0:step * n:step] and a[..., 2:2 + step * n:step] of a C-contiguous array, stacked first."""
+    s = a.strides[-1]
+    return np.ndarray((2,) + a.shape[:-1] + (n,), a.dtype, a, 0, (2 * s,) + a.strides[:-1] + (step * s,))
 
 
-def _couple(G, v):
-    """[A~_i v[0]_i, C~_i v[1]_i] for scaled rows G = [A~ | C~ | ...] and 2-row blocks v."""
-    blocks = G[:, 0:4].reshape(2, 2, 2, -1).transpose(1, 0, 2, 3)  # (A~ or C~, row, column, i)
-    out = blocks[:, :, 0, None] * v[:, None, 0]
-    out += blocks[:, :, 1, None] * v[:, None, 1]
-    return out
+def _couple(AC, v):
+    """[A~_i v[0]_i, C~_i v[1]_i] for blocks AC = [A~ | C~] (2, 4, n) and 2-row blocks v: (2, 2, ..., n)."""
+    X = AC.reshape((2, 2, 2) + (1,) * (v.ndim - 3) + AC.shape[-1:])  # (row, A~ or C~, column, ..., i)
+    prod = X * v
+    return prod[:, :, 0] + prod[:, :, 1]
 
 
 def _short(t, ys, k) -> Spline:

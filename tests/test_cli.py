@@ -377,7 +377,35 @@ class TestExtendAndVerify:
         assert run("verify", curve, "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"row 40 (line 41): {column} is {value}" in err
+        assert f"data row 40: {column} is {value}, not a finite number" in err
+        assert not out.exists()
+
+    def test_verify_non_finite_names_data_row_past_comments(self, tmp_path, capsys):
+        # comment and blank lines are skipped: the message counts data rows
+        curve, out = tmp_path / "c.csv", tmp_path / "v.json"
+        assert run("curve", "--lambda", "4.0", "--span", "2", "--out", curve) == 0
+        lines = curve.read_text().splitlines()
+        lines[40] = lines[40].replace(lines[40].split(",")[2], "nan", 1)
+        lines[10:10] = ["# a comment", ""]
+        curve.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("verify", curve, "--out", out) == 2
+        assert "data row 40: z is nan" in capsys.readouterr().err
+
+    def test_verify_irregular_gaps_exit_2(self, tmp_path, capsys):
+        # where neighbouring sample gaps differ by more than
+        # spline.MAX_GAP_RATIO the CSV spline would lose accuracy: refused
+        curve, out = tmp_path / "c.csv", tmp_path / "v.json"
+        assert run("curve", "--lambda", "4.0", "--span", "2", "--out", curve) == 0
+        header, *rows = curve.read_text().splitlines()
+        del rows[41:60]  # one gap about 20 times its neighbour
+        curve.write_text("\n".join([header] + rows) + "\n")
+        capsys.readouterr()
+        assert run("verify", curve, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: samples 40 to 42: neighbouring time gaps differ by a factor of 20")
+        assert err.endswith(", more than 16\n")
         assert not out.exists()
 
     def test_verify_runs_without_scipy(self, tmp_path):
