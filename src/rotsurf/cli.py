@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .errors import InvalidLambdaError, RotsurfError
+from .errors import InvalidLambdaError, RotsurfError, TooFewSamplesError
 from .field import PhasePoint
 from .integrate import IntegratorConfig, integrate, launch_separatrix, with_mirror
 from .profile import (
@@ -190,8 +190,7 @@ def _profile_for_lambda(lam: float, span: float, cfg: IntegratorConfig) -> Profi
         keep = np.abs(prof.t) <= span
         if keep.sum() >= 2 and not keep.all():
             prof = ProfileCurve(prof.t[keep], prof.x[keep], prof.z[keep],
-                                prof.theta[keep], kind=prof.kind,
-                                evaluator=prof.evaluator, meta=dict(prof.meta))
+                                prof.theta[keep], kind=prof.kind, evaluator=prof.evaluator)
         return prof
     if klass.tag == SEPARATRIX:
         return separatrix_profile(cfg)
@@ -367,7 +366,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, InvalidLambdaError, OSError) as exc:
+    except (ValueError, InvalidLambdaError, TooFewSamplesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RotsurfError as exc:

@@ -13,17 +13,19 @@ field.slope and field.domain_gap, which stay the reference: a test checks
 every stored stage against them bit for bit.
 
 Dense output is one table per trajectory, numpy columns with a row per
-accepted step: its time span, the affine map onto the step's internal
-parameter, the start state, the step size and the 7 stage derivatives, and
-an output scale and offset (see Trajectory).  Reflection, time shifts and
-concatenation are column operations, and states_at evaluates many times
-at once by searchsorted plus Horner.  The quartic coefficients are not
-stored: each evaluation builds them in one vectorized pass, once for each
-distinct row it reads, so callers that read only nodes and the termination
-record (shooting) never pay for them.  The stepping loop builds them, with the
-same builder, only for the one step that brackets a boundary contact or a
-theta-target crossing; crossing_time evaluates its bisection midpoints in
-plain floats on the rows they fall in, with the same builder.
+accepted step: row k covers [ts[k], ts[k+1]] between two nodes, so the
+table keeps no time span of its own.  A row holds the affine map onto the
+step's internal parameter, the start state, the step size and the 7 stage
+derivatives, and an output scale and offset (see Trajectory).  Reflection
+and time shifts are one affine move of the columns, concatenation joins
+them, and states_at evaluates many times at once by searchsorted plus
+Horner.  The quartic coefficients are not stored: each evaluation builds
+them in one vectorized pass, once for each distinct row it reads, so
+callers that read only nodes and the termination record (shooting) never
+pay for them.  The stepping loop builds them, with the same builder, only
+for the one step that brackets a boundary contact or a theta-target
+crossing; crossing_time builds them for the one row that brackets its
+target and bisects on it in plain floats.
 
 Trajectory time t always increases with theta; backward integration runs in
 an internal parameter and is exposed with t = -sigma, so samples are always
@@ -33,7 +35,6 @@ ascending in both t and theta.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,14 +150,6 @@ class EndInfo:
     t_star: float | None = None
     limit_point: tuple[float, float] | None = None
 
-    def mirrored(self, n: int, t_c: float) -> "EndInfo":
-        tgt = None if self.theta_target is None else 2 * n * math.pi - self.theta_target
-        ts = None if self.t_star is None else 2 * t_c - self.t_star
-        lp = None
-        if self.limit_point is not None:
-            lp = (2 * n * math.pi - self.limit_point[0], self.limit_point[1])
-        return EndInfo(self.kind, tgt, ts, lp)
-
 
 _P_COLS = np.array(_P)[:, :, None]  # (7, 4, 1): stage j, power m
 
@@ -202,8 +195,9 @@ class Trajectory:
     the angle function is monotone by construction).
 
     The dense output is one table of numpy columns with a row per step,
-    ascending in t: the step covers [t_lo, t_hi], maps t onto its internal
-    parameter u = a*t + b, starts at y0 with size h and 7 stage derivatives
+    ascending in t: row k covers the nodes' [ts[k], ts[k+1]] (the table
+    keeps no time span of its own), maps t onto its internal parameter
+    u = a*t + b, starts at y0 with size h and 7 stage derivatives
     (stages[n, 7, 3]), and evaluates to scale * p(u) + offset with p the
     quartic interpolant.  Reflection and time shifts compose into (a, b,
     scale, offset), so mirrored and concatenated trajectories keep full dense
@@ -262,7 +256,7 @@ class Trajectory:
             raise RangeError(f"t={ts[outside][0]} outside span [{lo}, {hi}]")
         tab = self.table
         # the last row starting at or before t (row 0 before the first start)
-        i = np.searchsorted(tab["t_lo"][1:], np.clip(ts, lo, hi), side="right")
+        i = np.searchsorted(self.ts[1:-1], np.clip(ts, lo, hi), side="right")
         # build each distinct row read once (a mask: cheaper than np.unique)
         read = np.zeros(len(tab["h"]), dtype=bool)
         read[i] = True
@@ -280,22 +274,37 @@ class Trajectory:
 
     def shifted(self, dt: float = 0.0, dtheta: float = 0.0, dx: float = 0.0) -> "Trajectory":
         """Translate in time, angle lift, and abscissa (all affine, dense output kept)."""
-        move = (dtheta, 0.0, dx)
+        return self._moved(1.0, dt, (1.0, 1.0, 1.0), (dtheta, 0.0, dx))
 
-        def sh(info: EndInfo) -> EndInfo:
+    def _moved(self, s: float, dt: float, r: tuple, q: tuple) -> "Trajectory":
+        """The trajectory under t -> s*t + dt and y -> r*y + q, for s = 1 or -1.
+
+        Row k's parameter map a*t + b becomes (s*a)*t + (b - (s*a)*dt) and its
+        output scale * p + offset becomes (r*scale) * p + (r*offset + q); the
+        end records move with the nodes.  With s = -1 the nodes and rows run
+        in reverse and the two end records swap.  r and q are float triples.
+        """
+        rv, qv = np.array(r), np.array(q)
+        tab = self.table
+        a = s * tab["a"]
+        table = dict(tab, a=a, b=tab["b"] - a * dt, scale=rv * tab["scale"],
+                     offset=rv * tab["offset"] + qv)
+        ts, ys = s * self.ts + dt, rv * self.ys + qv
+
+        def end(info: EndInfo) -> EndInfo:
             return EndInfo(
                 info.kind,
-                None if info.theta_target is None else info.theta_target + dtheta,
-                None if info.t_star is None else info.t_star + dt,
+                None if info.theta_target is None else r[0] * info.theta_target + q[0],
+                None if info.t_star is None else s * info.t_star + dt,
                 None if info.limit_point is None else
-                (info.limit_point[0] + dtheta, info.limit_point[1]),
+                (r[0] * info.limit_point[0] + q[0], info.limit_point[1]),
             )
 
-        tab = self.table
-        table = dict(tab, t_lo=tab["t_lo"] + dt, t_hi=tab["t_hi"] + dt,
-                     b=tab["b"] - tab["a"] * dt, offset=tab["offset"] + move)
-        return Trajectory(self.ts + dt, self.ys + move, table, sh(self.left_info),
-                          sh(self.right_info))
+        left, right = end(self.left_info), end(self.right_info)
+        if s < 0.0:
+            ts, ys, left, right = ts[::-1], ys[::-1], right, left
+            table = {key: col[::-1] for key, col in table.items()}
+        return Trajectory(ts, ys, table, left, right)
 
     def crossing_time(self, theta_target: float) -> float | None:
         """Time of theta(t) = theta_target; None when outside the theta range."""
@@ -308,59 +317,43 @@ class Trajectory:
             return float(self.ts[-1])
         if not lo < theta_target < hi:
             return None
+        # row i covers the bracket [ts[i], ts[i+1]], so every midpoint reads it:
+        # theta(m) - theta_target in plain floats with the coefficients and
+        # Horner order of states_at, so with its bits
         i = int(np.searchsorted(th, theta_target)) - 1
-        tab, rows = self.table, {}
+        tab = self.table
+        a, b, y0 = tab["a"][i].item(), tab["b"][i].item(), tab["y0"][i, 0].item()
+        coef = _dense_coef(tab["h"][i:i + 1], tab["stages"][i:i + 1])[:, 0, 0].tolist()
+        scale, offset = tab["scale"][i, 0].item(), tab["offset"][i, 0].item()
 
-        def gaps(ms):
-            # theta(m) - theta_target in plain floats on the row states_at
-            # would read, with its coefficients and Horner order: its bits.
-            out = []
-            for m in ms:
-                j = bisect_right(tab["t_lo"], m, 1) - 1
-                if j not in rows:
-                    coef = _dense_coef(tab["h"][j:j + 1], tab["stages"][j:j + 1])
-                    rows[j] = (tab["a"][j].item(), tab["b"][j].item(), tab["y0"][j, 0].item(),
-                               coef[:, 0, 0].tolist(), tab["scale"][j, 0].item(),
-                               tab["offset"][j, 0].item())
-                a, b, y0, coef, scale, offset = rows[j]
-                out.append(scale * _quartic(y0, coef, a * m + b) + offset - theta_target)
-            return out
+        def gap(m):
+            return scale * _quartic(y0, coef, a * m + b) + offset - theta_target
 
-        return bisect_root(gaps, float(self.ts[i]), float(self.ts[i + 1]), 100, 1)
+        return bisect_root(gap, float(self.ts[i]), float(self.ts[i + 1]), 100)
 
 
-def bisect_root(f, a: float, b: float, max_iter: int, depth: int) -> float:
+def bisect_root(f, a: float, b: float, max_iter: int) -> float:
     """Root of f on [a, b] by bisection, where f(a) < 0.
 
-    The result is that of the plain loop: m = (a + b)/2, return m when
-    f(m) == 0, else a = m when f(m) < 0 and b = m otherwise, until max_iter
-    halvings or b - a <= 1e-16 * max(1, |a|, |b|); then (a + b)/2.  f maps
-    a list of times to their values, and is called once for the 2**depth - 1
-    midpoints the next depth halvings may visit, so an array evaluator pays
-    its per-call cost once per depth halvings.  Once a and b are adjacent
-    floats the midpoint is one of them and the loop cannot move; its answer
-    is then that midpoint, returned at once.
+    m = (a + b)/2; return m when f(m) == 0, else a = m when f(m) < 0 and
+    b = m otherwise, until max_iter halvings or b - a <= 1e-16 * max(1, |a|,
+    |b|); then (a + b)/2.  Once a and b are adjacent floats the midpoint is
+    one of them and the loop cannot move; its answer is then that midpoint,
+    returned at once.
     """
-    it = 0
-    while it < max_iter:
-        level, mids = [(a, b)], []
-        for _ in range(depth):
-            ms = [0.5 * (lo + hi) for lo, hi in level]
-            mids += ms
-            level = [span for (lo, hi), m in zip(level, ms) for span in ((lo, m), (m, hi))]
-        vals = f(mids)
-        j = 0
-        for _ in range(min(depth, max_iter - it)):
-            it += 1
-            m, fm = mids[j], vals[j]
-            if fm == 0.0 or m == a or m == b:
-                return m
-            if fm < 0.0:
-                a, j = m, 2 * j + 2
-            else:
-                b, j = m, 2 * j + 1
-            if b - a <= 1e-16 * max(1.0, abs(a), abs(b)):
-                return 0.5 * (a + b)
+    for _ in range(max_iter):
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            return m
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if fm < 0.0:
+            a = m
+        else:
+            b = m
+        if b - a <= 1e-16 * max(1.0, abs(a), abs(b)):
+            break
     return 0.5 * (a + b)
 
 
@@ -615,8 +608,6 @@ def _finalized(sig_nodes, y_nodes, hs, stages, stop, direction, start_info):
     h = np.asarray(hs, dtype=float)
     ts = sgn * sig
     table = {
-        "t_lo": ts[:-1] if direction > 0 else ts[1:],
-        "t_hi": ts[1:] if direction > 0 else ts[:-1],
         "a": sgn / h,  # u = (sigma - sig0)/h with sigma = sgn * t
         "b": -sig[:-1] / h,
         "h": h,
@@ -695,20 +686,16 @@ def reflect(traj: Trajectory, n: int) -> Trajectory:
     th_c, z_c, x_c = traj.state_at(t_c)
     if not z_c > 1.0:
         raise NotOnAxisError(f"mirror point has z = {z_c} <= 1")
-    r = np.array([-1.0, 1.0, -1.0])
-    q = np.array([2 * n * math.pi, 0.0, 2 * x_c])
-    ts = (2 * t_c - traj.ts)[::-1]
-    ys = r * traj.ys[::-1] + q
-    tab = {key: col[::-1] for key, col in traj.table.items()}
-    tab.update(t_lo=2 * t_c - tab["t_hi"], t_hi=2 * t_c - tab["t_lo"], a=-tab["a"],
-               b=tab["b"] + 2 * tab["a"] * t_c, scale=r * tab["scale"],
-               offset=r * tab["offset"] + q)
-    return Trajectory(ts, ys, tab, traj.right_info.mirrored(n, t_c),
-                      traj.left_info.mirrored(n, t_c))
+    return traj._moved(-1.0, 2 * t_c, (-1.0, 1.0, -1.0), (2 * n * math.pi, 0.0, 2 * x_c))
 
 
 def concat(a: Trajectory, b: Trajectory, tol: float = 1e-8) -> Trajectory:
-    """Join two trajectories sharing an endpoint state (a's right = b's left)."""
+    """Join two trajectories sharing an endpoint state (a's right = b's left).
+
+    The junction node keeps a's time, and b's first row is read from there
+    on, also where b's own first time differs from it (by up to the 1e-9
+    accepted here).
+    """
     ta, tb = a.ts[-1], b.ts[0]
     if abs(ta - tb) > 1e-9 * max(1.0, abs(ta), abs(tb)):
         raise ValueError(f"junction times differ: {ta} vs {tb}")

@@ -259,8 +259,7 @@ def build_profile(traj: Trajectory, kind: str = "Generic") -> ProfileCurve:
         return xx, zz, th
 
     x, z, theta = evaluator(ts)
-    return ProfileCurve(ts, x, z, theta, kind=kind, evaluator=evaluator,
-                        meta={"source": "trajectory"})
+    return ProfileCurve(ts, x, z, theta, kind=kind, evaluator=evaluator)
 
 
 def sphere_profile(n: int = 1201) -> ProfileCurve:
@@ -280,8 +279,7 @@ def sphere_profile(n: int = 1201) -> ProfileCurve:
                 math.pi + tq / SQRT2)
 
     x, z, theta = evaluator(t)
-    return ProfileCurve(t, x, z, theta, kind="Sphere", evaluator=evaluator,
-                        meta={"center": (-SQRT2, 0.0), "radius": SQRT2})
+    return ProfileCurve(t, x, z, theta, kind="Sphere", evaluator=evaluator)
 
 
 def cylinder_profile(length: float, n: int = 2) -> ProfileCurve:
@@ -333,8 +331,7 @@ def separatrix_profile(cfg: IntegratorConfig) -> ProfileCurve:
     ts = np.linspace(-b, b, n + 1)
     x, z, theta = evaluator(ts)
     return ProfileCurve(ts, x, z, theta, kind="Separatrix", evaluator=evaluator,
-                        meta={"half_span": b, "lambda0": lambda0,
-                              "x_corner": x_corner, "s0": SERIES_S0})
+                        meta={"half_span": b, "lambda0": lambda0, "x_corner": x_corner})
 
 
 # -- periodicity and self-intersection ------------------------------------
@@ -382,8 +379,7 @@ def find_self_intersection(profile: ProfileCurve, t0: float, t1: float) -> Inter
     if not (g1 > 0.0 > g0):
         raise NoSignChangeError(
             f"bracket precondition failed: x(-t1)={g1}, x(-t0)={g0}")
-    # one array evaluation per 5 halvings
-    t2 = bisect_root(lambda ts: -profile.eval_at(-np.array(ts))[0], t1, t0, 200, 5)
+    t2 = bisect_root(lambda t: -g(t), t1, t0, 200)
     x_p, z_p, _ = profile.eval_at(t2)
     x_m, z_m, _ = profile.eval_at(-t2)
     return IntersectionInfo(
@@ -466,8 +462,7 @@ def extend_separatrix(ext: ExtensionSpec,
     curve = ProfileCurve(np.concatenate(grids), x, z, theta, kind="Extension",
                          junctions=tuple(t for t, _ in junctions),
                          evaluator=evaluator,
-                         meta={"half_span": b, "lambda0": sep.meta["lambda0"],
-                               "copy_width": width})
+                         meta={"half_span": b, "lambda0": sep.meta["lambda0"]})
 
     # One-sided regularity measurement at each junction.
     h = H_CHECK
@@ -482,10 +477,8 @@ def extend_separatrix(ext: ExtensionSpec,
     def threshold(k):
         return max(1e-3, 50.0 * h ** (4 - k))
 
-    reports = []
-    for t_j, jtype in junctions:
-        left = next(p for p in pieces if abs(p[1] - t_j) < 1e-12)
-        right = next(p for p in pieces if abs(p[0] - t_j) < 1e-12)
+    reports = []  # junction k joins pieces[k] and pieces[k + 1]
+    for (t_j, jtype), left, right in zip(junctions, pieces, pieces[1:]):
         xl, zl, thl = (float(v[0]) for v in eval_piece(left, np.array([t_j])))
         xr, zr, thr_ = (float(v[0]) for v in eval_piece(right, np.array([t_j])))
         pos_jump = math.hypot(xr - xl, zr - zl)
@@ -493,17 +486,11 @@ def extend_separatrix(ext: ExtensionSpec,
         dl = one_sided(left, t_j, -1.0)
         dr = one_sided(right, t_j, +1.0)
         jumps = [abs(dr[i] - dl[i]) for i in range(3)]
-        order = "C0"
-        if pos_jump <= threshold(0):
-            if theta_jump <= threshold(0):
-                order = "C1"
-                for k, jump in enumerate(jumps, start=1):
-                    if jump <= threshold(k):
-                        order = f"C{k + 1}"
-                    else:
-                        break
-                if order == "C4":
-                    order = "C4+"
+        # the class is the number of leading checks that pass (NaN fails each)
+        checks = [pos_jump <= threshold(0) and theta_jump <= threshold(0)]
+        checks += [jump <= threshold(k) for k, jump in enumerate(jumps, start=1)]
+        n_pass = checks.index(False) if False in checks else 4
+        order = f"C{n_pass}" if n_pass < 4 else "C4+"
         reports.append(JunctionReport(t_j, jtype, pos_jump, theta_jump,
                                       jumps[0], jumps[1], jumps[2], order))
     return curve, RegularityReport(tuple(reports), h)
@@ -534,8 +521,8 @@ def verify_profile(profile: ProfileCurve, h: float,
         raise ValueError("h must be positive")
     if end_trim is None:
         end_trim = 10.0 * h
-    t_lo, t_hi = profile.span
-    steps = (t_hi - t_lo) / h
+    lo, hi = profile.span
+    steps = (hi - lo) / h
     if not steps <= MAX_RESAMPLE_STEPS:
         raise ValueError(f"resample step {h} gives more than {MAX_RESAMPLE_STEPS} steps")
     n = int(math.floor(steps))
@@ -543,8 +530,8 @@ def verify_profile(profile: ProfileCurve, h: float,
     if len(profile) > 2 and h >= 0.5 * min_gap:
         raise TooFewSamplesError(
             f"resample step {h} too coarse for sample gap {min_gap}")
-    ts = t_lo + h * np.arange(n + 1)
-    inner = (ts[2:-2] >= t_lo + end_trim) & (ts[2:-2] <= t_hi - end_trim)
+    ts = lo + h * np.arange(n + 1)
+    inner = (ts[2:-2] >= lo + end_trim) & (ts[2:-2] <= hi - end_trim)
     if n < 8 or not np.any(inner):
         raise TooFewSamplesError(f"only {n} resample steps fit the span")
     xs, zs, _ = profile.eval_at(ts)
@@ -555,7 +542,7 @@ def verify_profile(profile: ProfileCurve, h: float,
     k1 = (theta_rec[2:] - theta_rec[:-2]) / (2.0 * h)  # at ts[2:-2]
     k2 = -np.cos(theta_rec[1:-1]) / zs[2:-2]
     residual = float(np.max(np.abs(k1 * k1 + k2 * k2 - 1.0)[inner]))
-    mid = (ts[1:-1] >= t_lo + end_trim) & (ts[1:-1] <= t_hi - end_trim)
+    mid = (ts[1:-1] >= lo + end_trim) & (ts[1:-1] <= hi - end_trim)
     speed_residual = float(np.max(np.abs(np.hypot(dx, dz) - 1.0)[mid]))
     monotone_violations = int(np.sum(np.diff(theta_rec[mid]) < -1e-9))
     return VerificationReport(residual, speed_residual, monotone_violations,

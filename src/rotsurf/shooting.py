@@ -53,7 +53,6 @@ class LambdaClass:
     crossing_z: float | None = None  # Periodic: z at the theta = 0 crossing
     limit_point: tuple[float, float] | None = None  # boundary limit (theta0, z0)
     span: float | None = None  # finite |t| to the trajectory end, where finite
-    lambda0_bracket: tuple[float, float] | None = None  # Separatrix ambiguity
 
 
 @dataclass(frozen=True)
@@ -118,14 +117,13 @@ def classify_lambda(lam: float, cfg: IntegratorConfig) -> LambdaClass:
     if stop.kind == "theta_crossing":
         z_cross = float(traj.zs[0])
         if z_cross - 1.0 <= BAND:
-            return LambdaClass(SEPARATRIX, crossing_z=z_cross, lambda0_bracket=(lam, lam))
+            return LambdaClass(SEPARATRIX, crossing_z=z_cross)
         return LambdaClass(PERIODIC, crossing_z=z_cross)
     if stop.kind == "boundary_contact":
         theta0, z0 = stop.limit_point
         span = abs(stop.t_star)
         if abs(z0 - 1.0) <= BAND and abs(theta0) <= 2.0 * math.sqrt(2.0 * BAND):
-            return LambdaClass(SEPARATRIX, limit_point=(theta0, z0), span=span,
-                               lambda0_bracket=(lam, lam))
+            return LambdaClass(SEPARATRIX, limit_point=(theta0, z0), span=span)
         tag = INCOMPLETE_LOW if lam < SQRT2 else INCOMPLETE_HIGH
         return LambdaClass(tag, limit_point=(theta0, z0), span=span)
     raise RotsurfError(f"classification inconclusive for lambda={lam}: hit {stop.kind}")

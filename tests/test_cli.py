@@ -408,6 +408,26 @@ class TestExtendAndVerify:
         assert err.endswith(", more than 16\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, step, message", [
+        (None, "0.01", "resample step 0.01 too coarse for sample gap 0.0037"),  # sphere CSV
+        ("0,0,1,0\n", "1e-3", "profile needs at least 2 samples"),
+        ("".join(f"{k * 1e-301!r},0,1,0\n" for k in range(20)), "1e-3",
+         "resample step 0.001 too coarse for sample gap 9.99"),
+    ], ids=["sphere-coarse-step", "one-row", "gaps-1e-301"])
+    def test_verify_too_few_samples_exit_2(self, tmp_path, capsys, rows, step, message):
+        # too few samples, or a step too coarse for their gaps, is bad input:
+        # each once exited 3 as a numeric failure
+        csv, out = tmp_path / "p.csv", tmp_path / "v.json"
+        if rows is None:
+            assert run("curve", "--lambda", repr(SQRT2), "--out", csv) == 0
+        else:
+            csv.write_text("t,x,z,theta\n" + rows)
+        capsys.readouterr()
+        assert run("verify", csv, "--step", step, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_verify_runs_without_scipy(self, tmp_path):
         # the CSV spline is the package's own: with scipy unimportable, curve
         # and verify still exit 0 and load no scipy module

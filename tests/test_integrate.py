@@ -308,7 +308,7 @@ class TestDenseOutput:
         monkeypatch.setattr(integrate_mod, "_dense_coef",
                             lambda h, stages: built.append(len(h)) or dense_coef(h, stages))
         assert np.array_equal(tr.states_at(ts), expected)
-        rows = np.searchsorted(tr.table["t_lo"][1:], ts, side="right")
+        rows = np.searchsorted(tr.ts[1:-1], ts, side="right")
         assert built == [len(np.unique(rows))] and built[0] < len(ts)
 
     def test_monotone_theta(self, cfg):
@@ -345,9 +345,9 @@ class TestDenseOutput:
         assert sep.states_at([]).shape == (0, 3)
 
     def test_crossing_time_is_the_state_at_bisection(self, cfg, launch, monkeypatch):
-        # the float bisection on table rows returns the bits of a plain
-        # bisection through state_at, on plain, reversed and mirrored tables,
-        # and makes no array evaluation per midpoint
+        # the float bisection on the bracket's table row returns the bits of
+        # a plain bisection through state_at, on plain, reversed, mirrored and
+        # shifted-then-mirrored tables, and makes no array evaluation per midpoint
         def by_state_at(tr, target):
             th = tr.thetas
             i = int(np.searchsorted(th, target)) - 1
@@ -365,7 +365,9 @@ class TestDenseOutput:
                     break
             return 0.5 * (a + b)
 
-        trajs = (rs.backward_trajectory(4.0, cfg), rs.full_curve(2.5, cfg), launch)
+        t_cross, x_cross = float(launch.ts[-1]), float(launch.xs[-1])
+        sep = rs.with_mirror(launch.shifted(dt=-t_cross, dx=-x_cross))
+        trajs = (rs.backward_trajectory(4.0, cfg), rs.full_curve(2.5, cfg), launch, sep)
         targets = [np.linspace(tr.thetas[0], tr.thetas[-1], 9)[1:-1] for tr in trajs]
         expected = [[by_state_at(tr, float(v)) for v in vs] for tr, vs in zip(trajs, targets)]
         calls = []
@@ -386,6 +388,17 @@ class TestDenseOutput:
             assert th2 == pytest.approx(th + 2 * math.pi, abs=1e-13)
             assert z2 == pytest.approx(z, abs=1e-13)
             assert x2 == pytest.approx(x - 1.5, abs=1e-13)
+        # the end records move with the nodes: theta by 2 pi, t by 3
+        assert tr.left_info.kind == "boundary_contact" and tr.right_info.kind == "initial"
+        (th0, z0), t_star = tr.left_info.limit_point, tr.left_info.t_star
+        assert moved.left_info == rs.EndInfo(
+            "boundary_contact", None, t_star + 3.0, (th0 + 2 * math.pi, z0))
+        assert moved.right_info == tr.right_info
+        periodic = rs.backward_trajectory(4.0, cfg)
+        assert periodic.left_info.kind == "theta_crossing"
+        assert periodic.shifted(dt=3.0, dtheta=2 * math.pi).left_info == rs.EndInfo(
+            "theta_crossing", periodic.left_info.theta_target + 2 * math.pi,
+            periodic.left_info.t_star + 3.0)
 
 
 class TestBisectRoot:
@@ -405,8 +418,9 @@ class TestBisectRoot:
         return 0.5 * (a + b)
 
     def test_matches_plain_loop(self):
-        # batched midpoints walk the same path as one-at-a-time bisection,
-        # through exact zeros, NaN (taken as "not below") and iteration caps
+        # the early return at adjacent floats walks the same path as the
+        # plain loop, through exact zeros, NaN (taken as "not below") and
+        # iteration caps
         cases = [
             (lambda t: t ** 3 - 2.0, 0.0, 3.0),
             (lambda t: t - 0.375, 0.0, 1.0),
@@ -417,11 +431,8 @@ class TestBisectRoot:
         ]
         for f, a, b in cases:
             for max_iter in (1, 7, 100, 200):
-                want = self.plain(f, a, b, max_iter)
-                for depth in (1, 3, 5):
-                    got = bisect_root(
-                        lambda ms: [f(m) for m in ms], a, b, max_iter, depth)
-                    assert got == want, (a, b, max_iter, depth)
+                assert bisect_root(f, a, b, max_iter) == self.plain(f, a, b, max_iter), (
+                    a, b, max_iter)
 
 
 class TestSeriesLaunch:
@@ -494,9 +505,27 @@ class TestReflect:
 
     def test_involution(self, cfg):
         back = rs.backward_trajectory(3.5, cfg)
-        twice = rs.reflect(rs.reflect(back, 1), 1)
+        once = rs.reflect(back, 1)
+        twice = rs.reflect(once, 1)
         assert np.allclose(twice.ts, back.ts, atol=1e-14)
         assert np.allclose(twice.ys, back.ys, atol=1e-14)
+        # one reflection maps the end records about (t_c, pi) and swaps them
+        t_c = back.crossing_time(math.pi)
+        assert back.left_info.kind == "theta_crossing" and back.right_info.kind == "initial"
+        assert once.right_info == rs.EndInfo(
+            "theta_crossing", 2 * math.pi - back.left_info.theta_target,
+            2 * t_c - back.left_info.t_star)
+        assert once.left_info == back.right_info
+        assert twice.left_info == back.left_info and twice.right_info == back.right_info
+        low = rs.backward_trajectory(1.3, cfg)
+        assert low.left_info.kind == "boundary_contact"
+        t_c = low.crossing_time(math.pi)
+        (th0, z0), t_star = low.left_info.limit_point, low.left_info.t_star
+        low_once = rs.reflect(low, 1)
+        assert low_once.right_info == rs.EndInfo(
+            "boundary_contact", None, 2 * t_c - t_star, (2 * math.pi - th0, z0))
+        low_twice = rs.reflect(low_once, 1)
+        assert (low_twice.left_info, low_twice.right_info) == (low.left_info, low.right_info)
 
     def test_symmetry_against_independent_forward(self, cfg):
         # forward half integrated on its own agrees with the mirror of the

@@ -137,16 +137,6 @@ class TestSelfIntersection:
         assert info.point[0] == pytest.approx(0.0, abs=1e-8)
         assert info.point[1] > 1.0
 
-    def test_one_evaluation_per_five_halvings(self, periodic_setup):
-        # the ~53 halvings of the root search make about 11 array calls, plus
-        # two for the bracket check and two for the witness point
-        _, _, prof, t0, t1 = periodic_setup
-        calls = []
-        counted = ProfileCurve(prof.t, prof.x, prof.z, prof.theta,
-                               evaluator=lambda tq: calls.append(1) or prof.evaluator(tq))
-        assert rs.find_self_intersection(counted, t0, t1) == rs.find_self_intersection(prof, t0, t1)
-        assert len(calls) <= 16
-
     def test_bad_bracket_rejected(self, periodic_setup):
         _, _, prof, t0, t1 = periodic_setup
         with pytest.raises(NoSignChangeError):
