@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .errors import InvalidLambdaError, RotsurfError, TooFewSamplesError
+from .errors import ExtensionSpecError, InvalidLambdaError, RotsurfError, TooFewSamplesError
 from .field import PhasePoint
 from .integrate import IntegratorConfig, integrate, launch_separatrix, with_mirror
 from .profile import (
@@ -366,7 +366,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, InvalidLambdaError, TooFewSamplesError, OSError) as exc:
+    except (ValueError, InvalidLambdaError, TooFewSamplesError, ExtensionSpecError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RotsurfError as exc:

@@ -8,15 +8,11 @@ degenerate corner (0, 1).  Distinct heights cannot share a boundary limit
 point, so the crossing predicate has a single threshold in lambda and plain
 bisection is valid.
 
-The same threshold lets find_lambda0 skip most of its integrations.  The
-series launch estimates lambda0 (within 5e-10 at the default config);
-integrating the two heights CERT_MARGIN below and above the estimate
-certifies the predicate ("no" at and below the first, "yes" at and above
-the second) when the two disagree that way.  Bisection then integrates only the midpoints strictly
-between them.  When the certificates fail, or there is no usable estimate,
-every midpoint is integrated.  Either way the midpoints, the answers and so
-the result are those of the plain bisection: a wrong estimate costs time,
-never bits.
+The same threshold lets find_lambda0 skip most of its integrations: every
+integrated height decides the heights beyond it, and the heights either
+side of the series-launch estimate (within 5e-10 of lambda0 at the default
+config) are integrated first.  The result is still the plain bisection's,
+bit for bit: a wrong or unusable estimate costs time, never bits.
 
 The last backward trajectory is kept (a one-entry memo keyed on the height
 and the config), so drawing a height right after classifying it integrates
@@ -129,27 +125,8 @@ def classify_lambda(lam: float, cfg: IntegratorConfig) -> LambdaClass:
     raise RotsurfError(f"classification inconclusive for lambda={lam}: hit {stop.kind}")
 
 
-CERT_MARGIN = 1e-7  # half-width of the certified window around the lambda0 estimate
-
-
-def _certified_window(cfg: IntegratorConfig, estimate: float | None) -> tuple[float, float]:
-    """Heights (a, b) with the predicate false at lam <= a and true at lam >= b.
-
-    Both are integrated, so the window rests on the single threshold, not on
-    the estimate.  (-inf, inf), which certifies nothing, when the launch or
-    a certificate fails, the estimate is not finite or not above
-    sqrt(2) + CERT_MARGIN, or the two heights do not straddle the threshold.
-    """
-    nothing = (-math.inf, math.inf)
-    try:
-        if estimate is None:
-            estimate = float(launch_separatrix(cfg).zs[-1])
-        a, b = estimate - CERT_MARGIN, estimate + CERT_MARGIN
-        if not (SQRT2 < a and b < math.inf) or _crosses(a, cfg) or not _crosses(b, cfg):
-            return nothing
-    except RotsurfError:
-        return nothing
-    return a, b
+PROBE_FLOOR = 1e-12  # least distance from the lambda0 estimate to its first probes
+LAMBDA_MAX = 65536.0  # the bracket search gives up above this height
 
 
 def find_lambda0(
@@ -164,29 +141,50 @@ def find_lambda0(
     (the midpoint is one of them), where the bracket is wider than a tol
     below one ulp.
 
-    estimate (the terminal z of launch_separatrix, launched here when None)
-    centres a window of half-width CERT_MARGIN whose ends are integrated
-    first; heights outside a certified window are answered without
-    integrating them.  With a single threshold those answers are the ones
-    integration would give, so the result equals the plain bisection's bit
-    for bit whatever the estimate: a wrong or unusable one only means every
-    height is integrated.
+    Every integrated height is a fact: "no" at and below the highest no,
+    "yes" at and above the lowest yes; a height a fact decides is not
+    integrated.  The estimate e (launch_separatrix's terminal z, launched
+    here when None) is probed at e - s and e + s, s = max(tol/8,
+    PROBE_FLOOR), and s grows 16-fold on the side that has not flipped
+    until the answers differ (Bentley & Yao's unbounded search); no probe
+    leaves (sqrt(2), LAMBDA_MAX).  Within about 2e-15 of the threshold the
+    numerical predicate is not monotone, so a fact there could contradict
+    integration; the floor keeps the probes of a close estimate some 450
+    times farther away, and the result equals the plain bisection's.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    no_below, yes_above = _certified_window(cfg, estimate)
+    no_at, yes_at = -math.inf, math.inf
 
     def crosses(lam: float) -> bool:
-        if lam <= no_below:
-            return False
-        return lam >= yes_above or _crosses(lam, cfg)
+        nonlocal no_at, yes_at
+        if no_at < lam < yes_at:
+            if _crosses(lam, cfg):
+                yes_at = lam
+            else:
+                no_at = lam
+        return lam >= yes_at
+
+    try:
+        if estimate is None:
+            estimate = float(launch_separatrix(cfg).zs[-1])
+        below = above = max(tol / 8.0, PROBE_FLOOR)
+        while SQRT2 < estimate - below and estimate + above < LAMBDA_MAX:
+            if crosses(estimate - below):
+                below *= 16.0
+            elif not crosses(estimate + above):
+                above *= 16.0
+            else:
+                break
+    except RotsurfError:
+        pass
 
     lo = SQRT2
     hi = 2.0 * SQRT2
     while not crosses(hi):
         lo = hi
         hi *= 2.0
-        if hi > 65536.0:
+        if hi > LAMBDA_MAX:
             raise BracketError("no theta = 0 crossing found up to lambda = 2^16")
     iters = 0
     while hi - lo > tol:

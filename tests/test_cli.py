@@ -292,15 +292,18 @@ class TestExtendAndVerify:
         for j in doc["junctions"]:
             assert j["d3theta_jump"] == pytest.approx(1 / 3, rel=0.1)
 
-    def test_extend_bad_segments_exit_3(self, tmp_path):
-        assert run("extend", "--copies", "3", "--segments", "1.0",
-                   "--out", tmp_path / "x.csv") == 3
+    def test_extend_bad_segments_exit_2(self, tmp_path, capsys):
+        # a plan ExtensionSpec rejects is bad input, not a numeric failure
+        for argv in (["--copies", "3", "--segments", "1.0"], ["--copies", "0"]):
+            assert run("extend", *argv, "--out", tmp_path / "x.csv") == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("length", ["nan", "inf"])
-    def test_extend_non_finite_segment_exit_3(self, tmp_path, capsys, length):
+    def test_extend_non_finite_segment_exit_2(self, tmp_path, capsys, length):
         # NaN once failed "> 0" and was glued as a direct copy-copy junction
         out = tmp_path / "x.csv"
-        assert run("extend", "--copies", "2", "--segments", length, "--out", out) == 3
+        assert run("extend", "--copies", "2", "--segments", length, "--out", out) == 2
         err = capsys.readouterr().err
         assert "finite" in err and err.count("\n") == 1
         assert not out.exists()

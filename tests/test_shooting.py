@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from rotsurf.errors import InvalidLambdaError
 from oracles import LAMBDA0_REF
 
 SQRT2 = math.sqrt(2.0)
+LAMBDA0_13_DIGITS = 3.2136243986497
 
 
 class TestClassify:
@@ -72,6 +74,14 @@ class TestFindLambda0:
 
     def test_matches_independent_oracle(self, lambda0):
         assert lambda0.value == pytest.approx(LAMBDA0_REF, abs=5e-8)
+
+    def test_thirteen_digits(self, cfg):
+        # bisection and series launch agree on 13 digits once the steps are
+        # 10x tighter (at the default tolerances bisection stops at ...95643)
+        tight = cfg.tightened(10.0)
+        for value in (rs.find_lambda0(tight, tol=1e-13).value,
+                      float(rs.launch_separatrix(tight).zs[-1])):
+            assert abs(value - LAMBDA0_13_DIGITS) <= 5e-14
 
     def test_predicate_single_threshold(self, cfg, lambda0):
         # crossing predicate flips exactly once over a lambda grid
@@ -209,17 +219,24 @@ class TestMemo:
         assert traj is rs.backward_trajectory(4.0, cfg)
 
 
+@functools.lru_cache(maxsize=None)
+def plain_crosses(lam, cfg):
+    """The crossing predicate, integrated once per (height, config)."""
+    return rs.backward_trajectory(lam, cfg).termination.kind == "theta_crossing"
+
+
 def plain_bisection(cfg, tol):
     """The doubling-plus-bisection loop integrating every height it visits.
 
     Returns the result and the visited heights in order, for comparison
-    with find_lambda0's certified skip.
+    with find_lambda0's skips.  The answers are cached across calls: loops
+    at different tolerances share their first heights.
     """
     visited = []
 
     def crosses(lam):
         visited.append(lam)
-        return rs.backward_trajectory(lam, cfg).termination.kind == "theta_crossing"
+        return plain_crosses(lam, cfg)
 
     lo, hi = SQRT2, 2.0 * SQRT2
     while not crosses(hi):
@@ -237,6 +254,22 @@ def plain_bisection(cfg, tol):
     return rs.Lambda0Result(0.5 * (lo + hi), (lo, hi), iters), visited
 
 
+def assert_loop_skips_only_decided(heights, visited, cfg):
+    """The integrated heights are the probes, then the undecided loop heights.
+
+    The probes are the heights off the plain loop's path; their answers are
+    the facts, and the loop integrates exactly its heights strictly between
+    the highest no and the lowest yes.
+    """
+    on_path = set(visited)
+    k = next((i for i, h in enumerate(heights) if h in on_path), len(heights))
+    probes, loop = heights[:k], heights[k:]
+    no_at = max((h for h in probes if not plain_crosses(h, cfg)), default=-math.inf)
+    yes_at = min((h for h in probes if plain_crosses(h, cfg)), default=math.inf)
+    assert loop == [h for h in visited if no_at < h < yes_at]
+    return probes
+
+
 SKIP_CONFIGS = {
     "default": rs.IntegratorConfig(),
     "tightened": rs.IntegratorConfig().tightened(10.0),
@@ -245,7 +278,7 @@ SKIP_CONFIGS = {
 
 
 class TestCertifiedSkip:
-    """find_lambda0 integrates only near the launch estimate, with the plain result."""
+    """find_lambda0 integrates only heights no earlier answer decides, with the plain result."""
 
     PINNED = rs.Lambda0Result(3.2136243981774015, (3.2136243955432233, 3.2136244008115797), 29)
 
@@ -264,9 +297,17 @@ class TestCertifiedSkip:
         yield calls
         rs.backward_trajectory.cache_clear()
 
-    # tol -> (heights find_lambda0 integrates, heights the plain loop does),
-    # the same on every config of SKIP_CONFIGS
-    COUNTS = {1e-4: (2, 17), 1e-8: (8, 31), 1e-12: (21, 44), 1e-300: (31, 54)}
+    # tol -> heights find_lambda0 integrates on (default, tightened, loose),
+    # and the heights the plain loop does on every config
+    COUNTS = {
+        1e-4: ((2, 2, 2), 17),
+        1e-6: ((3, 3, 3), 24),
+        1e-8: ((2, 2, 3), 31),
+        1e-10: ((2, 2, 9), 37),
+        1e-12: ((5, 4, 18), 44),
+        1e-13: ((8, 7, 21), 47),
+        1e-300: ((15, 14, 28), 54),
+    }
 
     @pytest.mark.parametrize("name", sorted(SKIP_CONFIGS))
     @pytest.mark.parametrize("tol", sorted(COUNTS))
@@ -275,16 +316,19 @@ class TestCertifiedSkip:
         got = rs.find_lambda0(cfg, tol=tol)
         want, visited = plain_bisection(cfg, tol)
         assert got == want
-        assert (len(heights), len(visited)) == self.COUNTS[tol]
+        per_config, n_plain = self.COUNTS[tol]
+        assert (len(heights), len(visited)) == (per_config[list(SKIP_CONFIGS).index(name)], n_plain)
+        assert_loop_skips_only_decided(heights, visited, cfg)
 
-    def test_default_solve_integrates_eight_heights(self, cfg, heights):
+    def test_default_solve_integrates_two_heights(self, cfg, launch, heights):
+        # the launch estimate's two probes straddle the threshold, and no
+        # midpoint of the loop falls between them
         res = rs.find_lambda0(cfg, tol=1e-8)
         assert res == self.PINNED
-        assert len(heights) == 8
-        a, b = heights[:2]
-        assert b - a == pytest.approx(2 * rs.shooting.CERT_MARGIN, rel=1e-6)
+        e, s = float(launch.zs[-1]), 1e-8 / 8
+        assert heights == [e - s, e + s]
         _, visited = plain_bisection(cfg, 1e-8)
-        assert heights[2:] == [h for h in visited if a < h < b]
+        assert_loop_skips_only_decided(heights, visited, cfg)
 
     def test_launch_value_is_the_default_estimate(self, cfg, launch, heights):
         rs.find_lambda0(cfg, tol=1e-8, estimate=float(launch.zs[-1]))
@@ -293,13 +337,31 @@ class TestCertifiedSkip:
         rs.find_lambda0(cfg, tol=1e-8)
         assert heights == by_estimate
 
-    @pytest.mark.parametrize("case", ["wrong", "nan", "seed_error"])
-    def test_fallback_integrates_every_height(self, cfg, launch, heights, monkeypatch, case):
+    # offset of the estimate from the launch value -> heights integrated
+    OFFSETS = {1e-9: 3, -1e-9: 2, 3e-8: 7, -1e-6: 15, 1e-3: 24, -1e-3: 26}
+
+    @pytest.mark.parametrize("offset", sorted(OFFSETS))
+    def test_off_estimate_gallops_to_the_threshold(self, cfg, launch, heights, offset):
+        res = rs.find_lambda0(cfg, tol=1e-8, estimate=float(launch.zs[-1]) + offset)
+        assert res == self.PINNED
+        assert len(heights) == self.OFFSETS[offset]
+        _, visited = plain_bisection(cfg, 1e-8)
+        probes = assert_loop_skips_only_decided(heights, visited, cfg)
+        # the probes move away from the estimate 16-fold until they straddle it
+        answers = [plain_crosses(h, cfg) for h in probes]
+        assert answers[-2:] in ([False, True], [True, False])
+        steps = [abs(b - a) for a, b in zip(probes[1:], probes[2:])]
+        assert all(b / a == pytest.approx(16.0, rel=1e-3) for a, b in zip(steps, steps[1:]))
+
+    @pytest.mark.parametrize("case", ["wrong", "nan", "inf", "seed_error"])
+    def test_fallback_integrates_every_height(self, cfg, heights, monkeypatch, case):
+        # no probe for an estimate that is not finite or whose lower probe
+        # would not lie above sqrt(2), nor for a launch that fails
         kwargs = {}
         if case == "wrong":
-            kwargs["estimate"] = float(launch.zs[-1]) + 1e-3
-        elif case == "nan":
-            kwargs["estimate"] = math.nan
+            kwargs["estimate"] = SQRT2
+        elif case in ("nan", "inf"):
+            kwargs["estimate"] = float(case)
         else:
             def no_launch(cfg):
                 raise rs.SeedError("forced")
@@ -308,9 +370,25 @@ class TestCertifiedSkip:
         res = rs.find_lambda0(cfg, tol=1e-8, **kwargs)
         assert res == self.PINNED
         _, visited = plain_bisection(cfg, 1e-8)
-        n_loop = len(visited)
-        assert n_loop == 31
-        # the loop's own heights come last; before them only the wrong
-        # estimate's lower certificate, which already crosses
-        assert heights[-n_loop:] == visited
-        assert len(heights) - n_loop == (1 if case == "wrong" else 0)
+        assert len(visited) == 31
+        assert heights == visited
+
+    @pytest.mark.parametrize("name", sorted(SKIP_CONFIGS))
+    def test_probe_floor_clears_the_non_monotone_heights(self, name):
+        # Within a few ulps of the threshold the numerical predicate flips
+        # back and forth, so a fact there could answer a height against its
+        # own integration (a floorless s = tol/2 probe turned the tightened
+        # config's tol = 1e-300 result from ...702 into ...7046).  The floor
+        # keeps the facts thousands of ulps away, where the answers are
+        # monotone.
+        cfg = SKIP_CONFIGS[name]
+        lo, hi = rs.find_lambda0(cfg, tol=1e-300).bracket
+        ulp = hi - lo
+        scan = [plain_crosses(lo + k * ulp, cfg) for k in range(-8, 9)]
+        assert scan[0] is False and scan[-1] is True
+        flips = sum(a != b for a, b in zip(scan, scan[1:]))
+        assert flips > 1, scan
+        floor = rs.shooting.PROBE_FLOOR
+        for k in (1, 3, 10):
+            assert not plain_crosses(lo - k * floor, cfg)
+            assert plain_crosses(hi + k * floor, cfg)
