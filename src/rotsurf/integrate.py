@@ -10,7 +10,8 @@ outside the domain are clamped, and an accepted step whose end falls within
 
 The stepping loop evaluates the field inline with exactly the arithmetic of
 field.slope and field.domain_gap, which stay the reference: a test checks
-every stored stage against them bit for bit.
+every stored stage against them bit for bit.  The direction sign rides on
+the step size (exact, see _integrate_raw), and _finalized signs the stages.
 
 Dense output is one table per trajectory, numpy columns with a row per
 accepted step: row k covers [ts[k], ts[k+1]] between two nodes, so the
@@ -25,7 +26,8 @@ callers that read only nodes and the termination record (shooting) never
 pay for them.  The stepping loop builds them, with the same builder, only
 for the one step that brackets a boundary contact or a theta-target
 crossing; crossing_time builds them for the one row that brackets its
-target and bisects on it in plain floats.
+target and bisects on it in plain floats.  state_at and crossing_time read
+their row with one helper, Trajectory._row, in plain floats.
 
 Trajectory time t always increases with theta; backward integration runs in
 an internal parameter and is exposed with t = -sigma, so samples are always
@@ -34,7 +36,9 @@ ascending in both t and theta.
 
 from __future__ import annotations
 
+import itertools
 import math
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -170,12 +174,13 @@ def _dense_coef(h: np.ndarray, stages: np.ndarray) -> np.ndarray:
     return h[:, None] * acc.reshape(4, -1, 3)
 
 
-def _step_coef(h: float, k) -> list[list[float]]:
+def _step_coef(h: float, sgn: float, k) -> list[list[float]]:
     """Quartic coefficients of one step as float lists, one per component.
 
-    k is the flat tuple of the step's 21 stage values (see _integrate_raw).
+    k is the flat tuple of the step's 21 unsigned stage values and sgn the
+    direction sign (see _integrate_raw).
     """
-    return _dense_coef(np.array([h]), np.reshape(k, (1, 7, 3)))[:, 0].T.tolist()
+    return _dense_coef(np.array([h]), sgn * np.reshape(k, (1, 7, 3)))[:, 0].T.tolist()
 
 
 def _quartic(y0, coef, u):
@@ -270,7 +275,21 @@ class Trajectory:
         return tab["scale"][i] * _quartic(tab["y0"][i], (c1, c2, c3, c4), u) + tab["offset"][i]
 
     def state_at(self, t: float) -> tuple[float, float, float]:
-        return tuple(self.states_at((t,))[0].tolist())
+        """states_at's row at one time, in plain floats with its bits."""
+        t, (lo, hi) = float(t), self.t_span
+        slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+        if not (t >= lo - slack and t <= hi + slack):  # NaN is outside
+            raise RangeError(f"t={t} outside span [{lo}, {hi}]")
+        a, b, comps = self._row(int(np.searchsorted(self.ts[1:-1], min(max(t, lo), hi), "right")))
+        u = a * t + b
+        return tuple(scale * _quartic(y0, coef, u) + offset for y0, coef, scale, offset in comps)
+
+    def _row(self, i: int):
+        """Row i's a, b and per component (y0, quartic coef, scale, offset), as floats."""
+        tab = self.table
+        coef = _dense_coef(tab["h"][i:i + 1], tab["stages"][i:i + 1])[:, 0].T.tolist()
+        y0, scale, offset = (tab[key][i].tolist() for key in ("y0", "scale", "offset"))
+        return tab["a"][i].item(), tab["b"][i].item(), list(zip(y0, coef, scale, offset))
 
     def shifted(self, dt: float = 0.0, dtheta: float = 0.0, dx: float = 0.0) -> "Trajectory":
         """Translate in time, angle lift, and abscissa (all affine, dense output kept)."""
@@ -321,10 +340,8 @@ class Trajectory:
         # theta(m) - theta_target in plain floats with the coefficients and
         # Horner order of states_at, so with its bits
         i = int(np.searchsorted(th, theta_target)) - 1
-        tab = self.table
-        a, b, y0 = tab["a"][i].item(), tab["b"][i].item(), tab["y0"][i, 0].item()
-        coef = _dense_coef(tab["h"][i:i + 1], tab["stages"][i:i + 1])[:, 0, 0].tolist()
-        scale, offset = tab["scale"][i, 0].item(), tab["offset"][i, 0].item()
+        a, b, comps = self._row(i)
+        y0, coef, scale, offset = comps[0]
 
         def gap(m):
             return scale * _quartic(y0, coef, a * m + b) + offset - theta_target
@@ -376,14 +393,19 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
 
     Returns (sig_nodes, y_nodes, hs, stages, stop): step i runs from node i
     to node i + 1 with size hs[i] (the last step may be cut short at its
-    event); stages is one flat list of the steps' 7 stage derivatives
-    (k1_theta, k1_z, k1_x, k2_theta, ... of step 0, then step 1, ...); stop
-    is an EndInfo in internal time.
+    event); stages is one flat list of the steps' 7 unsigned stage
+    derivatives (k1_theta, k1_z, k1_x, k2_theta, ... of step 0, then step 1,
+    ...); stop is an EndInfo in internal time.
 
-    The stage, solution and error sums are written out over locals in the
-    tableau's left-to-right order, zero weights included, so every float
-    equals that of the textbook summation.  The field is (sgn * slope,
-    sgn * sin, sgn * cos) of (theta, z); x does not feed back.  Stages 2..7
+    The field is (sgn * slope, sgn * sin, sgn * cos) of (theta, z); x does
+    not feed back.  The sign rides on the step, hh = sgn * h, which is exact
+    as rounding to nearest is symmetric: h*(a*(-f)) == (-h)*(a*f), a sum of
+    negated terms is the negated sum, and the error norm squares the sign
+    away.  The sums are written out over locals in the tableau's
+    left-to-right order, so every float equals that of the textbook
+    summation; the zero-weight b2 k2 and e2 k2 are left out, since adding
+    +-0.0 to a nonzero float returns it (k2 is never NaN, by the q > 0
+    guard, and an infinite k2 raises in stage 3's sin first).  Stages 2..7
     evaluate it inline with field.py's arithmetic (one cos serves z + cos
     and the x component), and the FSAL stage's min(z - cos, z + cos) is the
     end state's domain_gap for the event scan; only k1 of the start state
@@ -393,15 +415,15 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
     """
     sin, cos, sqrt = math.sin, math.cos, math.sqrt
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A[1:6]
-    b1, b2, b3, b4, b5, b6, _ = _B
-    e1, e2, e3, e4, e5, e6, e7 = _E
+    b1, _, b3, b4, b5, b6, _ = _B
+    e1, _, e3, e4, e5, e6, e7 = _E
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
     max_step, min_step, max_time = cfg.max_step, cfg.min_step, cfg.max_time
     boundary_eps, targets = cfg.boundary_eps, cfg.theta_targets
 
     th, z, x = y_start
     y = (th, z, x)
-    k1a, k1b, k1c = sgn * slope(th, z), sgn * sin(th), sgn * cos(th)
+    k1a, k1b, k1c = slope(th, z), sin(th), cos(th)
     sig = 0.0
     h = min(max_step, 1e-3)
     sig_nodes = [0.0]
@@ -427,54 +449,55 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
         r = max_time - sig
         if r < h:
             h = r
+        hh = sgn * h
 
         # Stages 2..6, then the FSAL stage at y1 (row 7 of A equals b); zm,
         # zp and q are field.z_minus_cos, z_plus_cos and slope_sq.
-        t_, z_ = th + h * (a21 * k1a), z + h * (a21 * k1b)
+        t_, z_ = th + hh * (a21 * k1a), z + hh * (a21 * k1b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
         q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
-        k2a, k2b, k2c = sgn * (sqrt(q) if q > 0.0 else 0.0), sgn * sin(t_), sgn * c
-        t_ = th + h * (a31 * k1a + a32 * k2a)
-        z_ = z + h * (a31 * k1b + a32 * k2b)
+        k2a, k2b, k2c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
+        t_ = th + hh * (a31 * k1a + a32 * k2a)
+        z_ = z + hh * (a31 * k1b + a32 * k2b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
         q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
-        k3a, k3b, k3c = sgn * (sqrt(q) if q > 0.0 else 0.0), sgn * sin(t_), sgn * c
-        t_ = th + h * (a41 * k1a + a42 * k2a + a43 * k3a)
-        z_ = z + h * (a41 * k1b + a42 * k2b + a43 * k3b)
+        k3a, k3b, k3c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
+        t_ = th + hh * (a41 * k1a + a42 * k2a + a43 * k3a)
+        z_ = z + hh * (a41 * k1b + a42 * k2b + a43 * k3b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
         q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
-        k4a, k4b, k4c = sgn * (sqrt(q) if q > 0.0 else 0.0), sgn * sin(t_), sgn * c
-        t_ = th + h * (a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a)
-        z_ = z + h * (a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b)
+        k4a, k4b, k4c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
+        t_ = th + hh * (a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a)
+        z_ = z + hh * (a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
         q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
-        k5a, k5b, k5c = sgn * (sqrt(q) if q > 0.0 else 0.0), sgn * sin(t_), sgn * c
-        t_ = th + h * (a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a)
-        z_ = z + h * (a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b)
+        k5a, k5b, k5c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
+        t_ = th + hh * (a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a)
+        z_ = z + hh * (a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
         q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
-        k6a, k6b, k6c = sgn * (sqrt(q) if q > 0.0 else 0.0), sgn * sin(t_), sgn * c
-        th1 = th + h * (b1 * k1a + b2 * k2a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a)
-        z1 = z + h * (b1 * k1b + b2 * k2b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b)
-        x1 = x + h * (b1 * k1c + b2 * k2c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c)
+        k6a, k6b, k6c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
+        th1 = th + hh * (b1 * k1a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a)
+        z1 = z + hh * (b1 * k1b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b)
+        x1 = x + hh * (b1 * k1c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c)
         s, c = sin(0.5 * th1), cos(th1)
         zm, zp = (z1 - 1.0) + 2.0 * s * s, z1 + c
         q = zm * zp / (z1 * z1) if z1 > 0.0 else 0.0
-        k7a, k7b, k7c = sgn * (sqrt(q) if q > 0.0 else 0.0), sgn * sin(th1), sgn * c
+        k7a, k7b, k7c = sqrt(q) if q > 0.0 else 0.0, sin(th1), c
 
         try:
-            err = h * (e1 * k1a + e2 * k2a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
+            err = hh * (e1 * k1a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
             y_abs, y1_abs = abs(th), abs(th1)
             norm = (err / (abs_tol + rel_tol * (y1_abs if y1_abs > y_abs else y_abs))) ** 2
-            err = h * (e1 * k1b + e2 * k2b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
+            err = hh * (e1 * k1b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
             y_abs, y1_abs = abs(z), abs(z1)
             norm += (err / (abs_tol + rel_tol * (y1_abs if y1_abs > y_abs else y_abs))) ** 2
-            err = h * (e1 * k1c + e2 * k2c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
+            err = hh * (e1 * k1c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
             y_abs, y1_abs = abs(x), abs(x1)
             norm += (err / (abs_tol + rel_tol * (y1_abs if y1_abs > y_abs else y_abs))) ** 2
             norm = math.sqrt(norm / 3.0)
@@ -506,7 +529,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
         coef = None
         # domain_gap(th1, z1) is min(zm, zp) of the FSAL stage
         if (zp if zp < zm else zm) - boundary_eps < 0.0:
-            coef = _step_coef(h, k)
+            coef = _step_coef(h, sgn, k)
             a, b = 0.0, 1.0
             for _ in range(80):
                 m = 0.5 * (a + b)
@@ -521,7 +544,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
             if d0 == 0.0:
                 continue  # crossing at a node belongs to the previous step
             if d0 * d1 < 0.0 or d1 == 0.0:
-                coef = coef or _step_coef(h, k)
+                coef = coef or _step_coef(h, sgn, k)
                 a, b = 0.0, 1.0
                 for _ in range(60):
                     m = 0.5 * (a + b)
@@ -600,19 +623,24 @@ def _contact_stop(sig_nodes, y_nodes, sig_c, y_c, boundary_eps):
     return EndInfo("boundary_contact", t_star=sig_b, limit_point=(th0, z0))
 
 
+def _packed(values, n: int) -> np.ndarray:
+    """A read-only float array of the n floats in values, packed in one call."""
+    return np.frombuffer(struct.pack(f"{n}d", *values))
+
+
 def _finalized(sig_nodes, y_nodes, hs, stages, stop, direction, start_info):
     """Convert internal-time data into an ascending-t Trajectory."""
     sgn = 1.0 if direction > 0 else -1.0
-    sig = np.asarray(sig_nodes)
-    ys = np.asarray(y_nodes, dtype=float)
-    h = np.asarray(hs, dtype=float)
+    sig = _packed(sig_nodes, len(sig_nodes))
+    ys = _packed(itertools.chain.from_iterable(y_nodes), 3 * len(y_nodes)).reshape(-1, 3)
+    h = _packed(hs, len(hs))
     ts = sgn * sig
     table = {
         "a": sgn / h,  # u = (sigma - sig0)/h with sigma = sgn * t
         "b": -sig[:-1] / h,
         "h": h,
         "y0": ys[:-1],
-        "stages": np.fromiter(stages, float, len(stages)).reshape(-1, 7, 3),
+        "stages": sgn * _packed(stages, len(stages)).reshape(-1, 7, 3),  # unsigned in the loop
         "scale": np.ones((len(h), 3)),
         "offset": np.zeros((len(h), 3)),
     }

@@ -73,20 +73,24 @@ class TestScheme:
         assert lambda0.iterations == 29
         assert lambda0.value == 3.2136243981774015
 
-    @pytest.mark.parametrize("which", ["periodic 4.0", "contact 1.2", "contact 2.5",
-                                       "launch", "forward"])
+    TRAJECTORIES = ["periodic 4.0", "contact 1.2", "contact 2.5", "launch", "forward"]
+
+    @staticmethod
+    def trajectory(which, cfg, launch):
+        """(trajectory, direction sign) for one of TRAJECTORIES."""
+        if which == "launch":
+            return launch, 1.0
+        if which == "forward":
+            return rs.integrate(PhasePoint(0.3, 2.0), "forward", cfg.with_targets(2 * math.pi)), 1.0
+        return rs.backward_trajectory(float(which.split()[1]), cfg), -1.0
+
+    @pytest.mark.parametrize("which", TRAJECTORIES)
     def test_stages_are_the_field_module(self, cfg, launch, which):
         # the stepping loop evaluates the field inline; every stored stage
         # must equal (sgn * slope, sgn * sin, sgn * cos) from field.py, bit
         # for bit, at its state: the row's start y0 for the FSAL stage k1,
         # and y0 + h * (a_i1 k_1 + ...) summed left to right for k2..k7
-        if which == "launch":
-            tr, sgn = launch, 1.0
-        elif which == "forward":
-            tr, sgn = rs.integrate(PhasePoint(0.3, 2.0), "forward",
-                                   cfg.with_targets(2 * math.pi)), 1.0
-        else:
-            tr, sgn = rs.backward_trajectory(float(which.split()[1]), cfg), -1.0
+        tr, sgn = self.trajectory(which, cfg, launch)
 
         def bits(th, z):
             return [(sgn * v).hex() for v in (slope(th, z), math.sin(th), math.cos(th))]
@@ -108,6 +112,29 @@ class TestScheme:
             assert repr(tr.termination) == (
                 "EndInfo(kind='boundary_contact', theta_target=None, t_star=-2.543356083411398, "
                 "limit_point=(0.8408236144873501, 0.6668493006655158))")
+
+    @pytest.mark.parametrize("which", TRAJECTORIES)
+    def test_nodes_are_the_textbook_sum(self, cfg, launch, which):
+        # each step's end node is y0 + h * (b_1 k_1 + ... + b_7 k_7) with the
+        # signed stages, all seven weights (zeros too) summed left to right in
+        # floats: the loop's unsigned stages with the sign on the step, and its
+        # dropped zero-weight products, keep these bits.  The end node is
+        # ys[k + 1] on a forward row and ys[k] on a backward one.  The
+        # integration's last step (the last row forward, row 0 backward) is
+        # cut at its event, so it is skipped.
+        tr, sgn = self.trajectory(which, cfg, launch)
+        assert tr.termination.kind in ("theta_crossing", "boundary_contact")
+        tab = tr.table
+        y0s, hs, stages, ys = (tab["y0"].tolist(), tab["h"].tolist(), tab["stages"].tolist(),
+                               tr.ys.tolist())
+        rows = range(len(hs) - 1) if sgn > 0 else range(1, len(hs))
+        for k in rows:
+            end = ys[k + 1] if sgn > 0 else ys[k]
+            for i in range(3):
+                acc = _B[0] * stages[k][0][i]
+                for j in range(1, 7):
+                    acc += _B[j] * stages[k][j][i]
+                assert (y0s[k][i] + hs[k] * acc).hex() == end[i].hex()
 
     def test_field_calls_per_trajectory(self, cfg, monkeypatch):
         # exact counts: slope only for the start stage k1, domain_gap for the
@@ -343,6 +370,25 @@ class TestDenseOutput:
         with pytest.raises(RangeError):
             sep.states_at([0.0, hi + 0.5])
         assert sep.states_at([]).shape == (0, 3)
+
+    def test_state_at_range_check(self, cfg, launch):
+        # state_at checks the span itself: NaN and times beyond the relative
+        # 1e-9 slack raise; times inside the slack and every node read the
+        # end rows with the bits of states_at, on plain, mirrored and
+        # shifted-then-mirrored tables
+        t_cross, x_cross = float(launch.ts[-1]), float(launch.xs[-1])
+        sep = rs.with_mirror(launch.shifted(dt=-t_cross, dx=-x_cross))
+        for tr in (rs.backward_trajectory(4.0, cfg), rs.full_curve(2.5, cfg), sep):
+            lo, hi = tr.t_span
+            slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+            for t in (math.nan, lo - 2 * slack, hi + 2 * slack):
+                with pytest.raises(RangeError):
+                    tr.state_at(t)
+            inside = [lo - 0.5 * slack, hi + 0.5 * slack]
+            assert inside[0] < lo and inside[1] > hi
+            for t in inside + tr.ts.tolist():
+                assert ([v.hex() for v in tr.state_at(t)]
+                        == [v.hex() for v in tr.states_at((t,))[0].tolist()])
 
     def test_crossing_time_is_the_state_at_bisection(self, cfg, launch, monkeypatch):
         # the float bisection on the bracket's table row returns the bits of
