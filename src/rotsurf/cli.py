@@ -182,6 +182,12 @@ def cmd_find_lambda0(args) -> int:
     return 0
 
 
+def _check_span(span: float) -> None:
+    """--span must be positive and finite, on every curve and mesh path."""
+    if not 0.0 < span < math.inf:  # NaN too
+        raise ValueError(f"--span must be positive and finite, got {span}")
+
+
 def _profile_for_lambda(lam: float, span: float, cfg: IntegratorConfig) -> ProfileCurve:
     """Profile on [-span, span]; incomplete cases clamp to their finite span."""
     klass = classify_lambda(lam, cfg)
@@ -202,6 +208,7 @@ def _profile_for_lambda(lam: float, span: float, cfg: IntegratorConfig) -> Profi
 def cmd_curve(args) -> int:
     if args.lam is None:
         raise ValueError("curve needs --lambda")
+    _check_span(args.span)
     cfg = _merge_run_config(args)
     prof = _profile_for_lambda(args.lam, args.span, cfg)
     prof.write_csv(args.out)
@@ -220,12 +227,13 @@ MAX_MESH_VERTICES = MAX_CYLINDER_SAMPLES * MAX_N_ANGULAR
 def cmd_mesh(args) -> int:
     if not 3 <= args.n_angular <= MAX_N_ANGULAR:
         raise ValueError(f"--n-angular must be in [3, {MAX_N_ANGULAR}], got {args.n_angular}")
+    _check_span(args.span)
     cfg = _merge_run_config(args)
     if args.builtin == "sphere":
         prof = sphere_profile()
     elif args.builtin == "cylinder":
         steps = args.span / 0.01
-        if not steps + 1 <= MAX_CYLINDER_SAMPLES:  # also rejects an infinite or NaN span
+        if not steps + 1 <= MAX_CYLINDER_SAMPLES:
             raise ValueError(f"--span {args.span} gives more than {MAX_CYLINDER_SAMPLES} "
                              f"cylinder samples")
         prof = cylinder_profile(args.span, n=max(2, round(steps) + 1))
@@ -277,6 +285,9 @@ def cmd_extend(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--max-residual", args.max_residual), ("--max-speed", args.max_speed)):
+        if not value >= 0.0:  # NaN too; such a threshold fails every profile
+            raise ValueError(f"{flag} must be non-negative, got {value}")
     prof = ProfileCurve.read_csv(args.input)
     rep = verify_profile(prof, args.step)
     ok = (rep.max_curvature_residual <= args.max_residual

@@ -21,13 +21,13 @@ derivatives, and an output scale and offset (see Trajectory).  Reflection
 and time shifts are one affine move of the columns, concatenation joins
 them, and states_at evaluates many times at once by searchsorted plus
 Horner.  The quartic coefficients are not stored: each evaluation builds
-them in one vectorized pass, once for each distinct row it reads, so
-callers that read only nodes and the termination record (shooting) never
-pay for them.  The stepping loop builds them, with the same builder, only
-for the one step that brackets a boundary contact or a theta-target
-crossing; crossing_time builds them for the one row that brackets its
-target and bisects on it in plain floats.  state_at and crossing_time read
-their row with one helper, Trajectory._row, in plain floats.
+them in one vectorized pass (_dense_coef), once for each distinct row it
+reads, so callers that read only nodes and the termination record
+(shooting) never pay for them.  One row's coefficients are built in plain
+floats with the same bits (_step_coef): by the stepping loop, only for the
+one step that brackets a boundary contact or a theta-target crossing, and
+by Trajectory._row, the row reader of state_at and crossing_time, which
+bisects on the one row that brackets its target.
 
 Trajectory time t always increases with theta; backward integration runs in
 an internal parameter and is exposed with t = -sigma, so samples are always
@@ -36,7 +36,6 @@ ascending in both t and theta.
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -174,13 +173,24 @@ def _dense_coef(h: np.ndarray, stages: np.ndarray) -> np.ndarray:
     return h[:, None] * acc.reshape(4, -1, 3)
 
 
+_P_ROWS = tuple(zip(*_P))  # (4, 7): power m, stage j
+
+
 def _step_coef(h: float, sgn: float, k) -> list[list[float]]:
     """Quartic coefficients of one step as float lists, one per component.
 
-    k is the flat tuple of the step's 21 unsigned stage values and sgn the
-    direction sign (see _integrate_raw).
+    k is the flat sequence of the step's 21 stage values (k1_theta, k1_z,
+    k1_x, k2_theta, ...) and sgn the sign _dense_coef's stages carry: the
+    direction sign for the loop's unsigned stages (see _integrate_raw), 1.0
+    for a table row's.  In plain floats with _dense_coef's bits: the same
+    products, summed left to right from 0.0.
     """
-    return _dense_coef(np.array([h]), sgn * np.reshape(k, (1, 7, 3)))[:, 0].T.tolist()
+    coef = []
+    for i in range(3):
+        k1, k2, k3, k4, k5, k6, k7 = [sgn * v for v in k[i::3]]
+        coef.append([h * (0.0 + k1 * p1 + k2 * p2 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6
+                          + k7 * p7) for p1, p2, p3, p4, p5, p6, p7 in _P_ROWS])
+    return coef
 
 
 def _quartic(y0, coef, u):
@@ -287,7 +297,7 @@ class Trajectory:
     def _row(self, i: int):
         """Row i's a, b and per component (y0, quartic coef, scale, offset), as floats."""
         tab = self.table
-        coef = _dense_coef(tab["h"][i:i + 1], tab["stages"][i:i + 1])[:, 0].T.tolist()
+        coef = _step_coef(tab["h"][i].item(), 1.0, tab["stages"][i].ravel().tolist())
         y0, scale, offset = (tab[key][i].tolist() for key in ("y0", "scale", "offset"))
         return tab["a"][i].item(), tab["b"][i].item(), list(zip(y0, coef, scale, offset))
 
@@ -391,11 +401,12 @@ def _extrapolate_limit(sig_pts, th_pts, z_pts, sig_b):
 def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
     """Core stepping loop in internal time sigma >= 0.
 
-    Returns (sig_nodes, y_nodes, hs, stages, stop): step i runs from node i
-    to node i + 1 with size hs[i] (the last step may be cut short at its
-    event); stages is one flat list of the steps' 7 unsigned stage
-    derivatives (k1_theta, k1_z, k1_x, k2_theta, ... of step 0, then step 1,
-    ...); stop is an EndInfo in internal time.
+    Returns (sig_nodes, nodes, hs, stages, stop): nodes is one flat list of
+    the node states (theta, z, x of node 0, then node 1, ...); step i runs
+    from node i to node i + 1 with size hs[i] (the last step may be cut
+    short at its event); stages is one flat list of the steps' 7 unsigned
+    stage derivatives (k1_theta, k1_z, k1_x, k2_theta, ... of step 0, then
+    step 1, ...); stop is an EndInfo in internal time.
 
     The field is (sgn * slope, sgn * sin, sgn * cos) of (theta, z); x does
     not feed back.  The sign rides on the step, hh = sgn * h, which is exact
@@ -412,6 +423,17 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
     calls slope.  Step-size clamps are comparisons with min's and max's tie
     semantics.  TestScheme::test_stages_are_the_field_module holds every
     stored stage to field.py bit for bit.
+
+    The error norm squares with ** 2, not x * x: glibc 2.36's pow(x, 2.0)
+    differs from the product in the last bit on about 1 in 1,200 random
+    doubles, so that rewrite is not exact and could move accepted steps.
+    The abs() of a state is taken once, when it is the end of the step
+    being tried, and reused while the next step starts from it.  The
+    contact and crossing bisections halve the step's parameter interval
+    (a, b) at most 80 and 60 times, and stop at the first halving that
+    leaves (a, b) unchanged (the midpoint is already the endpoint it would
+    replace): every later halving would repeat it, so the result is that
+    of the full count.
     """
     sin, cos, sqrt = math.sin, math.cos, math.sqrt
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A[1:6]
@@ -422,12 +444,12 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
     boundary_eps, targets = cfg.boundary_eps, cfg.theta_targets
 
     th, z, x = y_start
-    y = (th, z, x)
+    ath, az, ax = abs(th), abs(z), abs(x)  # of the state the step starts from
     k1a, k1b, k1c = slope(th, z), sin(th), cos(th)
     sig = 0.0
     h = min(max_step, 1e-3)
     sig_nodes = [0.0]
-    y_nodes = [y]
+    nodes = [th, z, x]
     hs = []
     stages = []
     last_rejected = False
@@ -492,14 +514,12 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
 
         try:
             err = hh * (e1 * k1a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
-            y_abs, y1_abs = abs(th), abs(th1)
-            norm = (err / (abs_tol + rel_tol * (y1_abs if y1_abs > y_abs else y_abs))) ** 2
+            ath1, az1, ax1 = abs(th1), abs(z1), abs(x1)
+            norm = (err / (abs_tol + rel_tol * (ath1 if ath1 > ath else ath))) ** 2
             err = hh * (e1 * k1b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
-            y_abs, y1_abs = abs(z), abs(z1)
-            norm += (err / (abs_tol + rel_tol * (y1_abs if y1_abs > y_abs else y_abs))) ** 2
+            norm += (err / (abs_tol + rel_tol * (az1 if az1 > az else az))) ** 2
             err = hh * (e1 * k1c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
-            y_abs, y1_abs = abs(x), abs(x1)
-            norm += (err / (abs_tol + rel_tol * (y1_abs if y1_abs > y_abs else y_abs))) ** 2
+            norm += (err / (abs_tol + rel_tol * (ax1 if ax1 > ax else ax))) ** 2
             norm = math.sqrt(norm / 3.0)
         except OverflowError:  # float ** 2 raises past 1e308 (tiny tolerances)
             norm = math.inf
@@ -509,7 +529,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
             h_new = h * fac
             if h_new < min_step:
                 if domain_gap(th, z) < 10.0 * boundary_eps:
-                    stop = _contact_stop(sig_nodes, y_nodes, sig, y, boundary_eps)
+                    stop = _contact_stop(sig_nodes, nodes)
                     break
                 raise StepUnderflowError(
                     f"step underflow at sigma={sig} away from the boundary")
@@ -517,7 +537,6 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
             last_rejected = True
             continue
 
-        y1 = (th1, z1, x1)
         k = (k1a, k1b, k1c, k2a, k2b, k2c, k3a, k3b, k3c, k4a, k4b, k4c,
              k5a, k5b, k5c, k6a, k6b, k6c, k7a, k7b, k7c)
 
@@ -534,8 +553,12 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
             for _ in range(80):
                 m = 0.5 * (a + b)
                 if domain_gap(_quartic(th, coef[0], m), _quartic(z, coef[1], m)) - boundary_eps < 0.0:
+                    if m == b:
+                        break  # a fixed point: no later iteration moves (a, b)
                     b = m
                 else:
+                    if m == a:
+                        break
                     a = m
             u_event, ev = b, ("boundary", None)
         for tgt in targets:
@@ -549,8 +572,12 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
                 for _ in range(60):
                     m = 0.5 * (a + b)
                     if (_quartic(th, coef[0], m) - tgt) * d0 > 0.0:
+                        if m == a:
+                            break
                         a = m
                     else:
+                        if m == b:
+                            break
                         b = m
                 u_c = 0.5 * (a + b)
                 if u_event is None or u_c < u_event:
@@ -564,9 +591,9 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
             hs.append(h)
             stages += k
             sig_nodes.append(sig_c)
-            y_nodes.append(y_c)
+            nodes += y_c
             if ev[0] == "boundary":
-                stop = _contact_stop(sig_nodes, y_nodes, sig_c, y_c, boundary_eps)
+                stop = _contact_stop(sig_nodes, nodes)
             else:
                 stop = EndInfo("theta_crossing", theta_target=ev[1], t_star=sig_c)
             break
@@ -575,8 +602,9 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
         stages += k
         sig += h
         sig_nodes.append(sig)
-        y_nodes.append(y1)
-        y, th, z, x = y1, th1, z1, x1
+        nodes += (th1, z1, x1)
+        th, z, x = th1, z1, x1
+        ath, az, ax = ath1, az1, ax1
         k1a, k1b, k1c = k7a, k7b, k7c
         if len(hs) == MAX_STEPS:
             raise StepLimitError(f"more than {MAX_STEPS} steps, at sigma={sig}")
@@ -596,18 +624,20 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
         if max_step < h:
             h = max_step
 
-    return sig_nodes, y_nodes, hs, stages, stop
+    return sig_nodes, nodes, hs, stages, stop
 
 
-def _contact_stop(sig_nodes, y_nodes, sig_c, y_c, boundary_eps):
-    """Boundary-contact EndInfo with the limit point extrapolated past sig_c."""
-    gap_c = domain_gap(y_c[0], y_c[1])
-    pts = [(sig_c, y_c[0], y_c[1])]
-    for s_n, y_n in zip(reversed(sig_nodes[:-1]), reversed(y_nodes[:-1])):
-        pts.append((float(s_n), y_n[0], y_n[1]))
-        if len(pts) == 3:
-            break
-    pts = pts[::-1]
+def _contact_stop(sig_nodes, nodes):
+    """Boundary-contact EndInfo with the limit point extrapolated past the last node.
+
+    sig_nodes are the node times and nodes the flat (theta, z, x) list of
+    the loop; the last node is the contact state.
+    """
+    sig_c = sig_nodes[-1]
+    gap_c = domain_gap(nodes[-3], nodes[-2])
+    # the last three nodes (fewer on a short run), oldest first
+    pts = [(sig_nodes[j], nodes[3 * j], nodes[3 * j + 1])
+           for j in range(max(0, len(sig_nodes) - 3), len(sig_nodes))]
     if len(pts) >= 2:
         s_prev, th_prev, z_prev = pts[-2]
         g_prev = domain_gap(th_prev, z_prev)
@@ -619,28 +649,28 @@ def _contact_stop(sig_nodes, y_nodes, sig_c, y_c, boundary_eps):
         th0, z0 = _extrapolate_limit([p[0] for p in pts], [p[1] for p in pts],
                                      [p[2] for p in pts], sig_b)
     else:
-        th0, z0 = y_c[0], y_c[1]
+        th0, z0 = nodes[-3], nodes[-2]
     return EndInfo("boundary_contact", t_star=sig_b, limit_point=(th0, z0))
 
 
-def _packed(values, n: int) -> np.ndarray:
-    """A read-only float array of the n floats in values, packed in one call."""
-    return np.frombuffer(struct.pack(f"{n}d", *values))
+def _packed(values: list) -> np.ndarray:
+    """A read-only float array of the floats in values, packed in one call."""
+    return np.frombuffer(struct.pack(f"{len(values)}d", *values))
 
 
-def _finalized(sig_nodes, y_nodes, hs, stages, stop, direction, start_info):
+def _finalized(sig_nodes, nodes, hs, stages, stop, direction, start_info):
     """Convert internal-time data into an ascending-t Trajectory."""
     sgn = 1.0 if direction > 0 else -1.0
-    sig = _packed(sig_nodes, len(sig_nodes))
-    ys = _packed(itertools.chain.from_iterable(y_nodes), 3 * len(y_nodes)).reshape(-1, 3)
-    h = _packed(hs, len(hs))
+    sig = _packed(sig_nodes)
+    ys = _packed(nodes).reshape(-1, 3)
+    h = _packed(hs)
     ts = sgn * sig
     table = {
         "a": sgn / h,  # u = (sigma - sig0)/h with sigma = sgn * t
         "b": -sig[:-1] / h,
         "h": h,
         "y0": ys[:-1],
-        "stages": sgn * _packed(stages, len(stages)).reshape(-1, 7, 3),  # unsigned in the loop
+        "stages": sgn * _packed(stages).reshape(-1, 7, 3),  # unsigned in the loop
         "scale": np.ones((len(h), 3)),
         "offset": np.zeros((len(h), 3)),
     }
@@ -724,10 +754,10 @@ def concat(a: Trajectory, b: Trajectory, tol: float = 1e-8) -> Trajectory:
     on, also where b's own first time differs from it (by up to the 1e-9
     accepted here).
     """
-    ta, tb = a.ts[-1], b.ts[0]
+    ta, tb = a.ts[-1].item(), b.ts[0].item()
     if abs(ta - tb) > 1e-9 * max(1.0, abs(ta), abs(tb)):
         raise ValueError(f"junction times differ: {ta} vs {tb}")
-    ya, yb = a.ys[-1], b.ys[0]
+    ya, yb = a.ys[-1].tolist(), b.ys[0].tolist()
     if max(abs(ya[i] - yb[i]) for i in range(3)) > tol:
         raise ValueError(f"junction states differ beyond {tol}: {ya} vs {yb}")
     ts = np.concatenate([a.ts, b.ts[1:]])

@@ -168,6 +168,24 @@ class TestCurve:
         assert run("curve", "--lambda", "inf", "--out", tmp_path / "x.csv") == 2
         assert run("curve", "--lambda", "4", "--span", "-1", "--out", tmp_path / "x.csv") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--lambda", repr(SQRT2)),
+        ("curve", "--lambda", "4"),
+        ("curve", "--lambda", "1.2"),
+        ("mesh", "--builtin", "sphere"),
+        ("mesh", "--builtin", "cylinder"),
+        ("mesh", "--lambda", "4"),
+    ])
+    @pytest.mark.parametrize("span", ["-1", "0", "nan", "inf", "-inf"])
+    def test_bad_span_exit_2(self, tmp_path, capsys, argv, span):
+        # every curve and mesh path names --span, the sphere's included,
+        # which once ignored a bad span and wrote the full curve
+        out = tmp_path / "x.csv"
+        assert run(*argv, f"--span={span}", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --span ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_step_cap_exit_3(self, tmp_path, monkeypatch):
         # a periodic height integrates for the whole span, up to the cap
         monkeypatch.setattr(integrate_mod, "MAX_STEPS", 1000)
@@ -344,6 +362,18 @@ class TestExtendAndVerify:
         run("curve", "--lambda", repr(SQRT2), "--out", curve)
         assert run("verify", curve, "--step", "1e-3",
                    "--max-residual", "1e-8") == 0
+
+    @pytest.mark.parametrize("flag", ["--max-residual", "--max-speed"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "-1e-300"])
+    def test_verify_bad_threshold_exit_2(self, tmp_path, capsys, flag, value):
+        # a NaN or negative threshold fails every profile: invalid input, not a FAIL
+        curve, report = tmp_path / "c.csv", tmp_path / "rep.json"
+        assert run("curve", "--lambda", "4.0", "--span", "2", "--out", curve) == 0
+        capsys.readouterr()
+        assert run("verify", curve, f"{flag}={value}", "--out", report) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+        assert not report.exists()
 
     def test_verify_missing_file_exit_2(self, tmp_path):
         assert run("verify", tmp_path / "nope.csv") == 2

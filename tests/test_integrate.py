@@ -15,8 +15,17 @@ from rotsurf.errors import (
     StepLimitError,
     StepUnderflowError,
 )
-from rotsurf.field import slope, slope_sq
-from rotsurf.integrate import _A, _B, _P, _dense_coef, bisect_root, corner_series, corner_series_slope
+from rotsurf.field import domain_gap, slope, slope_sq
+from rotsurf.integrate import (
+    _A,
+    _B,
+    _P,
+    _dense_coef,
+    _step_coef,
+    bisect_root,
+    corner_series,
+    corner_series_slope,
+)
 
 integrate_mod = importlib.import_module("rotsurf.integrate")  # rs.integrate is the function
 
@@ -36,10 +45,16 @@ class TestScheme:
 
     def test_dense_coef_is_the_scalar_stage_sum(self):
         # the vectorized builder keeps the bits of h * (k_1 P_1 + ... + k_7 P_7)
-        # summed left to right from 0.0, as the scalar interpolant did
+        # summed left to right from 0.0, as the scalar interpolant did, and
+        # the plain-float one-row builder keeps the vectorized builder's, for
+        # stages of both signs with +-0.0 entries and either direction sign
         rng = np.random.default_rng(7)
         h = rng.uniform(1e-4, 0.1, 25)
         stages = rng.normal(size=(25, 7, 3))
+        stages[rng.random(stages.shape) < 0.2] = 0.0
+        stages[rng.random(stages.shape) < 0.2] = -0.0
+        stages[3] = 0.0  # all-zero rows: the sign of a zero coefficient counts
+        stages[4] = -0.0
         coef = _dense_coef(h, stages).tolist()
         hs, ks = h.tolist(), stages.tolist()
         for r in range(25):
@@ -49,6 +64,12 @@ class TestScheme:
                     for j in range(7):
                         acc += ks[r][j][i] * _P[j][m]
                     assert coef[m][r][i] == hs[r] * acc
+        for sgn in (1.0, -1.0):
+            signed = _dense_coef(h, sgn * stages)
+            for r in range(25):
+                want = [[v.hex() for v in comp] for comp in signed[:, r].T.tolist()]
+                got = _step_coef(hs[r], sgn, stages[r].ravel().tolist())
+                assert [[v.hex() for v in comp] for comp in got] == want
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -138,8 +159,9 @@ class TestScheme:
 
     def test_field_calls_per_trajectory(self, cfg, monkeypatch):
         # exact counts: slope only for the start stage k1, domain_gap for the
-        # start check, plus, at a contact, the 80 bisection probes of the
-        # contact step and the 2 gaps of the limit-point extrapolation
+        # start check, plus, at a contact, the contact step's bisection
+        # probes up to its fixed point (55 here, of at most 80) and the 2
+        # gaps of the limit-point extrapolation
         calls = Counter()
         for name in ("slope", "domain_gap"):
             def counted(*args, _real=getattr(integrate_mod, name), _name=name):
@@ -147,7 +169,7 @@ class TestScheme:
                 return _real(*args)
 
             monkeypatch.setattr(integrate_mod, name, counted)
-        for lam, n_nodes, n_gaps in ((4.0, 117, 1), (1.2, 112, 83)):
+        for lam, n_nodes, n_gaps in ((4.0, 117, 1), (1.2, 112, 58)):
             calls.clear()
             rs.backward_trajectory.cache_clear()
             assert len(rs.backward_trajectory(lam, cfg).ts) == n_nodes
@@ -209,6 +231,66 @@ class TestEvents:
         assert tr.termination.kind == "theta_crossing"
         assert tr.zs[0] == pytest.approx(lam - 2.0, abs=1e-2)
         assert tr.termination.t_star == pytest.approx(-math.pi, abs=1e-2)
+
+    @staticmethod
+    def reference_event_node(tr, sgn, boundary_eps):
+        """(t, state) of tr's event-cut node from a bisection of full length.
+
+        The cut step is the last row forward and row 0 backward.  Its
+        parameter u is bisected for all 80 (contact) or 60 (crossing)
+        halvings, the counts whose result the stepping loop's early stop
+        must reproduce, on _dense_coef's quartic in plain floats.
+        """
+        tab = tr.table
+        r = len(tab["h"]) - 1 if sgn > 0 else 0
+        y0, h = tab["y0"][r].tolist(), tab["h"][r].item()
+        coef = _dense_coef(tab["h"][r:r + 1], tab["stages"][r:r + 1])[:, 0].T.tolist()
+
+        def at(i, u):
+            c1, c2, c3, c4 = coef[i]
+            return y0[i] + u * (c1 + u * (c2 + u * (c3 + u * c4)))
+
+        stop = tr.termination
+        a, b = 0.0, 1.0
+        if stop.kind == "boundary_contact":
+            for _ in range(80):
+                m = 0.5 * (a + b)
+                if domain_gap(at(0, m), at(1, m)) - boundary_eps < 0.0:
+                    b = m
+                else:
+                    a = m
+            u = b
+        else:
+            tgt = stop.theta_target
+            d0 = y0[0] - tgt
+            for _ in range(60):
+                m = 0.5 * (a + b)
+                if (at(0, m) - tgt) * d0 > 0.0:
+                    a = m
+                else:
+                    b = m
+            u = 0.5 * (a + b)
+        t_start = tr.ts[r if sgn > 0 else 1].item()  # the step's start node
+        return sgn * (sgn * t_start + u * h), [at(i, u) for i in range(3)]
+
+    def test_event_nodes_are_the_full_bisection(self, cfg, launch):
+        # the event bisections stop at their fixed point: every event-cut
+        # node, its time and its state, keeps the bits of the full 80 (contact)
+        # or 60 (crossing) halvings, on both sides of lambda0 and the launch
+        heights = (np.linspace(1.05, 3.2, 12).tolist() + np.linspace(3.3, 8.0, 12).tolist()
+                   + [3.2136243987 + d for d in (-1e-6, 1e-6)])
+        seen = Counter()
+        cases = [(rs.backward_trajectory(lam, cfg), -1.0, cfg.boundary_eps) for lam in heights]
+        gap0 = domain_gap(*corner_series(integrate_mod.SERIES_S0)[:2])
+        cases.append((launch, 1.0, min(cfg.boundary_eps, 0.25 * gap0)))
+        for tr, sgn, eps in cases:
+            kind = tr.termination.kind
+            seen[kind] += 1
+            t, state = self.reference_event_node(tr, sgn, eps)
+            i = -1 if sgn > 0 else 0
+            assert tr.ts[i].hex() == t.hex(), kind
+            assert [v.hex() for v in tr.ys[i].tolist()] == [v.hex() for v in state], kind
+        assert seen["boundary_contact"] >= 10 and seen["theta_crossing"] >= 10
 
     def test_contact_below_critical(self, cfg):
         tr = rs.integrate(PhasePoint(math.pi, 1.5), "backward", cfg.with_targets(0.0))
