@@ -362,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="curvature-norm check of an emitted profile CSV")
     p.add_argument("input", help="profile CSV (t,x,z,theta)")
-    p.add_argument("--step", type=float, default=1e-3, help="resample step")
+    p.add_argument("--step", type=float, default=1e-3,
+                   help="step h: the end collar is 10 h, a monotone violation k1 < -1e-9 / h")
     p.add_argument("--max-residual", dest="max_residual", type=float, default=1e-4,
                    help="curvature-norm residual threshold")
     p.add_argument("--max-speed", dest="max_speed", type=float, default=1e-6,

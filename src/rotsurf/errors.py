@@ -54,7 +54,7 @@ class ExtensionSpecError(RotsurfError):
 
 
 class TooFewSamplesError(RotsurfError):
-    """Profile too sparse (or step too coarse) for the requested resampling."""
+    """Profile too short to verify: under 5 points, or none outside the end collar."""
 
 
 class DegenerateProfileError(RotsurfError):

@@ -50,7 +50,7 @@ def text_sink(sink, mode: str = "r"):
 
 
 ROW_BLOCK = 128  # rows formatted and written at a time by write_rows and mesh export
-# uniform steps verify_profile may resample, and samples a glued curve may have
+# uniform steps verify_profile may sample an evaluator at, and samples a glued curve may have
 MAX_RESAMPLE_STEPS = 1_000_000
 SAMPLE_DT = 0.01  # largest time step between stored samples of a built profile
 SPHERE_TRIM = 1e-6  # the closed-form sphere stops this short of its two poles
@@ -110,27 +110,18 @@ class ProfileCurve:
         return float(self.t[0]), float(self.t[-1])
 
     def eval_at(self, tq):
-        """(x, z, theta) at tq, from the dense evaluator or spline fallback.
+        """(x, z, theta) at tq from the dense evaluator.
 
         tq is a time (three floats back) or an array of times (three arrays
-        back).  An evaluator maps a 1-d time array to three arrays.  The
-        fallback is one not-a-knot quintic spline interpolant of the columns
-        (x, z, theta) (`spline.interpolate`), cubic for very short profiles:
-        curvature verification differentiates twice, and a cubic fit of
-        CSV-loaded data would leak interpolation noise into the residual.
-        The columns share one solve and one evaluation, and each equals its
-        own scalar interpolant bit for bit.
+        back).  An evaluator maps a 1-d time array to three arrays.  A
+        profile read from CSV has none and raises ValueError: it is its
+        samples and nothing between them.
         """
+        if self.evaluator is None:
+            raise ValueError("profile has no evaluator: a profile read from CSV "
+                             "is known only at its samples")
         ts = np.asarray(tq, dtype=float)
-        flat = ts.reshape(-1)
-        if self.evaluator is not None:
-            out = self.evaluator(flat)
-        else:
-            if "spline" not in self.meta:
-                from .spline import interpolate
-
-                self.meta["spline"] = interpolate(self.t, np.stack((self.x, self.z, self.theta)))
-            out = tuple(self.meta["spline"](flat))
+        out = self.evaluator(ts.reshape(-1))
         if ts.ndim == 0:
             return tuple(float(col[0]) for col in out)
         return out
@@ -220,10 +211,10 @@ class RegularityReport:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    max_curvature_residual: float  # max |k1^2 + k2^2 - 1| from resampled data
-    max_speed_residual: float  # max |hypot(x', z') - 1|
+    max_curvature_residual: float  # max |k1^2 + k2^2 - 1| from positions only
+    max_speed_residual: float  # max ||(x', z')| - 1|
     monotone_violations: int
-    n_points: int
+    n_points: int  # points the estimator read: CSV rows, or the grid at step h
     h: float
     end_trim: float  # collar excluded at the two profile ends
 
@@ -499,51 +490,84 @@ def extend_separatrix(ext: ExtensionSpec,
 # -- the acceptance oracle -------------------------------------------------
 
 
+def _five_point_weights(d):
+    """Weights of x'(0) and x''(0) for values at the offsets d, minus the value at 0.
+
+    d is the four nonzero offsets of each stencil, t[i + j] - t[i] for
+    j = -2, -1, 1, 2 (arrays alike in shape).  A point's weight is the
+    derivative at 0 of its Lagrange cardinal polynomial (Fornberg, Math.
+    Comp. 51, 1988): with a, b, c the other three offsets and
+    D = d (d - a)(d - b)(d - c), that is -abc / D for the first derivative
+    and 2 (ab + ac + bc) / D for the second.  The centre's weight is minus
+    the others' sum, so they apply to values minus the centre value.
+    """
+    w1, w2 = [], []
+    for j, dj in enumerate(d):
+        a, b, c = (dk for k, dk in enumerate(d) if k != j)
+        den = dj * (dj - a) * (dj - b) * (dj - c)
+        w1.append(-(a * b * c) / den)
+        w2.append(2.0 * (a * b + a * c + b * c) / den)
+    return w1, w2
+
+
 def verify_profile(profile: ProfileCurve, h: float,
                    end_trim: float | None = None) -> VerificationReport:
     """Reconstruct curvatures from positions only and check k1^2 + k2^2 = 1.
 
-    Resamples (x, z) uniformly at step h, differentiates by central
-    differences, rebuilds the tangent angle with atan2 and nearest-branch
-    unwrapping, and reports the worst curvature residual, unit-speed
-    violation, and count of decreasing-theta steps.  Deliberately ignores
-    the stored theta and the field: this is the independent check that
-    emitted geometry satisfies the unit curvature-norm everywhere.
+    The points are a CSV profile's own samples, or an in-memory profile's
+    evaluator on the uniform grid at step h.  At every point with two
+    neighbours on each side, x', x'', z' and z'' come from the 5-point
+    Lagrange weights on the stencil's own times (`_five_point_weights`);
+    then k1 = (x' z'' - z' x'') / |v|^3 and k2 = -(x' / |v|) / z.  It
+    reports the worst |k1^2 + k2^2 - 1|, the worst ||v| - 1| and the count
+    of points where k1 < -1e-9 / h (theta falling by more than 1e-9 per
+    step h).  Deliberately ignores the stored theta and the field: this is
+    the independent check that emitted geometry satisfies the unit
+    curvature-norm everywhere.  Only arithmetic and sqrt see the data.
 
     A collar of width end_trim (default 10 h) is excluded at the two open
     ends: profiles that die on the domain boundary have theta ~ c s^(3/2)
     in the distance s to the end, so difference quotients there measure the
     estimator's own blowup, not the surface.  Interior-smooth profiles are
-    unaffected by the trim.  A step h that cuts the span into more than
-    MAX_RESAMPLE_STEPS steps raises ValueError before anything is resampled.
+    unaffected by the trim.  A grid of more than MAX_RESAMPLE_STEPS steps
+    raises ValueError before it is built; fewer than 5 points, or no
+    stencil centre outside the collar, raise TooFewSamplesError.
     """
     if not h > 0.0:
         raise ValueError("h must be positive")
     if end_trim is None:
         end_trim = 10.0 * h
     lo, hi = profile.span
-    steps = (hi - lo) / h
-    if not steps <= MAX_RESAMPLE_STEPS:
-        raise ValueError(f"resample step {h} gives more than {MAX_RESAMPLE_STEPS} steps")
-    n = int(math.floor(steps))
-    min_gap = float(np.min(np.diff(profile.t)))
-    if len(profile) > 2 and h >= 0.5 * min_gap:
-        raise TooFewSamplesError(
-            f"resample step {h} too coarse for sample gap {min_gap}")
-    ts = lo + h * np.arange(n + 1)
-    inner = (ts[2:-2] >= lo + end_trim) & (ts[2:-2] <= hi - end_trim)
-    if n < 8 or not np.any(inner):
-        raise TooFewSamplesError(f"only {n} resample steps fit the span")
-    xs, zs, _ = profile.eval_at(ts)
+    if profile.evaluator is None:
+        ts, xs, zs = profile.t, profile.x, profile.z
+    else:
+        steps = (hi - lo) / h
+        if not steps <= MAX_RESAMPLE_STEPS:
+            raise ValueError(f"step {h} gives more than {MAX_RESAMPLE_STEPS} grid steps")
+        ts = lo + h * np.arange(int(math.floor(steps)) + 1)
+        xs, zs, _ = profile.eval_at(ts)
+    n = len(ts)
+    if n < 5:
+        raise TooFewSamplesError(f"{n} points; the 5-point estimator needs at least 5")
+    centre = slice(2, n - 2)
+    tc = ts[centre]
+    inner = (tc >= lo + end_trim) & (tc <= hi - end_trim)
+    if not np.any(inner):
+        raise TooFewSamplesError(f"no stencil centre of the {n} points lies {end_trim} "
+                                 f"inside both ends")
+    around = [slice(k, n - 4 + k) for k in (0, 1, 3, 4)]  # j = -2, -1, 1, 2
+    w1, w2 = _five_point_weights([ts[s] - tc for s in around])
 
-    dx = (xs[2:] - xs[:-2]) / (2.0 * h)  # at ts[1:-1]
-    dz = (zs[2:] - zs[:-2]) / (2.0 * h)
-    theta_rec = np.unwrap(np.arctan2(dz, dx))
-    k1 = (theta_rec[2:] - theta_rec[:-2]) / (2.0 * h)  # at ts[2:-2]
-    k2 = -np.cos(theta_rec[1:-1]) / zs[2:-2]
+    def derivatives(f):
+        df = [f[s] - f[centre] for s in around]
+        return sum(w * g for w, g in zip(w1, df)), sum(w * g for w, g in zip(w2, df))
+
+    dx, ddx = derivatives(xs)
+    dz, ddz = derivatives(zs)
+    speed = np.sqrt(dx * dx + dz * dz)
+    k1 = (dx * ddz - dz * ddx) / (speed * speed * speed)
+    k2 = -(dx / speed) / zs[centre]
     residual = float(np.max(np.abs(k1 * k1 + k2 * k2 - 1.0)[inner]))
-    mid = (ts[1:-1] >= lo + end_trim) & (ts[1:-1] <= hi - end_trim)
-    speed_residual = float(np.max(np.abs(np.hypot(dx, dz) - 1.0)[mid]))
-    monotone_violations = int(np.sum(np.diff(theta_rec[mid]) < -1e-9))
-    return VerificationReport(residual, speed_residual, monotone_violations,
-                              len(ts), h, end_trim)
+    speed_residual = float(np.max(np.abs(speed - 1.0)[inner]))
+    monotone_violations = int(np.count_nonzero(k1[inner] < -1e-9 / h))
+    return VerificationReport(residual, speed_residual, monotone_violations, n, h, end_trim)

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,7 @@ from rotsurf.errors import (
     NotPeriodicError,
     TooFewSamplesError,
 )
-from rotsurf.profile import MAX_RESAMPLE_STEPS, ROW_BLOCK
-from rotsurf.spline import MAX_GAP_RATIO, interpolate
+from rotsurf.profile import MAX_RESAMPLE_STEPS, ROW_BLOCK, _five_point_weights
 
 SQRT2 = math.sqrt(2.0)
 
@@ -254,100 +254,45 @@ class TestEvalAt:
         assert np.array_equal(th[inner], curve.theta[inner])
         assert np.max(np.abs(z - curve.z)) <= 1e-12
 
-    def test_spline_fallback_vector_and_scalar(self, cfg):
-        prof = rs.build_profile(rs.full_curve(2.0, cfg))
+    def test_eval_at_needs_an_evaluator(self, cfg):
+        # a profile read from CSV is its samples and nothing between them
         buf = io.StringIO()
-        prof.write_csv(buf)
+        rs.build_profile(rs.full_curve(2.0, cfg)).write_csv(buf)
         buf.seek(0)
         again = ProfileCurve.read_csv(buf)
-        ts = np.linspace(*again.span, 97)
-        x, z, th = again.eval_at(ts)
-        assert x.shape == z.shape == th.shape == ts.shape
-        for k in (0, 40, 96):
-            assert again.eval_at(float(ts[k])) == (x[k], z[k], th[k])
-        assert np.max(np.abs(again.eval_at(again.t)[1] - again.z)) <= 1e-12
+        for tq in (float(again.t[3]), again.t):
+            with pytest.raises(ValueError, match="profile has no evaluator"):
+                again.eval_at(tq)
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 7, 1000])
-    def test_vector_spline_is_the_per_column_spline(self, n):
-        # one interpolant of the stacked columns equals three scalar ones
-        # bit for bit: the data only meet elementwise operations
-        rng = np.random.default_rng(n)
-        t = np.cumsum(rng.uniform(0.2, 3.0, n)) * 1e-2  # non-uniform times
-        cols = (rng.normal(size=n), rng.uniform(0.5, 2.0, n),
-                np.cumsum(rng.uniform(0.0, 0.1, n)))
-        prof = ProfileCurve(t, *cols)
-        dense = np.linspace(t[0], t[-1], 4001)
-        alone = [interpolate(t, col[None]) for col in cols]
-        for ts in (t, dense):
-            got = prof.eval_at(ts)
-            for g, fit in zip(got, alone):
-                ref = fit(ts)[0]
-                assert g.shape == ts.shape
-                assert np.array_equal(g.view(np.int64), ref.view(np.int64))
-        tq = float(dense[1234])
-        one = prof.eval_at(tq)
-        assert all(type(v) is float for v in one)
-        assert one == tuple(float(fit(np.array([tq]))[0, 0]) for fit in alone)
 
-    def test_scipy_make_interp_spline_is_the_same_spline(self, cfg):
-        # The reference implementation of the same not-a-knot spline.  Both
-        # solve for it in rounding arithmetic: within 1e-12 of the largest
-        # value on random data with noise (the worst seen is 1.2e-13) and
-        # on a profile CSV (2e-14).
-        interp = pytest.importorskip("scipy.interpolate")
-        rng = np.random.default_rng(11)
-        cases = []
-        for n in list(range(2, 9)) + [1000]:
-            t = np.cumsum(rng.uniform(0.2, 3.0, n)) * 1e-2
-            cases.append((t, np.stack((rng.normal(size=n), rng.uniform(0.5, 2.0, n),
-                                       np.cumsum(rng.uniform(0.0, 0.1, n))))))
-        buf = io.StringIO()
-        rs.build_profile(rs.full_curve(1.8, cfg)).write_csv(buf)  # clamped, as verify reads it
-        buf.seek(0)
-        csv = ProfileCurve.read_csv(buf)
-        cases.append((csv.t, np.stack((csv.x, csv.z, csv.theta))))
-        for t, ys in cases:
-            got, ref = self._both(interp, t, ys)
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ys)), len(t)
+def _stencils(rng, m, max_ratio):
+    """m random stencils of width 1: their four nonzero offsets, shape (4, m).
 
-    @staticmethod
-    def _both(interp, t, ys):
-        n = len(t)
-        ts = np.concatenate((t, np.linspace(t[0], t[-1], 2001)))
-        ref = interp.make_interp_spline(t, ys.T, k=5 if n > 6 else min(3, n - 1))(ts).T
-        return interpolate(t, ys)(ts), ref
+    Neighbouring gaps differ by a factor of up to max_ratio.
+    """
+    gaps = np.exp(rng.uniform(0.0, math.log(max_ratio), (4, m)))
+    left, right = -np.cumsum(gaps[1::-1], axis=0)[::-1], np.cumsum(gaps[2:], axis=0)
+    return np.concatenate((left, right)) / gaps.sum(axis=0)
 
-    @staticmethod
-    def _irregular(n, r):
-        """Meshes whose neighbouring gaps differ by the factor r: one step, alternating, in pairs."""
-        k = np.arange(n - 1)
-        for small in (k >= (n - 1) // 2, k % 2 == 0, k // 2 % 2 == 0):
-            yield np.concatenate(([0.0], np.cumsum(np.where(small, 1.0 / r, 1.0)))) * 1e-2
 
-    @pytest.mark.parametrize("r", [4.0, MAX_GAP_RATIO])
-    def test_scipy_spline_on_irregular_samples(self, r):
-        # The Hermite conditions lose about eps * r^3 to rounding where
-        # neighbouring gaps differ by r, and the problem itself grows ill
-        # conditioned: scipy's own error against a 50-digit solve is about
-        # 4e-13 at r = 16, where the package's is 1.4e-12.  Seen here at
-        # most: 2.5e-14 (smooth data) and 1.1e-12 (noise) at r = 4;
-        # 3.7e-12 and 7.9e-11 at r = 16.
-        interp = pytest.importorskip("scipy.interpolate")
-        rng = np.random.default_rng(int(r))
-        for n in (3, 5, 7, 8, 9, 10, 12, 40, 300):
-            for t in self._irregular(n, r):
-                smooth = np.stack((np.sin(3 * t / t[-1]), np.cos(2 * t / t[-1]) + t / t[-1]))
-                for ys, bound in ((smooth, 2e-11 if r > 4 else 1e-13),
-                                  (rng.normal(size=(2, n)), 3e-10 if r > 4 else 5e-12)):
-                    got, ref = self._both(interp, t, ys)
-                    assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ys)), (n, r)
-
-    @pytest.mark.parametrize("r", [17.0, 1e2, 1e5])
-    def test_irregular_samples_past_the_limit_refused(self, r):
-        for n in (4, 7, 300):
-            for t in self._irregular(n, r):
-                with pytest.raises(ValueError, match="neighbouring time gaps differ by a factor of"):
-                    interpolate(t, np.ones((1, n)))
+class TestFivePoint:
+    @pytest.mark.parametrize("max_ratio", [1.0 + 1e-9, 4.0, 1e2, 1e3])
+    def test_weights_differentiate_quartics(self, max_ratio):
+        # a 5-point stencil fits a quartic exactly, so p'(0) = c1 and
+        # p''(0) = 2 c2 up to the rounding of the values it reads
+        rng = np.random.default_rng(int(max_ratio))
+        m = 2000
+        d = _stencils(rng, m, max_ratio)
+        gaps = np.diff(np.concatenate((d[:2], np.zeros((1, m)), d[2:])), axis=0)
+        ratio = np.max(np.maximum(gaps[1:] / gaps[:-1], gaps[:-1] / gaps[1:]), axis=0)
+        assert np.all(ratio <= max_ratio * (1 + 1e-9)) and np.max(ratio) > 0.5 * max_ratio
+        c = rng.normal(size=(5, m))
+        f = [c[0] + u * (c[1] + u * (c[2] + u * (c[3] + u * c[4]))) for u in d]
+        w1, w2 = _five_point_weights(list(d))
+        for w, want in ((w1, c[1]), (w2, 2.0 * c[2])):
+            got = sum(wj * (fj - c[0]) for wj, fj in zip(w, f))
+            scale = sum(np.abs(wj) * (np.abs(fj) + np.abs(c[0])) for wj, fj in zip(w, f))
+            assert np.all(np.abs(got - want) <= 32 * np.finfo(float).eps * scale)
 
 
 class TestVerify:
@@ -367,10 +312,37 @@ class TestVerify:
         assert rep.max_curvature_residual <= 1e-4
         assert rep.monotone_violations == 0
 
-    def test_coarse_step_rejected(self):
-        prof = rs.sphere_profile(n=1201)
-        with pytest.raises(TooFewSamplesError):
-            rs.verify_profile(prof, 0.01)  # sample gap ~3.7e-3
+    def test_csv_points_are_its_rows(self, periodic_setup):
+        # without an evaluator the estimator reads the samples themselves, at
+        # any step h: h sets only the collar and the monotone threshold
+        _, _, prof, _, _ = periodic_setup
+        rows = ProfileCurve(prof.t, prof.x, prof.z, prof.theta)
+        for h in (1e-3, 0.05):
+            rep = rs.verify_profile(rows, h)
+            assert (rep.n_points, rep.h, rep.end_trim) == (len(prof), h, 10 * h)
+            assert rep.max_curvature_residual <= 5e-7
+            assert rep.max_speed_residual <= 1e-8
+            assert rep.monotone_violations == 0
+
+    DEFECTS = {
+        "scale": lambda t, z: z * (1.0 + 1e-4),
+        "wave": lambda t, z: z * (1.0 + 1e-4 * np.sin(5.0 * t)),
+        "kink": lambda t, z: z + 1e-3 * np.abs(t - t[len(t) // 2]),
+        "step": lambda t, z: z + 1e-4 * (t > t[len(t) // 2]),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    @pytest.mark.parametrize("lam, span", [(1.8, 3.0), (4.0, 2.0)], ids=["clamped", "periodic"])
+    def test_seeded_defects_fail(self, cfg, lam, span, defect):
+        # the samples `curve --lambda lam --span span` writes pass; each defect
+        # of z fails by at least twice the CLI's 1e-4 threshold
+        run_cfg = replace(cfg, theta_targets=(), max_time=span)
+        back = rs.integrate(PhasePoint(math.pi, lam), "backward", run_cfg)
+        prof = rs.build_profile(rs.concat(back, rs.reflect(back, 1)))
+        clean = ProfileCurve(prof.t, prof.x, prof.z, prof.theta)
+        assert rs.verify_profile(clean, 1e-3).max_curvature_residual <= 1e-4
+        bad = ProfileCurve(prof.t, prof.x, self.DEFECTS[defect](prof.t, prof.z), prof.theta)
+        assert rs.verify_profile(bad, 1e-3).max_curvature_residual >= 2e-4
 
     def test_too_many_steps_rejected(self):
         # checked before the resample grid is allocated
@@ -380,27 +352,24 @@ class TestVerify:
                 rs.verify_profile(prof, h)
 
     def test_tiny_span_rejected(self):
-        prof = rs.cylinder_profile(0.1, n=5)
-        with pytest.raises(TooFewSamplesError):
-            rs.verify_profile(prof, 0.012)
+        # no stencil centre outside the collar, or fewer than 5 points
+        t = np.arange(4) * 0.1
+        for prof, h in ((rs.cylinder_profile(0.1, n=5), 0.012),
+                        (rs.cylinder_profile(0.003, n=2), 1e-3),
+                        (ProfileCurve(t, t, np.ones(4), np.zeros(4)), 1e-3)):
+            with pytest.raises(TooFewSamplesError):
+                rs.verify_profile(prof, h)
 
 
 class TestReconstructionSweep:
     @pytest.mark.parametrize("lam", [1.1, 1.3, 1.6, 2.2, 2.9, 3.5, 5.0, 8.0])
     def test_unit_norm_across_the_family(self, cfg, lam):
         # the package's whole point: every emitted curve reconstructs
-        # k1^2 + k2^2 = 1 from positions alone.  Incomplete heights get a
-        # fixed interior window: the cusp coefficient at their contact ends
-        # scales like 1/z0, so the difference-quotient collar widens for
-        # limits near the axis and the default 10h trim is not uniform.
-        from dataclasses import replace
-
+        # k1^2 + k2^2 = 1 from positions alone, with the default collar
         run_cfg = replace(cfg, theta_targets=(), max_time=8.0)
         back = rs.integrate(PhasePoint(math.pi, lam), "backward", run_cfg)
         full = rs.concat(back, rs.reflect(back, 1))
-        prof = rs.build_profile(full)
-        trim = None if back.termination.kind == "time_cap" else 0.25
-        rep = rs.verify_profile(prof, 1e-3, end_trim=trim)
+        rep = rs.verify_profile(rs.build_profile(full), 1e-3)
         assert rep.max_curvature_residual <= 1e-4
         assert rep.monotone_violations == 0
 
