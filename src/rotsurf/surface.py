@@ -5,6 +5,10 @@ angular ring; faces wind so their normals follow tangent x azimuthal
 (radially outward on the cylinder).  Profiles with self-intersections are
 revolved as-is: the mesh is immersed, not embedded, by design.  Open profile
 ends stay open, no caps.
+
+Export writes one f"{v:.17g}" per coordinate, but formats the y, z text of
+a ring once per distinct ring: the mirrored half of a symmetric profile
+revolves into rings bit-equal to its first half's, and reuses their text.
 """
 
 from __future__ import annotations
@@ -63,23 +67,41 @@ def revolve(profile: ProfileCurve, n_angular: int) -> Mesh:
 def _write_vertex_rows(fh, vertices: np.ndarray, sep: str, heads) -> None:
     """Write `head x sep y sep z` for each vertex, heads(lo, hi) giving rows lo..hi-1's heads.
 
-    Rows go out ROW_BLOCK at a time.  Within a block x is formatted once per
-    run of bit-identical values (a ring of a revolved mesh; comparing bits
-    keeps -0.0 apart from 0.0), and only y and z go through the block's
-    single %.  The bytes are those of one f"{v:.17g}" per value.
+    The rows are cut into runs of bit-identical x (a ring of a revolved
+    mesh), each at most ROW_BLOCK rows.  The `sep y sep z` text of a run is
+    formatted once per distinct run of y, z bits and joined with each row's
+    head and its run's x wherever those bits recur: a symmetric profile's
+    mirrored half repeats its rings bit for bit.  Comparing bits keeps -0.0
+    apart from 0.0.  Whole runs go out about ROW_BLOCK rows at a time, and
+    the text is kept for one call only.  The bytes are those of one
+    f"{v:.17g}" per value.
     """
     vertices = np.asarray(vertices, dtype=float)
-    yz = f"{sep}%.17g{sep}%.17g\n"
     n = len(vertices)
-    for lo in range(0, n, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, n)
-        x = vertices[lo:hi, 0]
-        bits = x.view(np.int64)
-        cuts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), hi - lo]
-        head = heads(lo, hi)
-        rows = [(tail := "%.17g" % x[a] + yz).join(head[a:b]) + tail
-                for a, b in zip(cuts, cuts[1:])]
-        fh.write("".join(rows) % tuple(vertices[lo:hi, 1:].ravel().tolist()))
+    if n == 0:
+        return
+    bits = vertices[:, 0].view(np.int64)
+    cuts = [0]
+    for end in [*(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), n]:
+        cuts += range(cuts[-1] + ROW_BLOCK, end, ROW_BLOCK)
+        cuts.append(end)
+    xs = ["%.17g" % v for v in vertices[cuts[:-1], 0].tolist()]
+    row = f"{sep}%.17g{sep}%.17g\n"
+    tails = {}  # y, z bits of a run -> its rows' `sep y sep z` text
+    lo, xcol, tcol = 0, [], []
+    for a, b, x in zip(cuts, cuts[1:], xs):
+        yz = vertices[a:b, 1:]
+        key = yz.tobytes()
+        text = tails.get(key)
+        if text is None:
+            text = tails[key] = row * (b - a) % tuple(yz.ravel().tolist())
+        tcol += text.splitlines(True)  # the text's only line breaks end its rows
+        xcol += [x] * (b - a)
+        if b - lo >= ROW_BLOCK or b == n:
+            rows = [None] * (3 * (b - lo))
+            rows[::3], rows[1::3], rows[2::3] = heads(lo, b), xcol, tcol
+            fh.write("".join(rows))
+            lo, xcol, tcol = b, [], []
 
 
 @functools.cache
@@ -168,15 +190,24 @@ def export_mesh_csv(mesh: Mesh, sink) -> None:
 
 
 def parse_obj(source) -> tuple[np.ndarray, np.ndarray]:
-    """Read back vertices and 0-based faces from the OBJ text format."""
+    """Read back vertices and 0-based faces from the OBJ text format.
+
+    Returns (n, 3) float vertices and (m, 3) int64 faces, also when n or m
+    is 0.  A `v` or `f` line with fewer than three entries raises ValueError
+    naming its line number; entries past the third are ignored.
+    """
     verts, faces = [], []
     with text_sink(source) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split()
-            if not parts:
+            if not parts or parts[0] not in ("v", "f"):
                 continue
+            if len(parts) < 4:
+                raise ValueError(f"OBJ line {lineno}: a '{parts[0]}' line needs three "
+                                 f"entries, got {len(parts) - 1}")
             if parts[0] == "v":
                 verts.append([float(p) for p in parts[1:4]])
-            elif parts[0] == "f":
+            else:
                 faces.append([int(p) - 1 for p in parts[1:4]])
-    return np.asarray(verts), np.asarray(faces, dtype=np.int64)
+    return (np.array(verts, dtype=float).reshape(-1, 3),
+            np.array(faces, dtype=np.int64).reshape(-1, 3))

@@ -7,6 +7,7 @@ import pytest
 
 import rotsurf as rs
 from rotsurf import Mesh
+from rotsurf.cli import main
 from rotsurf.profile import ROW_BLOCK
 from rotsurf.surface import FACE_BLOCK
 
@@ -35,6 +36,27 @@ def reference_faces(n_p, n_ang):
             c, d = (i + 1) * n_ang + j1, i * n_ang + j1
             faces += [(a, b, c), (a, c, d)]
     return np.asarray(faces, dtype=np.int64)
+
+
+def assert_export_is_the_row_loop(mesh):
+    """OBJ and mesh CSV export against one f-string per row."""
+    verts, faces, n_ang = mesh.vertices, mesh.faces, mesh.n_angular
+    obj, csv = io.StringIO(), io.StringIO()
+    rs.export_obj(mesh, obj)
+    rs.export_mesh_csv(mesh, csv)
+    ref_obj = "".join(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in verts)
+    ref_obj += "".join(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in faces)
+    ref_csv = "i,j,x,y,z\n" + "".join(
+        f"{k // n_ang},{k % n_ang},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}\n"
+        for k, v in enumerate(verts))
+    assert obj.getvalue() == ref_obj
+    assert csv.getvalue() == ref_csv
+
+
+def distinct_rings(mesh):
+    """How many rings of a revolved mesh differ in the bits of their y, z columns."""
+    yz = mesh.vertices[:, 1:].reshape(mesh.n_profile, mesh.n_angular * 2)
+    return len({ring.tobytes() for ring in yz})
 
 
 class TestRevolve:
@@ -133,6 +155,7 @@ class TestExport:
         rng = np.random.default_rng(11)
         special = np.array([-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, 2.0])
         meshes = []
+        # n = 0 and n = 1 are the empty and the one-vertex mesh
         for n in (0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1):
             verts = np.resize(special, (n, 3)) * rng.choice([1.0, -1.0], (n, 3))
             faces = rng.integers(0, 10**6, (2 * n, 3))
@@ -153,17 +176,56 @@ class TestExport:
         assert {9999, 10000} <= set((wide.faces[block:block + FACE_BLOCK] + 1).ravel())
         meshes.append(wide)
         for mesh in meshes:
-            verts, faces, n_ang = mesh.vertices, mesh.faces, mesh.n_angular
-            obj, csv = io.StringIO(), io.StringIO()
-            rs.export_obj(mesh, obj)
-            rs.export_mesh_csv(mesh, csv)
-            ref_obj = "".join(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in verts)
-            ref_obj += "".join(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in faces)
-            ref_csv = "i,j,x,y,z\n" + "".join(
-                f"{k // n_ang},{k % n_ang},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}\n"
-                for k, v in enumerate(verts))
-            assert obj.getvalue() == ref_obj
-            assert csv.getvalue() == ref_csv
+            assert_export_is_the_row_loop(mesh)
+
+    def test_export_is_the_row_loop_on_repeated_rings(self):
+        # the writer formats each distinct run of y, z bits once and reuses
+        # its text: repeats far apart and many times, under other x, in runs
+        # past ROW_BLOCK, and bits that compare equal but print differently
+        nan2 = np.frombuffer(np.array([0x7FF8_0000_0000_0001], np.int64).tobytes())[0]
+        a, b = [(0.5, 1.0), (2.0, -3.0), (0.1, 1.0 / 3.0)], [(4.0, 5.0), (6.0, 7.0), (8.0, 9.0)]
+        c = a[:2] + [(0.1, 0.25)]  # a's rows but the last
+        signed = [(1.0, 2.0), (0.0, -0.0), (np.nan, 2.0)]
+        flipped = [(1.0, 2.0), (-0.0, 0.0), (nan2, 2.0)]
+        for rings, xs in (([a, b, a], [1.0, 2.0, 3.0]),  # repeat, not adjacent
+                          ([a, a, b, a, a], [1.0, 2.0, 3.0, 4.0, 5.0]),  # four times
+                          ([a, a, a], [7.0, 7.0, -7.0]),  # one x run holds two copies
+                          ([a, c, a, c], [1.0, 2.0, 3.0, 4.0]),
+                          ([signed, flipped, signed, flipped], [0.0, -0.0, 0.0, 1.0])):
+            yz = np.array(rings).reshape(-1, 2)
+            verts = np.column_stack([np.repeat(xs, 3), yz])
+            mesh = Mesh(verts, np.zeros((0, 3), np.int64), len(xs), 3, "test")
+            assert_export_is_the_row_loop(mesh)
+        # symmetric profiles: rings of n_angular above ROW_BLOCK split into
+        # blocks whose text comes back in the mirrored half
+        z = np.array([1.5, 2.0, 2.5, 2.0, 1.5])
+        prof = rs.ProfileCurve(np.arange(5.0), np.arange(5.0) - 2.0, z, np.zeros(5))
+        for n_angular in (3, ROW_BLOCK, ROW_BLOCK + 1, 1024):
+            mesh = rs.revolve(prof, n_angular)
+            assert distinct_rings(mesh) == 3
+            assert_export_is_the_row_loop(mesh)
+        mesh = rs.revolve(rs.sphere_profile(n=41), 12)
+        assert distinct_rings(mesh) < 41
+        assert_export_is_the_row_loop(mesh)
+
+    def test_parse_obj_shapes(self):
+        # no v or f lines still give (0, 3) arrays
+        for text, n_v, n_f in (("", 0, 0), ("# comment\n", 0, 0), ("v 1 2 3\n", 1, 0),
+                               ("f 1 2 3\nf 2 3 4\n", 0, 2), ("v 1 2 3 4\nf 1 1 1 1\n", 1, 1)):
+            verts, faces = rs.parse_obj(io.StringIO(text))
+            assert verts.shape == (n_v, 3) and verts.dtype == np.float64
+            assert faces.shape == (n_f, 3) and faces.dtype == np.int64
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("v 1 2\n", 1),
+        ("v 1 2 3\n\nv 1 2\n", 3),  # ragged v lines
+        ("v 1 2 3\nv\n", 2),
+        ("v 1 2 3\nf 1 1\n", 2),
+        ("f\n", 1),
+    ])
+    def test_parse_obj_short_line_names_it(self, text, lineno):
+        with pytest.raises(ValueError, match=f"line {lineno}:"):
+            rs.parse_obj(io.StringIO(text))
 
     def test_deterministic_bytes(self):
         mesh = rs.revolve(rs.sphere_profile(n=17), 9)
@@ -171,3 +233,32 @@ class TestExport:
         rs.export_obj(mesh, a)
         rs.export_obj(mesh, b)
         assert a.getvalue() == b.getvalue()
+
+
+class TestRingSymmetry:
+    """The symmetry that lets the writer format a repeated ring once.
+
+    A profile is a backward half plus its mirror, which keeps z bit for bit
+    at exactly negated times, and revolve multiplies equal z by one sin/cos
+    table, so mirrored rings repeat.  If a change breaks that, export slows
+    down with the same bytes, and these counts are where it shows.
+    """
+
+    def test_full_curve_mirror_keeps_z_bits(self, cfg):
+        tr = rs.full_curve(4.0, cfg)
+        assert np.array_equal(tr.ts[::-1], -tr.ts)  # the node at -ts[k] is the kth from the end
+        z = np.ascontiguousarray(tr.ys[:, 1])
+        assert np.array_equal(z[::-1].view(np.int64), z.view(np.int64))
+
+    def test_distinct_rings_of_the_contract_mesh(self, tmp_path):
+        out = tmp_path / "mesh.obj"
+        assert main(["mesh", "--lambda", "2.5", "--span", "2", "--n-angular", "8",
+                     "--out", str(out)]) == 0
+        verts, faces = rs.parse_obj(out)
+        mesh = Mesh(verts, faces, len(verts) // 8, 8, "contract")
+        assert (distinct_rings(mesh), mesh.n_profile) == (262, 481)
+
+    @pytest.mark.parametrize("n_angular", [3, 12, 30, ROW_BLOCK + 1])
+    def test_distinct_rings_of_the_sphere(self, n_angular):
+        mesh = rs.revolve(rs.sphere_profile(), n_angular)
+        assert (distinct_rings(mesh), mesh.n_profile) == (758, 1201)
