@@ -154,7 +154,7 @@ def cmd_portrait(args) -> int:
     for k, entry in enumerate(rep.entries):
         with text_sink(f"{stem}_{k:02d}.csv", "w") as fh:
             fh.write("theta,z\n")
-            write_rows(fh, "%.17g,%.17g\n", len(entry.polyline), entry.polyline)
+            write_rows(fh, entry.polyline)
     print(f"portrait: {len(rep.entries)} entries, lambda0={rep.lambda0.value:.12g} -> {args.out}")
     return 0
 

@@ -6,21 +6,24 @@ angular ring; faces wind so their normals follow tangent x azimuthal
 revolved as-is: the mesh is immersed, not embedded, by design.  Open profile
 ends stay open, no caps.
 
-Export writes one f"{v:.17g}" per coordinate, but formats the y, z text of
-a ring once per distinct ring: the mirrored half of a symmetric profile
-revolves into rings bit-equal to its first half's, and reuses their text.
+Export writes the bytes of one f"{v:.17g}" per coordinate.  The text comes
+from profile.format_17g, a few thousand values per call, and the y, z text
+of a ring is made once per distinct ring: the mirrored half of a symmetric
+profile revolves into rings bit-equal to its first half's, and reuses their
+text.  revolve takes its sin and cos table from libm, so the rings' bits do
+not depend on numpy's SIMD dispatch.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateProfileError
-from .profile import ROW_BLOCK, ProfileCurve, text_sink
+from .profile import ROW_BLOCK, ProfileCurve, cells_text, digit_quads, format_17g, text_sink
 
 FACE_BLOCK = 4096  # faces turned into ASCII digits and written at a time by export_obj
 
@@ -46,8 +49,11 @@ def revolve(profile: ProfileCurve, n_angular: int) -> Mesh:
     if not np.all(profile.z > 0.0):
         raise DegenerateProfileError("profile touches the axis (z <= 0)")
     n_p = len(profile)
-    phi = 2.0 * math.pi * np.arange(n_angular) / n_angular
-    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    # libm's sin and cos, not numpy's SIMD loops, so that the bits of a ring
+    # do not depend on which loops numpy dispatches to
+    phi = [2.0 * math.pi * j / n_angular for j in range(n_angular)]
+    sin_phi = np.array([math.sin(p) for p in phi])
+    cos_phi = np.array([math.cos(p) for p in phi])
     verts = np.empty((n_p * n_angular, 3))
     verts[:, 0] = np.repeat(profile.x, n_angular)
     verts[:, 1] = np.outer(profile.z, sin_phi).ravel()
@@ -68,13 +74,14 @@ def _write_vertex_rows(fh, vertices: np.ndarray, sep: str, heads) -> None:
     """Write `head x sep y sep z` for each vertex, heads(lo, hi) giving rows lo..hi-1's heads.
 
     The rows are cut into runs of bit-identical x (a ring of a revolved
-    mesh), each at most ROW_BLOCK rows.  The `sep y sep z` text of a run is
-    formatted once per distinct run of y, z bits and joined with each row's
-    head and its run's x wherever those bits recur: a symmetric profile's
-    mirrored half repeats its rings bit for bit.  Comparing bits keeps -0.0
-    apart from 0.0.  Whole runs go out about ROW_BLOCK rows at a time, and
-    the text is kept for one call only.  The bytes are those of one
-    f"{v:.17g}" per value.
+    mesh), each at most ROW_BLOCK rows, and go out in windows of whole runs
+    of about ROW_BLOCK rows.  One format_17g call per window turns the x of
+    its runs, and the y, z of each run whose bits no earlier run had, into
+    text.  A run's `y sep z` lines are kept for the rest of the call and
+    joined with each row's head and its run's `x sep` wherever those bits
+    recur: a symmetric profile's mirrored half repeats its rings bit for
+    bit.  Comparing bits keeps -0.0 apart from 0.0.  The bytes are those of
+    one f"{v:.17g}" per value.
     """
     vertices = np.asarray(vertices, dtype=float)
     n = len(vertices)
@@ -85,35 +92,32 @@ def _write_vertex_rows(fh, vertices: np.ndarray, sep: str, heads) -> None:
     for end in [*(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), n]:
         cuts += range(cuts[-1] + ROW_BLOCK, end, ROW_BLOCK)
         cuts.append(end)
-    xs = ["%.17g" % v for v in vertices[cuts[:-1], 0].tolist()]
-    row = f"{sep}%.17g{sep}%.17g\n"
-    tails = {}  # y, z bits of a run -> its rows' `sep y sep z` text
-    lo, xcol, tcol = 0, [], []
-    for a, b, x in zip(cuts, cuts[1:], xs):
-        yz = vertices[a:b, 1:]
-        key = yz.tobytes()
-        text = tails.get(key)
-        if text is None:
-            text = tails[key] = row * (b - a) % tuple(yz.ravel().tolist())
-        tcol += text.splitlines(True)  # the text's only line breaks end its rows
-        xcol += [x] * (b - a)
-        if b - lo >= ROW_BLOCK or b == n:
-            rows = [None] * (3 * (b - lo))
-            rows[::3], rows[1::3], rows[2::3] = heads(lo, b), xcol, tcol
-            fh.write("".join(rows))
-            lo, xcol, tcol = b, [], []
-
-
-@functools.cache
-def _digit_quads() -> np.ndarray:
-    """The four ASCII digits of 0000..9999, each held in the bytes of one uint32.
-
-    Built on the first face export, so importing the package costs nothing.
-    """
-    digits = np.arange(10_000)[:, None] // (1000, 100, 10, 1) % 10 + ord("0")
-    quads = digits.astype(np.uint8).view(np.uint32).ravel()
-    quads.flags.writeable = False  # shared by every call
-    return quads
+    tails = {}  # y, z bits of a run -> its rows' `y sep z` lines
+    lo = 0  # the window's first run
+    while lo < len(cuts) - 1:
+        hi = min(bisect.bisect_left(cuts, cuts[lo] + ROW_BLOCK, lo + 1), len(cuts) - 1)
+        runs = list(zip(cuts[lo:hi], cuts[lo + 1:hi + 1]))
+        keys = [vertices[a:b, 1:].tobytes() for a, b in runs]
+        new = {}  # the window's runs with bits no earlier run had, by key
+        for key, run in zip(keys, runs):
+            if key not in tails:
+                new.setdefault(key, run)
+        cells = format_17g(np.concatenate(
+            [vertices[cuts[lo:hi], 0], *(vertices[a:b, 1:].ravel() for a, b in new.values())]))
+        cells[:, -1] = ord("\n")  # ends each x, and each row after its z
+        cells[hi - lo::2, -1] = ord(sep)  # after each y
+        at = hi - lo
+        for key, (a, b) in new.items():
+            tails[key] = cells_text(cells[at:at + 2 * (b - a)])
+            at += 2 * (b - a)
+        xcol, tcol = [], []
+        for key, (a, b), x in zip(keys, runs, cells_text(cells[:hi - lo]).splitlines()):
+            tcol += tails[key].splitlines(True)  # the text's only line breaks end its rows
+            xcol += [x + sep] * (b - a)
+        rows = [None] * (3 * (cuts[hi] - cuts[lo]))
+        rows[::3], rows[1::3], rows[2::3] = heads(cuts[lo], cuts[hi]), xcol, tcol
+        fh.write("".join(rows))
+        lo = hi
 
 
 def _face_template(width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +149,7 @@ def _face_text(faces: np.ndarray) -> str:
     np.negative(mag, out=mag, where=neg)  # |v| by wraparound, also for -2**63
     width = len(str(int(mag.max())))
     n_quads = (width + 3) // 4
-    table = _digit_quads()
+    table = digit_quads()
     quads = np.empty(mag.shape + (n_quads,), np.uint32)
     q = mag
     for k in range(n_quads - 1, -1, -1):
@@ -193,8 +197,11 @@ def parse_obj(source) -> tuple[np.ndarray, np.ndarray]:
     """Read back vertices and 0-based faces from the OBJ text format.
 
     Returns (n, 3) float vertices and (m, 3) int64 faces, also when n or m
-    is 0.  A `v` or `f` line with fewer than three entries raises ValueError
-    naming its line number; entries past the third are ignored.
+    is 0.  A face `f a b c d ...` is split into the fan (a, b, c),
+    (a, c, d), ...; a face entry `a/t/n` is read as vertex a.  A `v` line's
+    entries past the third are ignored.  A `v` or `f` line with fewer than
+    three entries, or with an entry that is not a number (a vertex index
+    for `f`), raises ValueError naming its line number.
     """
     verts, faces = [], []
     with text_sink(source) as fh:
@@ -205,9 +212,15 @@ def parse_obj(source) -> tuple[np.ndarray, np.ndarray]:
             if len(parts) < 4:
                 raise ValueError(f"OBJ line {lineno}: a '{parts[0]}' line needs three "
                                  f"entries, got {len(parts) - 1}")
-            if parts[0] == "v":
-                verts.append([float(p) for p in parts[1:4]])
-            else:
-                faces.append([int(p) - 1 for p in parts[1:4]])
+            try:
+                if parts[0] == "v":
+                    verts.append([float(p) for p in parts[1:4]])
+                else:
+                    a, *rest = (int(p.split("/")[0]) - 1 for p in parts[1:])
+                    faces += [[a, b, c] for b, c in zip(rest, rest[1:])]
+            except ValueError:
+                kind = "a number" if parts[0] == "v" else "an integer vertex index"
+                raise ValueError(f"OBJ line {lineno}: {line.strip()!r} has an entry "
+                                 f"that is not {kind}") from None
     return (np.array(verts, dtype=float).reshape(-1, 3),
             np.array(faces, dtype=np.int64).reshape(-1, 3))

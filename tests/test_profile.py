@@ -386,17 +386,17 @@ class TestCsv:
         assert np.array_equal(again.z, prof.z)
         assert np.array_equal(again.theta, prof.theta)
 
-    def test_write_csv_is_the_row_loop_at_block_edges(self):
-        # bulk %-formatting gives the bytes of one f-string per row on each
-        # side of a block edge, including signed zero, subnormals and huge
-        # values (a profile has at least 2 samples; the mesh export tests
-        # cover 0 and 1 rows)
+    def test_write_csv_is_the_row_loop_at_block_edges(self, format_branches):
+        # block formatting gives the bytes of one f-string per row on each
+        # side of a block edge, with a value for every branch of the float
+        # formatter (a profile has at least 2 samples; the mesh export tests
+        # cover 0 and 1 rows, and NaN and inf)
         rng = np.random.default_rng(7)
-        special = np.array([-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0])
+        special = format_branches
         for n in (2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1):
             t = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 0.5 * n
             x, theta = (np.resize(special, n) * rng.choice([1.0, -1.0], n) for _ in range(2))
-            z = np.resize(np.abs(special[1:]), n)
+            z = np.resize(special[special > 0.0], n)
             prof = ProfileCurve(t, x, z, theta)
             buf = io.StringIO()
             prof.write_csv(buf)

@@ -120,6 +120,15 @@ class TestRevolve:
         with pytest.raises(ValueError):
             rs.revolve(rs.cylinder_profile(1.0), 2)
 
+    @pytest.mark.parametrize("n_angular", [3, 8, 30, 129, 1024])
+    def test_angle_table_is_libm(self, n_angular):
+        # a unit ring's y and z are the sin and cos table, which must be
+        # libm's bit for bit whatever SIMD loops numpy dispatches to
+        ring = rs.revolve(rs.cylinder_profile(1.0), n_angular).vertices[:n_angular]
+        phi = [2.0 * math.pi * j / n_angular for j in range(n_angular)]
+        assert ring[:, 1].tobytes() == np.array([math.sin(p) for p in phi]).tobytes()
+        assert ring[:, 2].tobytes() == np.array([math.cos(p) for p in phi]).tobytes()
+
 
 class TestExport:
     def test_single_triangle_obj(self):
@@ -149,11 +158,11 @@ class TestExport:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
 
-    def test_export_is_the_row_loop_at_block_edges(self):
+    def test_export_is_the_row_loop_at_block_edges(self, format_branches):
         # OBJ and mesh CSV against one f-string per row, on each side of a
-        # block edge, with signed zero, subnormals and huge coordinates
+        # block edge, with a value for every branch of the float formatter
         rng = np.random.default_rng(11)
-        special = np.array([-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, 2.0])
+        special = np.concatenate([format_branches, [np.nan, np.inf, -np.inf]])
         meshes = []
         # n = 0 and n = 1 are the empty and the one-vertex mesh
         for n in (0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1):
@@ -209,12 +218,18 @@ class TestExport:
         assert_export_is_the_row_loop(mesh)
 
     def test_parse_obj_shapes(self):
-        # no v or f lines still give (0, 3) arrays
-        for text, n_v, n_f in (("", 0, 0), ("# comment\n", 0, 0), ("v 1 2 3\n", 1, 0),
-                               ("f 1 2 3\nf 2 3 4\n", 0, 2), ("v 1 2 3 4\nf 1 1 1 1\n", 1, 1)):
-            verts, faces = rs.parse_obj(io.StringIO(text))
+        # no v or f lines still give (0, 3) arrays; a polygon is split into a
+        # fan of triangles, and an `a/t/n` entry is vertex a
+        for text, n_v, faces in (("", 0, []), ("# comment\n", 0, []), ("v 1 2 3\n", 1, []),
+                                 ("f 1 2 3\nf 2 3 4\n", 0, [[0, 1, 2], [1, 2, 3]]),
+                                 ("v 1 2 3 4\nf 1 1 1 1\n", 1, [[0, 0, 0], [0, 0, 0]]),
+                                 ("f 1 2 3 4 5\n", 0, [[0, 1, 2], [0, 2, 3], [0, 3, 4]]),
+                                 ("f 1/1 2/2 3/3\nf 4//1 5/2/1 6 7/3\n", 0,
+                                  [[0, 1, 2], [3, 4, 5], [3, 5, 6]])):
+            verts, got = rs.parse_obj(io.StringIO(text))
             assert verts.shape == (n_v, 3) and verts.dtype == np.float64
-            assert faces.shape == (n_f, 3) and faces.dtype == np.int64
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.reshape(faces, (-1, 3)))
 
     @pytest.mark.parametrize("text, lineno", [
         ("v 1 2\n", 1),
@@ -222,6 +237,10 @@ class TestExport:
         ("v 1 2 3\nv\n", 2),
         ("v 1 2 3\nf 1 1\n", 2),
         ("f\n", 1),
+        ("v 1 2 3\nf 1/1 2/2 x/3\n", 2),  # entries that are not vertex indices
+        ("f 1 2 3\nf 1.5 2 3\n", 2),
+        ("f 1 2 /3\n", 1),
+        ("v 1 2 3\nv 1 x 3\n", 2),
     ])
     def test_parse_obj_short_line_names_it(self, text, lineno):
         with pytest.raises(ValueError, match=f"line {lineno}:"):
@@ -258,7 +277,7 @@ class TestRingSymmetry:
         mesh = Mesh(verts, faces, len(verts) // 8, 8, "contract")
         assert (distinct_rings(mesh), mesh.n_profile) == (262, 481)
 
-    @pytest.mark.parametrize("n_angular", [3, 12, 30, ROW_BLOCK + 1])
+    @pytest.mark.parametrize("n_angular", [3, 12, 30, 129, ROW_BLOCK + 1])
     def test_distinct_rings_of_the_sphere(self, n_angular):
         mesh = rs.revolve(rs.sphere_profile(), n_angular)
         assert (distinct_rings(mesh), mesh.n_profile) == (758, 1201)
