@@ -407,8 +407,11 @@ def sphere_profile(n: int = 1201) -> ProfileCurve:
     t = np.linspace(-half, half, n)
 
     def evaluator(tq):
-        return (-SQRT2 * np.sin(tq / SQRT2) - SQRT2,
-                SQRT2 * np.cos(tq / SQRT2),
+        # libm's sin and cos, not numpy's SIMD loops, so that the profile's
+        # bits do not depend on which loops numpy dispatches to
+        u = (tq / SQRT2).tolist()
+        return (-SQRT2 * np.array([math.sin(a) for a in u]) - SQRT2,
+                SQRT2 * np.array([math.cos(a) for a in u]),
                 math.pi + tq / SQRT2)
 
     x, z, theta = evaluator(t)

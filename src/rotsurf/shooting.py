@@ -209,7 +209,7 @@ def _decimate(arr: np.ndarray, n_max: int) -> np.ndarray:
 def _sphere_polyline(n: int) -> np.ndarray:
     ts = np.linspace(-SPHERE_HALF_SPAN * (1 - 1e-9), SPHERE_HALF_SPAN * (1 - 1e-9), n)
     theta = math.pi + ts / SQRT2
-    z = SQRT2 * np.cos(ts / SQRT2)
+    z = SQRT2 * np.array([math.cos(a) for a in (ts / SQRT2).tolist()])  # libm, as revolve
     return np.column_stack([theta, z])
 
 

@@ -15,6 +15,7 @@ from rotsurf.errors import (
     TooFewSamplesError,
 )
 from rotsurf.profile import MAX_RESAMPLE_STEPS, ROW_BLOCK, _five_point_weights
+from rotsurf.shooting import SPHERE_HALF_SPAN, _sphere_polyline
 
 SQRT2 = math.sqrt(2.0)
 
@@ -82,6 +83,18 @@ class TestClosedForms:
             c = rs.curvatures(PhasePoint(prof.theta[i], prof.z[i]))
             assert c.k1 == pytest.approx(1 / SQRT2, abs=1e-9)
             assert c.k2 == pytest.approx(1 / SQRT2, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 7, 400, 1201])
+    def test_sphere_is_libm(self, n):
+        # the closed-form sphere's profile and its portrait polyline take
+        # libm's sin and cos bit for bit, whatever SIMD loops numpy dispatches to
+        prof = rs.sphere_profile(n=n)
+        u = (prof.t / SQRT2).tolist()
+        assert prof.x.tobytes() == np.array([-SQRT2 * math.sin(a) - SQRT2 for a in u]).tobytes()
+        assert prof.z.tobytes() == np.array([SQRT2 * math.cos(a) for a in u]).tobytes()
+        half = SPHERE_HALF_SPAN * (1 - 1e-9)
+        u = (np.linspace(-half, half, n) / SQRT2).tolist()
+        assert _sphere_polyline(n)[:, 1].tobytes() == np.array([SQRT2 * math.cos(a) for a in u]).tobytes()
 
     def test_cylinder_profile(self):
         prof = rs.cylinder_profile(3.0, n=7)

@@ -9,7 +9,7 @@ import rotsurf as rs
 from rotsurf import Mesh
 from rotsurf.cli import main
 from rotsurf.profile import ROW_BLOCK
-from rotsurf.surface import FACE_BLOCK
+from rotsurf.surface import FACE_BLOCK, VERTEX_WINDOW
 
 SQRT2 = math.sqrt(2.0)
 
@@ -165,7 +165,8 @@ class TestExport:
         special = np.concatenate([format_branches, [np.nan, np.inf, -np.inf]])
         meshes = []
         # n = 0 and n = 1 are the empty and the one-vertex mesh
-        for n in (0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1):
+        for n in (0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, VERTEX_WINDOW,
+                  VERTEX_WINDOW + 1):
             verts = np.resize(special, (n, 3)) * rng.choice([1.0, -1.0], (n, 3))
             faces = rng.integers(0, 10**6, (2 * n, 3))
             meshes.append(Mesh(verts, faces, n_profile=max(1, n // 5), n_angular=5,
@@ -174,10 +175,26 @@ class TestExport:
         x = np.repeat([0.0, -0.0, np.nan, 1.0], ROW_BLOCK // 2 + 1)
         verts = np.column_stack([x, rng.standard_normal((len(x), 2))])
         meshes.append(Mesh(verts, np.zeros((0, 3), np.int64), 4, len(x) // 4, "test"))
-        # revolved meshes: rings of n_angular equal x across ROW_BLOCK edges
-        for n_angular in (3, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 1024):
+        # revolved meshes: rings of n_angular equal x across ROW_BLOCK edges and
+        # window edges; past ROW_BLOCK a ring's later runs start at j > 0
+        for n_angular in (3, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 1024, VERTEX_WINDOW + 1):
             meshes.append(rs.revolve(rs.sphere_profile(n=7 if n_angular < 1024 else 3),
                                      n_angular))
+        # face blocks: negative entries (-1 is written 0) down to -2**63, in a
+        # block whose numbers get a table and in one whose entries are their own
+        # cells; 1-digit with 19-digit numbers; spans just under and at the bound
+        # (three times the entry count) below which a block's numbers get a table
+        smallest = np.iinfo(np.int64).min
+        blocks = [[[-1, -2, -5], [0, 2, 3], [-4, 1, -1]],
+                  [[-1, smallest, smallest + 1], [0, 5, -7], [2**62, 12, -1]],
+                  [[0, 8, 2**63 - 2], [10**18, 3, 9]],
+                  np.arange(10**6 - 12, 10**6 + 6).reshape(6, 3)]  # two-word cells
+        for span in (9 * 100 - 1, 9 * 100):
+            faces = rng.integers(0, span + 1, (100, 3))
+            faces[0, :2] = 0, span
+            blocks.append(faces)
+        for faces in blocks:
+            meshes.append(Mesh(np.ones((1, 3)), np.array(faces, np.int64), 1, 1, "test"))
         # 1-based vertex numbers go from 9,999 to 10,000 inside one face block,
         # and in the last faces only the second and third columns reach 10,000
         wide = rs.revolve(rs.sphere_profile(n=100), 100)
@@ -225,7 +242,11 @@ class TestExport:
                                  ("v 1 2 3 4\nf 1 1 1 1\n", 1, [[0, 0, 0], [0, 0, 0]]),
                                  ("f 1 2 3 4 5\n", 0, [[0, 1, 2], [0, 2, 3], [0, 3, 4]]),
                                  ("f 1/1 2/2 3/3\nf 4//1 5/2/1 6 7/3\n", 0,
-                                  [[0, 1, 2], [3, 4, 5], [3, 5, 6]])):
+                                  [[0, 1, 2], [3, 4, 5], [3, 5, 6]]),
+                                 # a negative entry counts back from the last v line so far
+                                 ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n", 3, [[0, 1, 2]]),
+                                 ("v 0 0 0\nv 1 0 0\nf -2 -1 1\nv 1 1 1\nf -1/1 -2 -3//2 3\n", 3,
+                                  [[0, 1, 0], [2, 1, 0], [2, 0, 2]])):
             verts, got = rs.parse_obj(io.StringIO(text))
             assert verts.shape == (n_v, 3) and verts.dtype == np.float64
             assert got.dtype == np.int64
@@ -241,6 +262,9 @@ class TestExport:
         ("f 1 2 3\nf 1.5 2 3\n", 2),
         ("f 1 2 /3\n", 1),
         ("v 1 2 3\nv 1 x 3\n", 2),
+        ("v 1 2 3\nf 0 1 1\n", 2),  # OBJ numbers vertices from 1
+        ("v 1 2 3\nv 1 2 3\nf 1 2 -3\n", 3),  # counts back past the first vertex
+        ("f -1 1 2\nv 1 2 3\n", 1),
     ])
     def test_parse_obj_short_line_names_it(self, text, lineno):
         with pytest.raises(ValueError, match=f"line {lineno}:"):
