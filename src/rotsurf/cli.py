@@ -1,8 +1,12 @@
 """Command-line front end: portraits, classification, curves, meshes, checks.
 
-All numeric output is plain text (JSON / CSV / OBJ) at 17 significant
-digits, deterministic byte-for-byte for a given config.  Exit codes: 0 ok,
-2 invalid input, 3 numeric failure, 4 verification failure.
+All numeric output is plain ASCII text (JSON / CSV / OBJ) at 17
+significant digits, deterministic byte-for-byte for a given config, and
+written as bytes through profile.byte_sink.  A JSON report holds null for
+a float that is not finite.  Side outputs (portrait's polyline CSVs,
+extend's regularity report) sit beside --out, named after it without its
+extension.  Exit codes: 0 ok, 2 invalid input, 3 numeric failure, 4
+verification failure.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -22,11 +27,11 @@ from .profile import (
     ExtensionSpec,
     ProfileCurve,
     build_profile,
+    byte_sink,
     cylinder_profile,
     extend_separatrix,
     separatrix_profile,
     sphere_profile,
-    text_sink,
     verify_profile,
     write_rows,
 )
@@ -78,6 +83,7 @@ def _merge_run_config(args) -> IntegratorConfig:
 
 
 def _json(obj) -> str:
+    """Compact JSON text of obj; floats at 17 significant digits, and null if not finite."""
     if isinstance(obj, dict):
         return "{" + ",".join(f"{_json(str(k))}:{_json(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
@@ -90,7 +96,14 @@ def _json(obj) -> str:
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    return format(float(obj), ".17g")
+    value = float(obj)
+    return format(value, ".17g") if math.isfinite(value) else "null"
+
+
+def _write_json(sink, doc) -> None:
+    """doc as one line of _json text, to a path or a handle."""
+    with byte_sink(sink) as write:
+        write((_json(doc) + "\n").encode())
 
 
 # -- lambda specs ----------------------------------------------------------
@@ -148,13 +161,12 @@ def cmd_portrait(args) -> int:
         if entry.error is not None:
             item["error"] = entry.error
         doc["entries"].append(item)
-    with text_sink(args.out, "w") as fh:
-        fh.write(_json(doc) + "\n")
-    stem = args.out.rsplit(".", 1)[0]
+    _write_json(args.out, doc)
+    stem = os.path.splitext(args.out)[0]
     for k, entry in enumerate(rep.entries):
-        with text_sink(f"{stem}_{k:02d}.csv", "w") as fh:
-            fh.write("theta,z\n")
-            write_rows(fh, entry.polyline)
+        with byte_sink(f"{stem}_{k:02d}.csv") as write:
+            write(b"theta,z\n")
+            write_rows(write, entry.polyline)
     print(f"portrait: {len(rep.entries)} entries, lambda0={rep.lambda0.value:.12g} -> {args.out}")
     return 0
 
@@ -175,8 +187,7 @@ def cmd_find_lambda0(args) -> int:
         "launch": {"value": z_launch},
         "difference": abs(res.value - z_launch),
     }
-    with text_sink(args.out, "w") as fh:
-        fh.write(_json(doc) + "\n")
+    _write_json(args.out, doc)
     print(f"lambda0: bisection={res.value:.12g} launch={z_launch:.12g} "
           f"difference={abs(res.value - z_launch):.3g} -> {args.out}")
     return 0
@@ -260,7 +271,7 @@ def cmd_extend(args) -> int:
     cfg = _merge_run_config(args)
     curve, report = extend_separatrix(spec, cfg)
     curve.write_csv(args.out)
-    stem = args.out.rsplit(".", 1)[0]
+    stem = os.path.splitext(args.out)[0]
     doc = {
         "h": report.h,
         "junctions": [
@@ -277,8 +288,7 @@ def cmd_extend(args) -> int:
             for j in report.junctions
         ],
     }
-    with text_sink(f"{stem}.regularity.json", "w") as fh:
-        fh.write(_json(doc) + "\n")
+    _write_json(f"{stem}.regularity.json", doc)
     orders = ",".join(j.order for j in report.junctions) or "none"
     print(f"extend: copies={args.copies} junction orders: {orders} -> {args.out}")
     return 0
@@ -304,8 +314,7 @@ def cmd_verify(args) -> int:
         "speed_threshold": args.max_speed,
         "pass": ok,
     }
-    with text_sink(args.out or sys.stdout, "w") as fh:
-        fh.write(_json(doc) + "\n")
+    _write_json(args.out or sys.stdout, doc)
     print(f"verify: {'PASS' if ok else 'FAIL'} residual={rep.max_curvature_residual:.3e} "
           f"speed={rep.max_speed_residual:.3e} at h={rep.h:g}")
     return 0 if ok else 4

@@ -9,13 +9,18 @@ closed-form sphere follows the displayed parametrization centered at
 Every float the package writes to a CSV or OBJ file is the text of
 '%.17g' % v, built by format_17g: exact integer arithmetic in numpy for
 1e-4 <= |v| < 1e17, '%' itself for the rest.  write_rows writes profile and
-polyline CSV rows with it, and mesh export uses it too.
+polyline CSV rows with it, and mesh export uses it too.  The text stays
+ASCII bytes from format_17g's cells to the file: every writer writes
+through byte_sink, which takes a path (opened in binary mode), a binary
+handle, or a text handle (each write decoded once).  text_sink serves the
+readers.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -46,13 +51,31 @@ TWO_PI = 2.0 * math.pi
 
 
 @contextlib.contextmanager
-def text_sink(sink, mode: str = "r"):
-    """A text handle for a path (opened, LF on write, closed on exit) or a handle as is."""
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        with open(sink, mode, newline="\n" if "w" in mode else None) as fh:
+def text_sink(source):
+    """A text handle to read: a path (opened, closed on exit) or a handle as is."""
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source) as fh:
             yield fh
     else:
-        yield sink
+        yield source
+
+
+@contextlib.contextmanager
+def byte_sink(sink):
+    """A write function for the ASCII bytes of an output file, on a path or a handle.
+
+    A path is opened in binary mode, so lines end in LF as written, and
+    closed on exit.  A binary handle (BytesIO, a file opened "wb") takes
+    the bytes as they are; a text handle (StringIO, sys.stdout) takes each
+    write decoded once.
+    """
+    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
+        with open(sink, "wb") as fh:
+            yield fh.write
+    elif isinstance(sink, io.TextIOBase):
+        yield lambda data: sink.write(data.decode())
+    else:
+        yield sink.write
 
 
 # rows whose values format_17g turns into text in one call, in write_rows and mesh export
@@ -192,18 +215,19 @@ def format_17g(values) -> np.ndarray:
     return cells
 
 
-def cells_text(cells: np.ndarray) -> str:
-    """The text of format_17g cells (and their separators), in order: their bytes without NULs."""
-    return cells.tobytes().translate(None, b"\0").decode("ascii")
+def cells_text(cells: np.ndarray) -> bytes:
+    """The ASCII text of format_17g cells (and their separators), in order: their bytes without NULs."""
+    return cells.tobytes().translate(None, b"\0")
 
 
-def write_rows(fh, *columns) -> None:
+def write_rows(write, *columns) -> None:
     """Write the columns side by side: one line per row, its values as '%.17g' joined by commas.
 
-    A column is an array with one entry (1-d) or one row of entries (2-d)
-    per line.  ROW_BLOCK lines at a time are stacked, turned into cells by
-    one format_17g call, given their commas and line break, and written, so
-    no temporary outgrows a block.  The bytes are those of f"{v:.17g}".
+    write takes bytes (a byte_sink).  A column is an array with one entry
+    (1-d) or one row of entries (2-d) per line.  ROW_BLOCK lines at a time
+    are stacked, turned into cells by one format_17g call, given their
+    commas and line break, and written, so no temporary outgrows a block.
+    The bytes are those of f"{v:.17g}".
     """
     n = len(columns[0])
     for lo in range(0, n, ROW_BLOCK):
@@ -212,7 +236,7 @@ def write_rows(fh, *columns) -> None:
         cells = format_17g(block).reshape(block.shape + (TEXT_CELL,))
         cells[..., -1] = ord(",")
         cells[:, -1, -1] = ord("\n")
-        fh.write(cells_text(cells))
+        write(cells_text(cells))
 
 
 @dataclass
@@ -271,9 +295,9 @@ class ProfileCurve:
 
     def write_csv(self, sink) -> None:
         """Header t,x,z,theta; one sample per line at 17 significant digits."""
-        with text_sink(sink, "w") as fh:
-            fh.write("t,x,z,theta\n")
-            write_rows(fh, self.t, self.x, self.z, self.theta)
+        with byte_sink(sink) as write:
+            write(b"t,x,z,theta\n")
+            write_rows(write, self.t, self.x, self.z, self.theta)
 
     @classmethod
     def read_csv(cls, source) -> "ProfileCurve":
@@ -367,25 +391,40 @@ class VerificationReport:
 def build_profile(traj: Trajectory, kind: str = "Generic") -> ProfileCurve:
     """Extract (t, x, z, theta) from a trajectory, regularized to SAMPLE_DT.
 
-    Gaps larger than SAMPLE_DT are filled from the dense output; nodes
-    closer than SAMPLE_DT/4 are dropped (except the endpoints), so the
-    stored grid stays compatible with fine resampling.
+    A gap between nodes a and b larger than SAMPLE_DT is cut into
+    n = ceil(gap / SAMPLE_DT) equal steps, at a + gap * k / n for k < n,
+    and filled from the dense output; the nodes themselves are kept as
+    they are.  A sample closer than SAMPLE_DT/4 to the last sample kept is
+    dropped (never the first); the last node is kept in the place of the
+    sample before it when those two are that close.  So the stored grid
+    stays compatible with fine resampling.
     """
-    raw = [float(traj.ts[0])]
-    for a, b in zip(traj.ts[:-1], traj.ts[1:]):
-        gap = float(b - a)
-        if gap > SAMPLE_DT:
-            n = int(math.ceil(gap / SAMPLE_DT))
-            raw.extend(float(a) + gap * k / n for k in range(1, n))
-        raw.append(float(b))
-    ts = [raw[0]]
-    for t in raw[1:-1]:
-        if t - ts[-1] >= 0.25 * SAMPLE_DT:
-            ts.append(t)
-    if raw[-1] - ts[-1] < 0.25 * SAMPLE_DT and len(ts) > 1:
-        ts.pop()
-    ts.append(raw[-1])
-    ts = np.asarray(ts)
+    nodes = traj.ts
+    gaps = np.diff(nodes)
+    steps = np.ones(len(gaps), np.int64)
+    wide = gaps > SAMPLE_DT
+    steps[wide] = np.ceil(gaps[wide] / SAMPLE_DT)
+    ends = np.cumsum(steps)  # the index of each node after the first among the samples
+    gap_of = np.repeat(np.arange(len(gaps)), steps)  # the gap of each sample after the first
+    k = np.arange(1, len(gap_of) + 1) - np.repeat(ends - steps, steps)
+    raw = np.empty(len(gap_of) + 1)
+    raw[0] = nodes[0]
+    raw[1:] = nodes[gap_of] + gaps[gap_of] * k / steps[gap_of]
+    raw[ends] = nodes[1:]
+    keep = np.ones(len(raw), bool)
+    min_dt = 0.25 * SAMPLE_DT
+    # the nodes ascend, so a sample at least min_dt after the one before it is
+    # kept; only the others are compared with the last sample kept, in order
+    close = np.flatnonzero(np.diff(raw) < min_dt) + 1
+    last = 0  # the index of the last sample kept
+    for i in close.tolist():
+        if keep[i - 1]:
+            last = i - 1
+        if i < len(raw) - 1:
+            keep[i] = raw[i] - raw[last] >= min_dt
+        elif raw[i] - raw[last] < min_dt and last > 0:
+            keep[last] = False
+    ts = raw[keep]
 
     def evaluator(tq):
         th, zz, xx = traj.states_at(tq).T
@@ -433,8 +472,8 @@ def cylinder_profile(length: float, n: int = 2) -> ProfileCurve:
                         kind="Cylinder", evaluator=evaluator)
 
 
-def separatrix_profile(cfg: IntegratorConfig) -> ProfileCurve:
-    """The critical profile on its full finite span [-b, b].
+def _separatrix_evaluator(cfg: IntegratorConfig):
+    """The critical profile's evaluator on [-b, b], and its meta, from one launch.
 
     Internally: series launch up to theta = pi, re-based so theta(0) = pi and
     x(0) = 0, mirrored about theta = pi; the two short tails within
@@ -463,11 +502,20 @@ def separatrix_profile(cfg: IntegratorConfig) -> ProfileCurve:
         out[:, mid] = xx, zz, th
         return tuple(out)
 
+    return evaluator, {"half_span": b, "lambda0": lambda0, "x_corner": x_corner}
+
+
+def separatrix_profile(cfg: IntegratorConfig) -> ProfileCurve:
+    """The critical profile on its full finite span [-b, b], sampled at most SAMPLE_DT apart.
+
+    Its evaluator and meta are _separatrix_evaluator's.
+    """
+    evaluator, meta = _separatrix_evaluator(cfg)
+    b = meta["half_span"]
     n = int(math.ceil(2.0 * b / SAMPLE_DT))
     ts = np.linspace(-b, b, n + 1)
     x, z, theta = evaluator(ts)
-    return ProfileCurve(ts, x, z, theta, kind="Separatrix", evaluator=evaluator,
-                        meta={"half_span": b, "lambda0": lambda0, "x_corner": x_corner})
+    return ProfileCurve(ts, x, z, theta, kind="Separatrix", evaluator=evaluator, meta=meta)
 
 
 # -- periodicity and self-intersection ------------------------------------
@@ -545,9 +593,9 @@ def extend_separatrix(ext: ExtensionSpec,
     than MAX_RESAMPLE_STEPS samples raises ValueError before its grid is
     built.
     """
-    sep = separatrix_profile(cfg)
-    b = sep.meta["half_span"]
-    x_corner = sep.meta["x_corner"]
+    sep, meta = _separatrix_evaluator(cfg)  # no grid of the critical profile is sampled
+    b = meta["half_span"]
+    x_corner = meta["x_corner"]
     width = -2.0 * x_corner
 
     pieces = []  # (t_start, t_end, kind, x_start, theta_offset)
@@ -575,7 +623,7 @@ def extend_separatrix(ext: ExtensionSpec,
         if kind == "segment":
             return x_start + (tq - t_start), np.ones_like(tq), np.full_like(tq, th_off)
         tau = (tq - t_start) - b
-        xx, zz, th = sep.eval_at(np.clip(tau, -b, b))
+        xx, zz, th = sep(np.clip(tau, -b, b))
         return x_start + (xx - x_corner), zz, th + th_off
 
     starts = np.array([p[0] for p in pieces])
@@ -598,7 +646,7 @@ def extend_separatrix(ext: ExtensionSpec,
     curve = ProfileCurve(np.concatenate(grids), x, z, theta, kind="Extension",
                          junctions=tuple(t for t, _ in junctions),
                          evaluator=evaluator,
-                         meta={"half_span": b, "lambda0": sep.meta["lambda0"]})
+                         meta={"half_span": b, "lambda0": meta["lambda0"]})
 
     # One-sided regularity measurement at each junction.
     h = H_CHECK
@@ -707,11 +755,14 @@ def verify_profile(profile: ProfileCurve, h: float,
         df = [f[s] - f[centre] for s in around]
         return sum(w * g for w, g in zip(w1, df)), sum(w * g for w, g in zip(w2, df))
 
-    dx, ddx = derivatives(xs)
-    dz, ddz = derivatives(zs)
-    speed = np.sqrt(dx * dx + dz * dz)
-    k1 = (dx * ddz - dz * ddx) / (speed * speed * speed)
-    k2 = -(dx / speed) / zs[centre]
+    # rows that repeat a time or a position give inf and NaN here, without
+    # a warning: the residual reads NaN and fails every threshold
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dx, ddx = derivatives(xs)
+        dz, ddz = derivatives(zs)
+        speed = np.sqrt(dx * dx + dz * dz)
+        k1 = (dx * ddz - dz * ddx) / (speed * speed * speed)
+        k2 = -(dx / speed) / zs[centre]
     residual = float(np.max(np.abs(k1 * k1 + k2 * k2 - 1.0)[inner]))
     speed_residual = float(np.max(np.abs(speed - 1.0)[inner]))
     monotone_violations = int(np.count_nonzero(k1[inner] < -1e-9 / h))

@@ -8,9 +8,11 @@ ends stay open, no caps.
 
 Export writes the bytes of one f"{v:.17g}" per coordinate and one f"{k}"
 per vertex number, with no Python object made per face or per repeated
-vertex row.  The float text comes from profile.format_17g, a few thousand
-values per call.  The y, z text of a ring is made once per distinct ring,
-as a template that one str.replace fills with each of its runs' heads: the
+vertex row.  The text stays ASCII bytes from the cells it is made in to
+the output sink (profile.byte_sink).  The float text comes from
+profile.format_17g, a few thousand values per call.  The y, z text of a
+ring is made once per distinct ring, as a template that one bytes.replace
+fills with each of its runs' heads: the
 mirrored half of a symmetric profile revolves into rings bit-equal to its
 first half's, and reuses their text.  A block of faces makes the text of
 each vertex number once, in a cell of whole words, and gathers three cells
@@ -31,6 +33,7 @@ from .profile import (
     ROW_BLOCK,
     TEXT_CELL,
     ProfileCurve,
+    byte_sink,
     cells_text,
     digit_quads,
     format_17g,
@@ -117,7 +120,7 @@ def _number_cells(v: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _write_vertex_rows(fh, mesh: Mesh, csv: bool) -> None:
+def _write_vertex_rows(write, mesh: Mesh, csv: bool) -> None:
     """Write a row per vertex: `v x y z` (OBJ), or `i,j,x,y,z` (mesh CSV) for vertex i * n_angular + j.
 
     The rows are cut into runs of bit-identical x (a ring of a revolved
@@ -130,11 +133,11 @@ def _write_vertex_rows(fh, mesh: Mesh, csv: bool) -> None:
     break; in the mesh CSV each row leads with its `j,` and the byte 2.  A
     run is its head (`v x `, or `i,` in the mesh CSV) and its template with
     each byte 1 replaced by a line break and the head, and in the mesh CSV
-    each byte 2 by `x,`: one str.replace, two in the mesh CSV, wherever the
+    each byte 2 by `x,`: one bytes.replace, two in the mesh CSV, wherever the
     run's y, z bits (and, in the mesh CSV, its first j) recur.  A symmetric
     profile's mirrored half repeats its rings bit for bit.  Comparing bits
     keeps -0.0 apart from 0.0.  The bytes are those of one f"{v:.17g}" per
-    value.
+    value, passed to write as bytes, one window at a time.
     """
     vertices = np.asarray(mesh.vertices, dtype=float)
     n = len(vertices)
@@ -143,13 +146,13 @@ def _write_vertex_rows(fh, mesh: Mesh, csv: bool) -> None:
     bits = vertices[:, 0].view(np.int64)
     split = bits[1:] != bits[:-1]  # split[k]: a run ends after row k
     if csv:
-        n_ring, sep = mesh.n_angular, ","
+        n_ring, sep = mesh.n_angular, b","
         split[n_ring - 1::n_ring] = True
         lead = _number_cells(np.arange(n_ring))  # each row's `j,`, then the byte 2 for `x,`
         lead[:, -1] = ord(",")
         lead = np.column_stack([lead, np.full(n_ring, 2, np.uint8)])
     else:
-        n_ring, sep = 1, " "
+        n_ring, sep = 1, b" "
     cuts = [0]
     for end in [*(np.flatnonzero(split) + 1).tolist(), n]:
         cuts += range(cuts[-1] + ROW_BLOCK, end, ROW_BLOCK)
@@ -186,14 +189,14 @@ def _write_vertex_rows(fh, mesh: Mesh, csv: bool) -> None:
             templates.update(zip(new, cells_text(cells).splitlines(True)))
         parts = []
         for key, (a, _), x in zip(keys, runs, xs[lo:hi]):
-            head = f"{a // n_ring}," if csv else f"v {x} "
-            text = templates[key].replace("\1", "\n" + head)
-            parts += [head, text.replace("\2", x + ",") if csv else text]
-        fh.write("".join(parts))
+            head = b"%d," % (a // n_ring) if csv else b"v " + x + b" "
+            text = templates[key].replace(b"\1", b"\n" + head)
+            parts += [head, text.replace(b"\2", x + b",") if csv else text]
+        write(b"".join(parts))
         lo = hi
 
 
-def _face_text(faces: np.ndarray) -> str:
+def _face_text(faces: np.ndarray) -> bytes:
     """The `f a b c` rows of faces (1-based): the bytes of one f"f {a} {b} {c}" line per face.
 
     Each number's text is made once, as a _number_cells cell: each number
@@ -201,7 +204,7 @@ def _face_text(faces: np.ndarray) -> str:
     three times the entry count (a revolved mesh's block spans about half
     its faces plus a ring), else the entries themselves.  One take of whole
     words gathers three cells per face; the cells' last bytes take the
-    spaces and the line break, and one str.replace puts 'f ' after each
+    spaces and the line break, and one bytes.replace puts 'f ' after each
     line break.
     """
     v = faces + 1
@@ -213,22 +216,22 @@ def _face_text(faces: np.ndarray) -> str:
     rows = cells.view(np.uint8).reshape(len(v), 3, -1)
     rows[:, :, -1] = ord(" ")
     rows[:, -1, -1] = ord("\n")
-    return "f " + cells_text(rows).replace("\n", "\nf ", len(v) - 1)
+    return b"f " + cells_text(rows).replace(b"\n", b"\nf ", len(v) - 1)
 
 
 def export_obj(mesh: Mesh, sink) -> None:
     """Plain OBJ: `v x y z` then 1-based `f a b c` lines, LF, 17 digits."""
-    with text_sink(sink, "w") as fh:
-        _write_vertex_rows(fh, mesh, csv=False)
+    with byte_sink(sink) as write:
+        _write_vertex_rows(write, mesh, csv=False)
         for lo in range(0, len(mesh.faces), FACE_BLOCK):
-            fh.write(_face_text(mesh.faces[lo:lo + FACE_BLOCK]))
+            write(_face_text(mesh.faces[lo:lo + FACE_BLOCK]))
 
 
 def export_mesh_csv(mesh: Mesh, sink) -> None:
     """Vertex table `i,j,x,y,z` (profile index, angular index) for plotting."""
-    with text_sink(sink, "w") as fh:
-        fh.write("i,j,x,y,z\n")
-        _write_vertex_rows(fh, mesh, csv=True)
+    with byte_sink(sink) as write:
+        write(b"i,j,x,y,z\n")
+        _write_vertex_rows(write, mesh, csv=True)
 
 
 def parse_obj(source) -> tuple[np.ndarray, np.ndarray]:

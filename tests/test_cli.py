@@ -357,6 +357,34 @@ class TestExtendAndVerify:
         assert run("verify", badfile, "--step", "1e-3",
                    "--max-residual", "1e-4") == 4
 
+    def test_verify_degenerate_profile_writes_strict_json(self, tmp_path):
+        # rows that do not move give a NaN residual: the report holds null,
+        # the verdict is FAIL (exit 4) and numpy prints no warning
+        still = tmp_path / "still.csv"
+        still.write_text("t,x,z,theta\n" + "".join(f"{k},0,1,0\n" for k in range(7)))
+        report = tmp_path / "rep.json"
+        src = str(Path(rs.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        done = subprocess.run([sys.executable, "-m", "rotsurf.cli", "verify", str(still),
+                               "--out", str(report)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 4, done.stderr
+        assert done.stderr == ""
+        doc = strict_json(report.read_text())
+        assert doc["max_curvature_residual"] is None
+        assert doc["pass"] is False
+        assert rotsurf.cli._json([math.nan, math.inf, -math.inf, 1.5]) == "[null,null,null,1.5]"
+
+    def test_side_outputs_beside_a_dotted_directory(self, tmp_path):
+        # the stem of --out drops only the file's own extension
+        where = tmp_path / "x" / "a.b"
+        where.mkdir(parents=True)
+        assert run("extend", "--copies", "1", "--out", where / "curve") == 0
+        assert run("portrait", "--lambdas", "4.0", "--tol", "1e-5", "--out", where / "p") == 0
+        assert sorted(os.listdir(where)) == ["curve", "curve.regularity.json", "p", "p_00.csv"]
+        assert os.listdir(tmp_path / "x") == ["a.b"]
+
     def test_verify_emitted_sphere_at_1e8(self, tmp_path):
         curve = tmp_path / "sphere.csv"
         run("curve", "--lambda", repr(SQRT2), "--out", curve)
@@ -490,6 +518,76 @@ class TestExtendAndVerify:
             run("verify", curve, flag)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def strict_json(text):
+    """json.loads that rejects the NaN and Infinity tokens strict JSON does not have."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestOutputSinks:
+    """Every writer gives the same bytes to a path, a binary handle and a text handle."""
+
+    @staticmethod
+    def assert_same_bytes(write, path):
+        """write(sink) to a BytesIO, a StringIO and binary and text files gives path's bytes."""
+        want = path.read_bytes()
+        binary, text = io.BytesIO(), io.StringIO()
+        write(binary)
+        write(text)
+        assert binary.getvalue() == want
+        assert text.getvalue().encode() == want
+        for mode, newline in (("wb", None), ("w", "")):
+            other = path.with_name(f"again-{mode}")
+            with open(other, mode, newline=newline) as fh:
+                write(fh)
+            assert other.read_bytes() == want
+        return want
+
+    def test_library_writers(self, cfg, tmp_path):
+        prof = rs.build_profile(rs.full_curve(2.5, cfg))
+        mesh = rs.revolve(prof, 7)
+        for name, write in (("p.csv", prof.write_csv),
+                            ("m.obj", lambda sink: rs.export_obj(mesh, sink)),
+                            ("m.csv", lambda sink: rs.export_mesh_csv(mesh, sink))):
+            path = tmp_path / name
+            write(path)
+            data = self.assert_same_bytes(write, path)
+            assert data.endswith(b"\n") and b"\r" not in data
+
+    def test_cli_outputs(self, tmp_path):
+        # the CLI writes paths; its JSON and polyline CSVs, written again from
+        # what they hold, are the same bytes on every kind of sink
+        out = tmp_path / "p.json"
+        assert run("portrait", "--lambdas", "1.2,4.0", "--tol", "1e-5", "--out", out) == 0
+        assert run("extend", "--copies", "2", "--segments", "0.5",
+                   "--out", tmp_path / "e.csv") == 0
+        assert run("verify", tmp_path / "e.csv", "--out", tmp_path / "v.json") == 0
+        for name in ("p.json", "e.regularity.json", "v.json"):
+            path = tmp_path / name
+            doc = strict_json(path.read_text())
+            self.assert_same_bytes(lambda sink: rotsurf.cli._write_json(sink, doc), path)
+        for k in range(2):
+            path = tmp_path / f"p_{k:02d}.csv"
+            polyline = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+            def write(sink):
+                with rs.profile.byte_sink(sink) as put:
+                    put(b"theta,z\n")
+                    rs.profile.write_rows(put, polyline)
+
+            self.assert_same_bytes(write, path)
+
+    def test_verify_report_to_stdout(self, tmp_path):
+        curve = tmp_path / "c.csv"
+        assert run("curve", "--lambda", "4.0", "--span", "2", "--out", curve) == 0
+        assert run("verify", curve, "--out", tmp_path / "v.json") == 0
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert run("verify", curve) == 0
+        assert stdout.getvalue().splitlines(True)[0] == (tmp_path / "v.json").read_text()
 
 
 class TestConfigFile:

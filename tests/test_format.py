@@ -16,7 +16,7 @@ def texts(values) -> list[str]:
     assert cells.shape == (len(values), TEXT_CELL)
     assert not cells[:, -1].any()  # the separator slot is free
     cells[:, -1] = ord("\n")
-    return cells_text(cells).splitlines()
+    return cells_text(cells).decode("ascii").splitlines()
 
 
 def reference(values) -> list[str]:

@@ -14,7 +14,7 @@ from rotsurf.errors import (
     NotPeriodicError,
     TooFewSamplesError,
 )
-from rotsurf.profile import MAX_RESAMPLE_STEPS, ROW_BLOCK, _five_point_weights
+from rotsurf.profile import MAX_RESAMPLE_STEPS, ROW_BLOCK, SAMPLE_DT, _five_point_weights
 from rotsurf.shooting import SPHERE_HALF_SPAN, _sphere_polyline
 
 SQRT2 = math.sqrt(2.0)
@@ -63,6 +63,73 @@ class TestBuildProfile:
         speed = np.hypot(dx, dz)
         # chord speed of a unit-speed curve deviates at O(dt^2)
         assert np.max(np.abs(speed - 1.0)) < 1e-4
+
+
+def reference_grid(nodes):
+    """build_profile's sample times as the plain loop over the nodes: fill, then thin."""
+    raw = [float(nodes[0])]
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        gap = float(b - a)
+        if gap > SAMPLE_DT:
+            n = int(math.ceil(gap / SAMPLE_DT))
+            raw.extend(float(a) + gap * k / n for k in range(1, n))
+        raw.append(float(b))
+    ts = [raw[0]]
+    for t in raw[1:-1]:
+        if t - ts[-1] >= 0.25 * SAMPLE_DT:
+            ts.append(t)
+    if raw[-1] - ts[-1] < 0.25 * SAMPLE_DT and len(ts) > 1:
+        ts.pop()
+    ts.append(raw[-1])
+    return np.asarray(ts)
+
+
+class StubTrajectory:
+    """Nodes at the given times, and a dense output with theta = x = t and z = 1."""
+
+    def __init__(self, ts):
+        self.ts = np.asarray(ts, dtype=float)
+
+    def states_at(self, tq):
+        return np.column_stack([tq, np.ones_like(tq), tq])
+
+
+class TestBuildProfileGrid:
+    """build_profile's numpy grid has the bits of the plain loop (reference_grid)."""
+
+    @staticmethod
+    def assert_grid_is_the_loop(traj):
+        got, want = rs.build_profile(traj).t, reference_grid(traj.ts)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lam", [1.2, 1.41421356, 2.5, 3.2136243986, 3.2136244, 4.0, 8.0])
+    def test_trajectories(self, cfg, lam):
+        # contacts (1.2, 2.5) and the corner (near lambda0) cluster nodes
+        # closer than SAMPLE_DT / 4; large heights leave gaps above SAMPLE_DT
+        self.assert_grid_is_the_loop(rs.full_curve(lam, cfg))
+
+    @pytest.mark.parametrize("nodes", [
+        [0.0, 0.5],  # two nodes, filled
+        [0.0, 0.001],  # two nodes closer than SAMPLE_DT / 4, both kept
+        [0.0, SAMPLE_DT, np.nextafter(2 * SAMPLE_DT, 1.0), 0.35],  # gaps at and just above
+        [-1.0, -0.0, 1.0],  # a -0.0 node survives
+        [-0.0, 0.001, 0.5],  # and so does a -0.0 first node
+        [0.0, 0.3, 0.3001, 0.3002, 0.3003],  # a cluster at the end: its last node replaces one
+        [0.0, 0.3, 0.301],  # the last node too close to the one before
+        [0.0, 0.0001, 0.0002, 0.0003, 0.2],  # a cluster at the start
+        [0.0, 0.1, 0.1024, 0.1049, 0.1074, 0.1099, 0.2],  # steps just under and over the bound
+    ])
+    def test_chosen_nodes(self, nodes):
+        self.assert_grid_is_the_loop(StubTrajectory(nodes))
+
+    def test_random_nodes(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            scale = rng.choice([1e-4, 1e-3, 3e-3, 1e-2, 0.1, 1.0], n - 1)
+            gaps = rng.uniform(0.1, 1.0, n - 1) * scale
+            self.assert_grid_is_the_loop(StubTrajectory(rng.uniform(-5.0, 5.0) + np.cumsum(
+                np.concatenate([[0.0], gaps]))))
 
 
 class TestClosedForms:
@@ -240,6 +307,32 @@ class TestExtension:
         assert curve.theta[0] == 0.0
         assert curve.theta[-1] == pytest.approx(6 * math.pi, abs=1e-12)
         assert np.all(np.diff(curve.theta) >= -1e-12)
+
+    def test_no_separatrix_grid_is_sampled(self, cfg, monkeypatch):
+        # the glued curve reads the critical profile's evaluator at its own
+        # samples and junction stencils only
+        points = []
+        make = rs.profile._separatrix_evaluator
+
+        def counted(cfg):
+            evaluator, meta = make(cfg)
+
+            def count(tq):
+                points.append(len(tq))
+                return evaluator(tq)
+
+            return count, meta
+
+        monkeypatch.setattr(rs.profile, "_separatrix_evaluator", counted)
+        curve, _ = rs.extend_separatrix(ExtensionSpec(1, ()), cfg)
+        assert sum(points) == len(curve)
+        points.clear()
+        curve, _ = rs.extend_separatrix(ExtensionSpec(3, (0.5, 0.0)), cfg)
+        t = curve.t
+        on_segment = np.count_nonzero((t > curve.junctions[0]) & (t <= curve.junctions[1]))
+        # a junction's copy side reads its one point and a 5-point stencil
+        copy_sides = 4  # copy-segment, segment-copy, and both sides of copy-copy
+        assert sum(points) == len(curve) - on_segment + 6 * copy_sides
 
 
 class TestEvalAt:
