@@ -81,7 +81,8 @@ from .shooting import (
     full_curve,
     portrait,
 )
-from .surface import Mesh, export_mesh_csv, export_obj, parse_obj, revolve
+from .surface import Mesh, export_mesh_csv, export_obj, revolve
+from .text import parse_obj
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,12 +1,8 @@
 """Command-line front end: portraits, classification, curves, meshes, checks.
 
-All numeric output is plain ASCII text (JSON / CSV / OBJ) at 17
-significant digits, deterministic byte-for-byte for a given config, and
-written as bytes through profile.byte_sink.  A JSON report holds null for
-a float that is not finite.  Side outputs (portrait's polyline CSVs,
-extend's regularity report) sit beside --out, named after it without its
-extension.  Exit codes: 0 ok, 2 invalid input, 3 numeric failure, 4
-verification failure.
+Side outputs (portrait's polyline CSVs, extend's regularity report) sit
+beside --out, named after it without its extension.  Exit codes: 0 ok, 2
+invalid input, 3 numeric failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -27,16 +23,15 @@ from .profile import (
     ExtensionSpec,
     ProfileCurve,
     build_profile,
-    byte_sink,
     cylinder_profile,
     extend_separatrix,
     separatrix_profile,
     sphere_profile,
     verify_profile,
-    write_rows,
 )
 from .shooting import SEPARATRIX, SPHERE, classify_lambda, find_lambda0, portrait
 from .surface import export_mesh_csv, export_obj, revolve
+from .text import text_sink, write_csv, write_json
 
 
 # IntegratorConfig fields a config file may set (the targets are the commands' own)
@@ -50,7 +45,7 @@ def _load_config_file(path: str) -> dict:
     is a ValueError naming the file and line.
     """
     values = {}
-    with open(path) as fh:
+    with text_sink(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -77,33 +72,6 @@ def _merge_run_config(args) -> IntegratorConfig:
         if flag is not None:
             values[key] = flag
     return replace(IntegratorConfig(), **values)
-
-
-# -- deterministic JSON (floats at 17 significant digits) -----------------
-
-
-def _json(obj) -> str:
-    """Compact JSON text of obj; floats at 17 significant digits, and null if not finite."""
-    if isinstance(obj, dict):
-        return "{" + ",".join(f"{_json(str(k))}:{_json(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        return "[" + ",".join(_json(v) for v in obj) + "]"
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    value = float(obj)
-    return format(value, ".17g") if math.isfinite(value) else "null"
-
-
-def _write_json(sink, doc) -> None:
-    """doc as one line of _json text, to a path or a handle."""
-    with byte_sink(sink) as write:
-        write((_json(doc) + "\n").encode())
 
 
 # -- lambda specs ----------------------------------------------------------
@@ -161,12 +129,10 @@ def cmd_portrait(args) -> int:
         if entry.error is not None:
             item["error"] = entry.error
         doc["entries"].append(item)
-    _write_json(args.out, doc)
+    write_json(args.out, doc)
     stem = os.path.splitext(args.out)[0]
     for k, entry in enumerate(rep.entries):
-        with byte_sink(f"{stem}_{k:02d}.csv") as write:
-            write(b"theta,z\n")
-            write_rows(write, entry.polyline)
+        write_csv(f"{stem}_{k:02d}.csv", b"theta,z", entry.polyline)
     print(f"portrait: {len(rep.entries)} entries, lambda0={rep.lambda0.value:.12g} -> {args.out}")
     return 0
 
@@ -187,7 +153,7 @@ def cmd_find_lambda0(args) -> int:
         "launch": {"value": z_launch},
         "difference": abs(res.value - z_launch),
     }
-    _write_json(args.out, doc)
+    write_json(args.out, doc)
     print(f"lambda0: bisection={res.value:.12g} launch={z_launch:.12g} "
           f"difference={abs(res.value - z_launch):.3g} -> {args.out}")
     return 0
@@ -205,7 +171,10 @@ def _profile_for_lambda(lam: float, span: float, cfg: IntegratorConfig) -> Profi
     if klass.tag == SPHERE:
         prof = sphere_profile()
         keep = np.abs(prof.t) <= span
-        if keep.sum() >= 2 and not keep.all():
+        if keep.sum() < 2:
+            raise ValueError(f"--span {span} keeps fewer than 2 sphere samples "
+                             f"(their spacing is {prof.t[1] - prof.t[0]:.2g})")
+        if not keep.all():
             prof = ProfileCurve(prof.t[keep], prof.x[keep], prof.z[keep],
                                 prof.theta[keep], kind=prof.kind, evaluator=prof.evaluator)
         return prof
@@ -288,7 +257,7 @@ def cmd_extend(args) -> int:
             for j in report.junctions
         ],
     }
-    _write_json(f"{stem}.regularity.json", doc)
+    write_json(f"{stem}.regularity.json", doc)
     orders = ",".join(j.order for j in report.junctions) or "none"
     print(f"extend: copies={args.copies} junction orders: {orders} -> {args.out}")
     return 0
@@ -314,7 +283,7 @@ def cmd_verify(args) -> int:
         "speed_threshold": args.max_speed,
         "pass": ok,
     }
-    _write_json(args.out or sys.stdout, doc)
+    write_json(args.out or sys.stdout, doc)
     print(f"verify: {'PASS' if ok else 'FAIL'} residual={rep.max_curvature_residual:.3e} "
           f"speed={rep.max_speed_residual:.3e} at h={rep.h:g}")
     return 0 if ok else 4

@@ -5,24 +5,11 @@ revolution surface about the x-axis; t is simultaneously arc length.
 Trajectory-built profiles keep the quadrature convention x(0) = 0.  The
 closed-form sphere follows the displayed parametrization centered at
 (-sqrt(2), 0), i.e. the same quadrature shifted left by sqrt(2).
-
-Every float the package writes to a CSV or OBJ file is the text of
-'%.17g' % v, built by format_17g: exact integer arithmetic in numpy for
-1e-4 <= |v| < 1e17, '%' itself for the rest.  write_rows writes profile and
-polyline CSV rows with it, and mesh export uses it too.  The text stays
-ASCII bytes from format_17g's cells to the file: every writer writes
-through byte_sink, which takes a path (opened in binary mode), a binary
-handle, or a text handle (each write decoded once).  text_sink serves the
-readers.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
-import io
 import math
-import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -46,197 +33,16 @@ from .integrate import (
     with_mirror,
 )
 from .shooting import PERIODIC, classify_lambda
+from .text import read_profile_csv, write_csv
 
 TWO_PI = 2.0 * math.pi
 
-
-@contextlib.contextmanager
-def text_sink(source):
-    """A text handle to read: a path (opened, closed on exit) or a handle as is."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source) as fh:
-            yield fh
-    else:
-        yield source
-
-
-@contextlib.contextmanager
-def byte_sink(sink):
-    """A write function for the ASCII bytes of an output file, on a path or a handle.
-
-    A path is opened in binary mode, so lines end in LF as written, and
-    closed on exit.  A binary handle (BytesIO, a file opened "wb") takes
-    the bytes as they are; a text handle (StringIO, sys.stdout) takes each
-    write decoded once.
-    """
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        with open(sink, "wb") as fh:
-            yield fh.write
-    elif isinstance(sink, io.TextIOBase):
-        yield lambda data: sink.write(data.decode())
-    else:
-        yield sink.write
-
-
-# rows whose values format_17g turns into text in one call, in write_rows and mesh export
-ROW_BLOCK = 1024
 # uniform steps verify_profile may sample an evaluator at, and samples a glued curve may have
 MAX_RESAMPLE_STEPS = 1_000_000
 SAMPLE_DT = 0.01  # largest time step between stored samples of a built profile
 SPHERE_TRIM = 1e-6  # the closed-form sphere stops this short of its two poles
 N_PERIOD_CHECK = 800  # points of the one-period overlap find_period measures on
 H_CHECK = 4e-3  # finite-difference step of extend_separatrix's junction grading
-
-# bytes of a format_17g cell: a sign slot, '0.' and three zeros, then 17 digits
-# each followed by a slot for the point; the last slot is left for a separator
-TEXT_CELL = 40
-VELTKAMP = 134217729.0  # 2**27 + 1 splits a float64 into two 26-bit halves
-
-
-@functools.cache
-def digit_quads() -> np.ndarray:
-    """The four ASCII digits of 0000..9999, each held in the bytes of one uint32.
-
-    Built on first use, so importing the package costs nothing.
-    """
-    digits = np.arange(10_000)[:, None] // (1000, 100, 10, 1) % 10 + ord("0")
-    quads = digits.astype(np.uint8).view(np.uint32).ravel()
-    quads.flags.writeable = False  # shared by every call
-    return quads
-
-
-@functools.cache
-def _format_tables() -> tuple:
-    """The constant tables of format_17g, built on its first call.
-
-    - 10**0..10**20, exact doubles, and their Veltkamp halves;
-    - the cell words: 0000..9999 spaced out to 'd_d_d_d_', then the lead
-      digits 0..9 at byte 6 of the first word;
-    - per quad, its last nonzero digit (1..4), or -16 for 0000;
-    - per key 21 * sign + E + 4, the marks: '-', '0.' and the leading zeros
-      when E < 0, or the point after digit E;
-    - per last digit kept, the mask of the cell's bytes up to it.
-    """
-    pow10 = np.array([float(10 ** k) for k in range(21)])
-    big = VELTKAMP * pow10
-    pow10_hi = big - (big - pow10)
-    words = np.zeros((10_010, 8), np.uint8)
-    words[:10_000, ::2] = digit_quads().view(np.uint8).reshape(-1, 4)
-    words[10_000:, 6] = np.arange(10) + ord("0")
-    quad = np.arange(10_000)
-    trailing = sum(quad % k == 0 for k in (10, 100, 1000))
-    last = np.where(quad == 0, -16, 4 - trailing)
-    marks = np.zeros((42, TEXT_CELL), np.uint8)
-    for neg in (0, 1):
-        for e in range(-4, 16):
-            row = marks[21 * neg + e + 4]
-            if e < 0:
-                row[1:2 - e] = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
-            else:
-                row[7 + 2 * e] = ord(".")
-        marks[21 * neg:21 * neg + 21, 0] = ord("-") * neg
-    cut = np.tril(np.full((TEXT_CELL, TEXT_CELL), 0xFF, np.uint8))[6::2]
-    tables = (pow10, pow10_hi, pow10 - pow10_hi, words.view(np.uint64).ravel(), last,
-              marks.view(np.uint64), np.ascontiguousarray(cut).view(np.uint64))
-    for table in tables:
-        table.flags.writeable = False  # shared by every call
-    return tables
-
-
-def format_17g(values) -> np.ndarray:
-    """The '%.17g' text of each value of a float64 array, one TEXT_CELL-byte cell each.
-
-    A value's text is its cell's bytes with every NUL removed (cells_text).
-    The last byte of every cell is NUL: a caller may put a separator there.
-
-    For 1e-4 <= |v| < 1e17 the text is positional, and numpy builds it with
-    exact integer arithmetic:
-    - E = floor(log10 |v|).  Dekker's product of |v| and the exact double
-      10**(16 - E) is hi + lo, exactly.
-    - hi lies in [1e16, 1e17), above 2**53, so it is an even integer, and
-      N = hi + rint(lo) is the product rounded half to even: the 17 digits.
-    - log10 may be one off near a power of ten.  Then hi + lo falls outside
-      [1e16, 1e17), E moves by one and the product is taken again.
-    - N never rounds up to 10**17: in this range the double below a power
-      of ten lies at least 8e-17 of it below, more than half a unit of the
-      17th digit.
-    - The digits, the sign, '0.' and the point go to fixed slots of the
-      cell by table lookups.  The bytes after the last digit kept (the
-      integer part, and the fraction up to its last nonzero digit) are
-      cleared, and with them a point that has no fraction after it.
-    Every other value (+-0, below 1e-4, 1e17 and up, inf, NaN) gets
-    '%.17g' % v itself.
-    """
-    pow10, pow10_hi, pow10_lo, word_table, last_table, marks, cut = _format_tables()
-    v = np.ascontiguousarray(values, dtype=float).ravel()
-    a = np.abs(v)
-    exact = (a >= 1e-4) & (a < 1e17)  # False for NaN
-    np.copyto(a, 1.0, where=~exact)  # any value in range; its text is replaced below
-    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
-    big = VELTKAMP * a
-    a_hi = big - (big - a)
-    a_lo = a - a_hi
-    while True:
-        k = 16 - e
-        p_hi, p_lo = pow10_hi.take(k), pow10_lo.take(k)
-        hi = a * pow10.take(k)
-        lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-        if not np.any((hi <= 1e16) | (hi >= 1e17)):  # every product plainly in range
-            break
-        low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
-        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
-        if not np.any(low | high):
-            break
-        e += high
-        e -= low
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    # word table indices: the lead digit, then the four quads of the other 16
-    idx = np.empty((len(v), 5), np.int64)
-    np.floor_divide(n, 10 ** 16, out=idx[:, 0])
-    n -= idx[:, 0] * 10 ** 16
-    idx[:, 0] += 10_000  # the lead digits' words follow the quads'
-    upper = n // 10 ** 8
-    lower = n - upper * 10 ** 8
-    np.floor_divide(upper, 10_000, out=idx[:, 1])
-    np.subtract(upper, idx[:, 1] * 10_000, out=idx[:, 2])
-    np.floor_divide(lower, 10_000, out=idx[:, 3])
-    np.subtract(lower, idx[:, 3] * 10_000, out=idx[:, 4])
-    last = np.maximum(e, 0)  # the digit the text ends on
-    for j in range(1, 5):
-        np.maximum(last, last_table.take(idx[:, j]) + 4 * (j - 1), out=last)
-    words = word_table.take(idx)
-    words |= marks.take(21 * np.signbit(v) + e + 4, axis=0)
-    words &= cut.take(last, axis=0)
-    cells = words.view(np.uint8)
-    other = np.flatnonzero(~exact)
-    if len(other):
-        texts = [b"%.17g" % x for x in v[other].tolist()]
-        cells[other] = np.array(texts, f"S{TEXT_CELL}").view(np.uint8).reshape(-1, TEXT_CELL)
-    return cells
-
-
-def cells_text(cells: np.ndarray) -> bytes:
-    """The ASCII text of format_17g cells (and their separators), in order: their bytes without NULs."""
-    return cells.tobytes().translate(None, b"\0")
-
-
-def write_rows(write, *columns) -> None:
-    """Write the columns side by side: one line per row, its values as '%.17g' joined by commas.
-
-    write takes bytes (a byte_sink).  A column is an array with one entry
-    (1-d) or one row of entries (2-d) per line.  ROW_BLOCK lines at a time
-    are stacked, turned into cells by one format_17g call, given their
-    commas and line break, and written, so no temporary outgrows a block.
-    The bytes are those of f"{v:.17g}".
-    """
-    n = len(columns[0])
-    for lo in range(0, n, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, n)
-        block = np.column_stack([col[lo:hi] for col in columns])
-        cells = format_17g(block).reshape(block.shape + (TEXT_CELL,))
-        cells[..., -1] = ord(",")
-        cells[:, -1, -1] = ord("\n")
-        write(cells_text(cells))
 
 
 @dataclass
@@ -295,27 +101,25 @@ class ProfileCurve:
 
     def write_csv(self, sink) -> None:
         """Header t,x,z,theta; one sample per line at 17 significant digits."""
-        with byte_sink(sink) as write:
-            write(b"t,x,z,theta\n")
-            write_rows(write, self.t, self.x, self.z, self.theta)
+        write_csv(sink, b"t,x,z,theta", self.t, self.x, self.z, self.theta)
 
     @classmethod
     def read_csv(cls, source) -> "ProfileCurve":
-        with text_sink(source) as fh:
-            header = fh.readline().strip()
-            if header != "t,x,z,theta":
-                raise ValueError(f"unexpected profile CSV header: {header!r}")
-            with warnings.catch_warnings():  # a file without rows is rejected below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        n_cols = data.shape[1] if len(data) else 0
-        if n_cols != 4:
-            raise ValueError(f"profile CSV rows have {n_cols} columns, expected 4 (t,x,z,theta)")
-        if not np.isfinite(data).all():
-            row, col = np.argwhere(~np.isfinite(data))[0]
-            raise ValueError(f"profile CSV data row {row + 1}: {header.split(',')[col]} "
-                             f"is {data[row, col]}, not a finite number")
-        return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
+        """A profile CSV's samples.
+
+        A t not above the row before, or a z that is not positive, raises
+        ValueError naming its data row.
+        """
+        t, x, z, theta = read_profile_csv(source).T
+        try:
+            return cls(t, x, z, theta)
+        except ValueError:  # the times do not increase
+            k = np.flatnonzero(np.diff(t) <= 0.0)[0] + 1
+            raise ValueError(f"profile CSV data row {k + 1}: t is {t[k]}, not above "
+                             f"the row before ({t[k - 1]})") from None
+        except DegenerateProfileError:  # a z <= 0; the rows are finite
+            k = np.flatnonzero(z <= 0.0)[0]
+            raise ValueError(f"profile CSV data row {k + 1}: z is {z[k]}, not positive") from None
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,442 @@
+"""Every file the package reads or writes: number text, sinks, CSV, OBJ and JSON.
+
+Output is ASCII bytes, the same for the same input, written through
+byte_sink.  Every float in a CSV or OBJ file is the text of '%.17g' % v,
+which format_17g makes in numpy cells a few thousand values per call; a
+JSON report holds the same text, and null for a float that is not finite.
+Mesh rows make no Python object per face or per repeated vertex row
+(_write_vertex_rows, _face_text).  text_sink serves the readers.  This
+module imports no other module of the package.
+"""
+
+from __future__ import annotations
+
+import bisect
+import contextlib
+import functools
+import io
+import math
+import warnings
+
+import numpy as np
+
+# rows whose values format_17g turns into text in one call, in write_rows and mesh export
+ROW_BLOCK = 1024
+FACE_BLOCK = 4096  # faces per _face_text call: one table of number cells, one gather, one translate
+# rows per window of _write_vertex_rows, whose new rows' y, z take one format_17g call;
+# of 1024, 2048 and 4096, 2048 wrote the meshes of the benchmark's emit deck fastest
+VERTEX_WINDOW = 2048
+
+# bytes of a format_17g cell: a sign slot, '0.' and three zeros, then 17 digits
+# each followed by a slot for the point; the last slot is left for a separator
+TEXT_CELL = 40
+VELTKAMP = 134217729.0  # 2**27 + 1 splits a float64 into two 26-bit halves
+# 10**1..10**19: an unsigned 64-bit n has one digit more than the powers <= n
+_POW10 = np.array([10 ** k for k in range(1, 20)], np.uint64)
+
+
+@contextlib.contextmanager
+def text_sink(source, mode: str = "r"):
+    """source opened in mode and closed on exit if it is a path, else source itself (a handle)."""
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source, mode) as fh:
+            yield fh
+    else:
+        yield source
+
+
+@contextlib.contextmanager
+def byte_sink(sink):
+    """A write function for the ASCII bytes of an output file, on a path or a handle.
+
+    A path is opened in binary mode, so lines end in LF as written, and
+    closed on exit.  A binary handle (BytesIO, a file opened "wb") takes
+    the bytes as they are; a text handle (StringIO, sys.stdout) takes each
+    write decoded once.
+    """
+    with text_sink(sink, "wb") as fh:
+        if isinstance(fh, io.TextIOBase):
+            yield lambda data: fh.write(data.decode())
+        else:
+            yield fh.write
+
+
+@functools.cache
+def _digit_quads() -> np.ndarray:
+    """The four ASCII digits of 0000..9999, each held in the bytes of one uint32.
+
+    Built on first use, so importing the package costs nothing.
+    """
+    digits = np.arange(10_000)[:, None] // (1000, 100, 10, 1) % 10 + ord("0")
+    quads = digits.astype(np.uint8).view(np.uint32).ravel()
+    quads.flags.writeable = False  # shared by every call
+    return quads
+
+
+@functools.cache
+def _format_tables() -> tuple:
+    """The constant tables of format_17g, built on its first call.
+
+    - 10**0..10**20, exact doubles, and their Veltkamp halves;
+    - the cell words: 0000..9999 spaced out to 'd_d_d_d_', then the lead
+      digits 0..9 at byte 6 of the first word;
+    - per quad, its last nonzero digit (1..4), or -16 for 0000;
+    - per key 21 * sign + E + 4, the marks: '-', '0.' and the leading zeros
+      when E < 0, or the point after digit E;
+    - per last digit kept, the mask of the cell's bytes up to it.
+    """
+    pow10 = np.array([float(10 ** k) for k in range(21)])
+    big = VELTKAMP * pow10
+    pow10_hi = big - (big - pow10)
+    words = np.zeros((10_010, 8), np.uint8)
+    words[:10_000, ::2] = _digit_quads().view(np.uint8).reshape(-1, 4)
+    words[10_000:, 6] = np.arange(10) + ord("0")
+    quad = np.arange(10_000)
+    trailing = sum(quad % k == 0 for k in (10, 100, 1000))
+    last = np.where(quad == 0, -16, 4 - trailing)
+    marks = np.zeros((42, TEXT_CELL), np.uint8)
+    for neg in (0, 1):
+        for e in range(-4, 16):
+            row = marks[21 * neg + e + 4]
+            if e < 0:
+                row[1:2 - e] = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
+            else:
+                row[7 + 2 * e] = ord(".")
+        marks[21 * neg:21 * neg + 21, 0] = ord("-") * neg
+    cut = np.tril(np.full((TEXT_CELL, TEXT_CELL), 0xFF, np.uint8))[6::2]
+    tables = (pow10, pow10_hi, pow10 - pow10_hi, words.view(np.uint64).ravel(), last,
+              marks.view(np.uint64), np.ascontiguousarray(cut).view(np.uint64))
+    for table in tables:
+        table.flags.writeable = False  # shared by every call
+    return tables
+
+
+def format_17g(values) -> np.ndarray:
+    """The '%.17g' text of each value of a float64 array, one TEXT_CELL-byte cell each.
+
+    A value's text is its cell's bytes with every NUL removed (cells_text).
+    The last byte of every cell is NUL: a caller may put a separator there.
+
+    For 1e-4 <= |v| < 1e17 the text is positional, and numpy builds it with
+    exact integer arithmetic:
+    - E = floor(log10 |v|).  Dekker's product of |v| and the exact double
+      10**(16 - E) is hi + lo, exactly.
+    - hi lies in [1e16, 1e17), above 2**53, so it is an even integer, and
+      N = hi + rint(lo) is the product rounded half to even: the 17 digits.
+    - log10 may be one off near a power of ten.  Then hi + lo falls outside
+      [1e16, 1e17), E moves by one and the product is taken again.
+    - N never rounds up to 10**17: in this range the double below a power
+      of ten lies at least 8e-17 of it below, more than half a unit of the
+      17th digit.
+    - The digits, the sign, '0.' and the point go to fixed slots of the
+      cell by table lookups.  The bytes after the last digit kept (the
+      integer part, and the fraction up to its last nonzero digit) are
+      cleared, and with them a point that has no fraction after it.
+    Every other value (+-0, below 1e-4, 1e17 and up, inf, NaN) gets
+    '%.17g' % v itself.
+    """
+    pow10, pow10_hi, pow10_lo, word_table, last_table, marks, cut = _format_tables()
+    v = np.ascontiguousarray(values, dtype=float).ravel()
+    a = np.abs(v)
+    exact = (a >= 1e-4) & (a < 1e17)  # False for NaN
+    np.copyto(a, 1.0, where=~exact)  # any value in range; its text is replaced below
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    big = VELTKAMP * a
+    a_hi = big - (big - a)
+    a_lo = a - a_hi
+    while True:
+        k = 16 - e
+        p_hi, p_lo = pow10_hi.take(k), pow10_lo.take(k)
+        hi = a * pow10.take(k)
+        lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+        if not np.any((hi <= 1e16) | (hi >= 1e17)):  # every product plainly in range
+            break
+        low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+        if not np.any(low | high):
+            break
+        e += high
+        e -= low
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # word table indices: the lead digit, then the four quads of the other 16
+    idx = np.empty((len(v), 5), np.int64)
+    np.floor_divide(n, 10 ** 16, out=idx[:, 0])
+    n -= idx[:, 0] * 10 ** 16
+    idx[:, 0] += 10_000  # the lead digits' words follow the quads'
+    upper = n // 10 ** 8
+    lower = n - upper * 10 ** 8
+    np.floor_divide(upper, 10_000, out=idx[:, 1])
+    np.subtract(upper, idx[:, 1] * 10_000, out=idx[:, 2])
+    np.floor_divide(lower, 10_000, out=idx[:, 3])
+    np.subtract(lower, idx[:, 3] * 10_000, out=idx[:, 4])
+    last = np.maximum(e, 0)  # the digit the text ends on
+    for j in range(1, 5):
+        np.maximum(last, last_table.take(idx[:, j]) + 4 * (j - 1), out=last)
+    words = word_table.take(idx)
+    words |= marks.take(21 * np.signbit(v) + e + 4, axis=0)
+    words &= cut.take(last, axis=0)
+    cells = words.view(np.uint8)
+    other = np.flatnonzero(~exact)
+    if len(other):
+        texts = [b"%.17g" % x for x in v[other].tolist()]
+        cells[other] = np.array(texts, f"S{TEXT_CELL}").view(np.uint8).reshape(-1, TEXT_CELL)
+    return cells
+
+
+def cells_text(cells: np.ndarray) -> bytes:
+    """The ASCII text of format_17g cells (and their separators), in order: their bytes without NULs."""
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _number_cells(v: np.ndarray) -> np.ndarray:
+    """The f"{n}" text of each integer n of v, one cell of whole uint64 words each.
+
+    A cell holds a sign slot, then NULs, then the digits ending just before
+    its last byte, which is left NUL for the caller's separator.  Its text
+    is its bytes without NULs (cells_text).
+    """
+    neg = v < 0
+    mag = v.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # |n| by wraparound, also for -2**63
+    n_digits = np.searchsorted(_POW10, mag, side="right") + 1
+    width = int(n_digits.max())
+    size = (width + 9) // 8 * 8  # the sign slot, the digits and the separator, in words
+    n_quads = (width + 3) // 4
+    quads = np.empty((len(v), n_quads), np.uint32)
+    table = _digit_quads()
+    for k in range(n_quads - 1, -1, -1):
+        q = mag // 10_000
+        quads[:, k] = table[mag - q * 10_000]
+        mag = q
+    cells = np.zeros((len(v), size), np.uint8)
+    cells[:, size - 1 - width:-1] = quads.view(np.uint8)[:, 4 * n_quads - width:]
+    place = np.arange(size)  # row d of keep: the bytes of a d-digit number's digits
+    keep = (place >= size - 1 - np.arange(width + 1)[:, None]) & (place < size - 1)
+    words = cells.view(np.uint64)
+    words &= (keep * np.uint8(0xFF)).view(np.uint64).take(n_digits, axis=0)
+    cells[:, 0] = neg * ord("-")
+    return cells
+
+
+def write_rows(write, *columns) -> None:
+    """Write the columns side by side: one line per row, its values as '%.17g' joined by commas.
+
+    write takes bytes (a byte_sink).  A column is an array with one entry
+    (1-d) or one row of entries (2-d) per line.  ROW_BLOCK lines at a time
+    are stacked, turned into cells by one format_17g call, given their
+    commas and line break, and written, so no temporary outgrows a block.
+    The bytes are those of f"{v:.17g}".
+    """
+    n = len(columns[0])
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        block = np.column_stack([col[lo:hi] for col in columns])
+        cells = format_17g(block).reshape(block.shape + (TEXT_CELL,))
+        cells[..., -1] = ord(",")
+        cells[:, -1, -1] = ord("\n")
+        write(cells_text(cells))
+
+
+def write_csv(sink, header: bytes, *columns) -> None:
+    """A CSV file: the header line, then write_rows's rows of the columns."""
+    with byte_sink(sink) as write:
+        write(header + b"\n")
+        write_rows(write, *columns)
+
+
+def _write_vertex_rows(write, vertices, n_angular: int | None) -> None:
+    """Write a row per vertex: `v x y z`, or given n_angular `i,j,x,y,z` for vertex i * n_angular + j.
+
+    The rows are cut into runs of bit-identical x (a ring of a revolved
+    mesh), each at most ROW_BLOCK rows and, in the mesh CSV, inside one
+    ring.  format_17g turns the runs' x into text, ROW_BLOCK runs per call.
+    The runs go out in windows of about VERTEX_WINDOW rows, and one
+    format_17g call per window turns the y, z of each run whose bits no
+    earlier run had into the run's template, kept for the rest of the call:
+    its rows' `y sep z` text, joined by the byte 1 and ended by a line
+    break; in the mesh CSV each row leads with its `j,` and the byte 2.  A
+    run is its head (`v x `, or `i,` in the mesh CSV) and its template with
+    each byte 1 replaced by a line break and the head, and in the mesh CSV
+    each byte 2 by `x,`: one bytes.replace, two in the mesh CSV, wherever the
+    run's y, z bits (and, in the mesh CSV, its first j) recur.  A symmetric
+    profile's mirrored half repeats its rings bit for bit.  Comparing bits
+    keeps -0.0 apart from 0.0.  The bytes are those of one f"{v:.17g}" per
+    value, passed to write as bytes, one window at a time.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    n = len(vertices)
+    if n == 0:
+        return
+    bits = vertices[:, 0].view(np.int64)
+    split = bits[1:] != bits[:-1]  # split[k]: a run ends after row k
+    csv = n_angular is not None
+    if csv:
+        n_ring, sep = n_angular, b","
+        split[n_ring - 1::n_ring] = True
+        lead = _number_cells(np.arange(n_ring))  # each row's `j,`, then the byte 2 for `x,`
+        lead[:, -1] = ord(",")
+        lead = np.column_stack([lead, np.full(n_ring, 2, np.uint8)])
+    else:
+        n_ring, sep = 1, b" "
+    cuts = [0]
+    for end in [*(np.flatnonzero(split) + 1).tolist(), n]:
+        cuts += range(cuts[-1] + ROW_BLOCK, end, ROW_BLOCK)
+        cuts.append(end)
+    firsts = np.array(cuts[:-1])
+    xs = []  # the text of each run's x
+    for lo in range(0, len(firsts), ROW_BLOCK):
+        cells = format_17g(vertices[firsts[lo:lo + ROW_BLOCK], 0])
+        cells[:, -1] = ord(sep)
+        xs += cells_text(cells).split(sep)[:-1]
+    templates = {}  # first j and y, z bits of a run -> its template
+    lo = 0  # the window's first run
+    while lo < len(cuts) - 1:
+        hi = min(bisect.bisect_left(cuts, cuts[lo] + VERTEX_WINDOW, lo + 1), len(cuts) - 1)
+        first = cuts[lo]
+        runs = list(zip(cuts[lo:hi], cuts[lo + 1:hi + 1]))
+        yz = vertices[first:cuts[hi], 1:].tobytes()
+        keys = [(a % n_ring, yz[16 * (a - first):16 * (b - first)]) for a, b in runs]
+        new = {}  # the window's runs with bits no earlier run had, by key
+        for key, run in zip(keys, runs):
+            if key not in templates:
+                new.setdefault(key, run)
+        if new:
+            starts, ends = np.array(list(new.values())).T
+            sizes = ends - starts
+            ends = np.cumsum(sizes)  # each new run's end among the window's new rows
+            rows = np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
+            cells = format_17g(vertices[rows, 1:]).reshape(len(rows), 2 * TEXT_CELL)
+            cells[:, TEXT_CELL - 1] = ord(sep)
+            cells[:, -1] = 1  # ends each row of a run but its last
+            cells[ends - 1, -1] = ord("\n")
+            if csv:
+                cells = np.concatenate([lead[rows % n_ring], cells], axis=1)
+            templates.update(zip(new, cells_text(cells).splitlines(True)))
+        parts = []
+        for key, (a, _), x in zip(keys, runs, xs[lo:hi]):
+            head = b"%d," % (a // n_ring) if csv else b"v " + x + b" "
+            text = templates[key].replace(b"\1", b"\n" + head)
+            parts += [head, text.replace(b"\2", x + b",") if csv else text]
+        write(b"".join(parts))
+        lo = hi
+
+
+def _face_text(faces: np.ndarray) -> bytes:
+    """The `f a b c` rows of faces (1-based): the bytes of one f"f {a} {b} {c}" line per face.
+
+    Each number's text is made once, as a _number_cells cell: each number
+    from the block's smallest entry to its largest when that span is under
+    three times the entry count (a revolved mesh's block spans about half
+    its faces plus a ring), else the entries themselves.  One take of whole
+    words gathers three cells per face; the cells' last bytes take the
+    spaces and the line break, and one bytes.replace puts 'f ' after each
+    line break.
+    """
+    v = faces + 1
+    lo, hi = int(v.min()), int(v.max())
+    if hi - lo < 3 * v.size:
+        cells = _number_cells(np.arange(hi - lo + 1) + lo).view(np.uint64).take(v - lo, axis=0)
+    else:
+        cells = _number_cells(v.ravel())
+    rows = cells.view(np.uint8).reshape(len(v), 3, -1)
+    rows[:, :, -1] = ord(" ")
+    rows[:, -1, -1] = ord("\n")
+    return b"f " + cells_text(rows).replace(b"\n", b"\nf ", len(v) - 1)
+
+
+def write_obj(sink, vertices, faces) -> None:
+    """Plain OBJ: `v x y z` then 1-based `f a b c` lines, LF, 17 digits."""
+    with byte_sink(sink) as write:
+        _write_vertex_rows(write, vertices, None)
+        for lo in range(0, len(faces), FACE_BLOCK):
+            write(_face_text(faces[lo:lo + FACE_BLOCK]))
+
+
+def write_mesh_csv(sink, vertices, n_angular: int) -> None:
+    """Vertex table `i,j,x,y,z` of the rings of n_angular vertices, i the ring, j the angle."""
+    with byte_sink(sink) as write:
+        write(b"i,j,x,y,z\n")
+        _write_vertex_rows(write, vertices, n_angular)
+
+
+def json_text(obj) -> str:
+    """Compact JSON text of obj; floats at 17 significant digits, and null if not finite."""
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json_text(str(k))}:{json_text(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
+        return "[" + ",".join(json_text(v) for v in obj) + "]"
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    value = float(obj)
+    return format(value, ".17g") if math.isfinite(value) else "null"
+
+
+def write_json(sink, doc) -> None:
+    """doc as one line of json_text, to a path or a handle."""
+    with byte_sink(sink) as write:
+        write((json_text(doc) + "\n").encode())
+
+
+def read_profile_csv(source) -> np.ndarray:
+    """The (n, 4) rows under a t,x,z,theta header; ValueError names a bad header,
+    column count, or non-finite value (by data row and column)."""
+    with text_sink(source) as fh:
+        header = fh.readline().strip()
+        if header != "t,x,z,theta":
+            raise ValueError(f"unexpected profile CSV header: {header!r}")
+        with warnings.catch_warnings():  # a file without rows is rejected below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    n_cols = data.shape[1] if len(data) else 0
+    if n_cols != 4:
+        raise ValueError(f"profile CSV rows have {n_cols} columns, expected 4 (t,x,z,theta)")
+    if not np.isfinite(data).all():
+        row, col = np.argwhere(~np.isfinite(data))[0]
+        raise ValueError(f"profile CSV data row {row + 1}: {header.split(',')[col]} "
+                         f"is {data[row, col]}, not a finite number")
+    return data
+
+
+def parse_obj(source) -> tuple[np.ndarray, np.ndarray]:
+    """Read back vertices and 0-based faces from the OBJ text format.
+
+    Returns (n, 3) float vertices and (m, 3) int64 faces, also when n or m
+    is 0.  A face `f a b c d ...` is split into the fan (a, b, c),
+    (a, c, d), ...; a face entry `a/t/n` is read as vertex a.  A negative
+    entry -k is the kth vertex back from the last `v` line read so far.  A
+    `v` line's entries past the third are ignored.  A `v` or `f` line with
+    fewer than three entries, with an entry that is not a number (a vertex
+    index for `f`), or with a vertex index of 0 or one counting back past
+    the first vertex, raises ValueError naming its line number.
+    """
+    verts, faces = [], []
+    with text_sink(source) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts or parts[0] not in ("v", "f"):
+                continue
+            if len(parts) < 4:
+                raise ValueError(f"OBJ line {lineno}: a '{parts[0]}' line needs three "
+                                 f"entries, got {len(parts) - 1}")
+            try:
+                if parts[0] == "v":
+                    verts.append([float(p) for p in parts[1:4]])
+                    continue
+                ks = [int(p.split("/")[0]) for p in parts[1:]]
+            except ValueError:
+                kind = "a number" if parts[0] == "v" else "an integer vertex index"
+                raise ValueError(f"OBJ line {lineno}: {line.strip()!r} has an entry "
+                                 f"that is not {kind}") from None
+            if 0 in ks or min(ks) < -len(verts):
+                raise ValueError(f"OBJ line {lineno}: {line.strip()!r} has a vertex index of 0 "
+                                 f"or one counting back past the first vertex")
+            a, *rest = (k - 1 if k > 0 else len(verts) + k for k in ks)
+            faces += [[a, b, c] for b, c in zip(rest, rest[1:])]
+    return (np.array(verts, dtype=float).reshape(-1, 3),
+            np.array(faces, dtype=np.int64).reshape(-1, 3))

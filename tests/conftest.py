@@ -26,7 +26,7 @@ def sep_profile(cfg):
 
 @pytest.fixture(scope="session")
 def format_branches():
-    """Finite values that reach every branch of profile.format_17g, with both signs.
+    """Finite values that reach every branch of text.format_17g, with both signs.
 
     Zero, a subnormal and 1e-300 take '%.17g' itself, and so do 1e17 and up;
     1e-4 and 1e17 with their neighbours sit at the edges of the exact range,

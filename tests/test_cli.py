@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import rotsurf as rs
 import rotsurf.cli
 import rotsurf.shooting
+import rotsurf.text
 from rotsurf.cli import main
 from rotsurf.errors import RotsurfError, StepUnderflowError
 
@@ -185,6 +186,22 @@ class TestCurve:
         err = capsys.readouterr().err
         assert err.startswith("error: --span ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["curve", "mesh"])
+    def test_sphere_span_below_sample_spacing_exit_2(self, tmp_path, capsys, command):
+        # a span that keeps fewer than 2 of the sphere's samples (spacing
+        # 0.0037) once wrote the whole sphere
+        out = tmp_path / "x.csv"
+        assert run(command, "--lambda", repr(SQRT2), "--span", "1e-3", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --span ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_sphere_span_of_three_samples(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run("curve", "--lambda", repr(SQRT2), "--span", "0.004", "--out", out) == 0
+        prof = rs.ProfileCurve.read_csv(out)
+        assert len(prof) == 3 and np.all(np.abs(prof.t) <= 0.004)
 
     def test_step_cap_exit_3(self, tmp_path, monkeypatch):
         # a periodic height integrates for the whole span, up to the cap
@@ -374,7 +391,7 @@ class TestExtendAndVerify:
         doc = strict_json(report.read_text())
         assert doc["max_curvature_residual"] is None
         assert doc["pass"] is False
-        assert rotsurf.cli._json([math.nan, math.inf, -math.inf, 1.5]) == "[null,null,null,1.5]"
+        assert rotsurf.text.json_text([math.nan, math.inf, -math.inf, 1.5]) == "[null,null,null,1.5]"
 
     def test_side_outputs_beside_a_dotted_directory(self, tmp_path):
         # the stem of --out drops only the file's own extension
@@ -439,6 +456,32 @@ class TestExtendAndVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"data row 40: {column} is {value}, not a finite number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("z", "0", "data row 40: z is 0.0, not positive"),
+        ("z", "-0.0", "data row 40: z is -0.0, not positive"),
+        ("z", "-0.5", "data row 40: z is -0.5, not positive"),
+        ("t", None, "data row 40: t is "),  # t of data row 39 repeated
+    ])
+    def test_verify_invalid_profile_row_exit_2(self, tmp_path, capsys, column, value, message):
+        # a z that is finite and not positive once exited 3 ("profile has
+        # z <= 0"), and a t not above the row before named no row
+        curve, out = tmp_path / "c.csv", tmp_path / "v.json"
+        assert run("curve", "--lambda", "4.0", "--span", "2", "--out", curve) == 0
+        lines = curve.read_text().splitlines()
+        row = lines[40].split(",")
+        col = "t,x,z,theta".split(",").index(column)
+        row[col] = lines[39].split(",")[col] if value is None else value
+        lines[40] = ",".join(row)
+        curve.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("verify", curve, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        if value is None:
+            assert "not above the row before" in err
         assert not out.exists()
 
     def test_verify_non_finite_names_data_row_past_comments(self, tmp_path, capsys):
@@ -568,15 +611,15 @@ class TestOutputSinks:
         for name in ("p.json", "e.regularity.json", "v.json"):
             path = tmp_path / name
             doc = strict_json(path.read_text())
-            self.assert_same_bytes(lambda sink: rotsurf.cli._write_json(sink, doc), path)
+            self.assert_same_bytes(lambda sink: rotsurf.text.write_json(sink, doc), path)
         for k in range(2):
             path = tmp_path / f"p_{k:02d}.csv"
             polyline = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
             def write(sink):
-                with rs.profile.byte_sink(sink) as put:
+                with rs.text.byte_sink(sink) as put:
                     put(b"theta,z\n")
-                    rs.profile.write_rows(put, polyline)
+                    rs.text.write_rows(put, polyline)
 
             self.assert_same_bytes(write, path)
 

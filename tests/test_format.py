@@ -1,4 +1,4 @@
-"""profile.format_17g against '%.17g' % v, the text of every emitted float.
+"""text.format_17g against '%.17g' % v, the text of every emitted float.
 
 CI runs this file a second time with numpy's AVX-512 loops switched off:
 format_17g calls np.log10 and np.rint, whose SIMD loops may differ.
@@ -7,7 +7,7 @@ format_17g calls np.log10 and np.rint, whose SIMD loops may differ.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from rotsurf.profile import TEXT_CELL, cells_text, format_17g
+from rotsurf.text import TEXT_CELL, cells_text, format_17g
 
 
 def texts(values) -> list[str]:

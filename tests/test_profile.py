@@ -14,8 +14,9 @@ from rotsurf.errors import (
     NotPeriodicError,
     TooFewSamplesError,
 )
-from rotsurf.profile import MAX_RESAMPLE_STEPS, ROW_BLOCK, SAMPLE_DT, _five_point_weights
+from rotsurf.profile import MAX_RESAMPLE_STEPS, SAMPLE_DT, _five_point_weights
 from rotsurf.shooting import SPHERE_HALF_SPAN, _sphere_polyline
+from rotsurf.text import ROW_BLOCK
 
 SQRT2 = math.sqrt(2.0)
 

@@ -1,0 +1,80 @@
+"""The package's module boundaries, read from its source.
+
+rotsurf.text is the one module that knows how files are read and written:
+no other module opens a file or holds a '.17g' format, and text imports no
+module of the package.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import rotsurf
+
+SOURCES = sorted(Path(rotsurf.__file__).parent.glob("*.py"))
+
+
+def docstrings(tree):
+    """The docstring nodes of a module and of its classes and functions."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(tree):
+        if isinstance(node, owners) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                yield first.value
+
+
+def format_texts(tree):
+    """The string and bytes constants outside docstrings that hold '.17g'."""
+    skip = {id(node) for node in docstrings(tree)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and id(node) not in skip
+                and isinstance(node.value, (str, bytes))):
+            text = node.value.decode("latin-1") if isinstance(node.value, bytes) else node.value
+            if ".17g" in text:
+                yield node.lineno
+
+
+def open_calls(tree):
+    """The lines that call open, as a name or as an attribute (io.open, Path.open)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "open":
+                yield node.lineno
+
+
+def package_imports(tree):
+    """The lines of relative imports and imports of rotsurf."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0 or (node.module or "").split(".")[0] == "rotsurf":
+                yield node.lineno
+        elif isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "rotsurf" for alias in node.names):
+                yield node.lineno
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_sources_found():
+    names = {path.name for path in SOURCES}
+    assert {"text.py", "profile.py", "surface.py", "cli.py"} <= names
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "text.py"],
+                         ids=lambda p: p.name)
+def test_only_text_reads_and_writes_files(path):
+    tree = parse(path)
+    assert list(open_calls(tree)) == [], f"{path.name} calls open"
+    assert list(format_texts(tree)) == [], f"{path.name} holds a .17g format"
+
+
+def test_text_imports_no_package_module():
+    tree = parse(next(p for p in SOURCES if p.name == "text.py"))
+    assert list(package_imports(tree)) == []
+    assert list(format_texts(tree)) and list(open_calls(tree))  # the checks see what they look for

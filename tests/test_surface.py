@@ -8,8 +8,7 @@ import pytest
 import rotsurf as rs
 from rotsurf import Mesh
 from rotsurf.cli import main
-from rotsurf.profile import ROW_BLOCK
-from rotsurf.surface import FACE_BLOCK, VERTEX_WINDOW
+from rotsurf.text import FACE_BLOCK, ROW_BLOCK, VERTEX_WINDOW
 
 SQRT2 = math.sqrt(2.0)
 
