@@ -26,6 +26,9 @@ FACE_BLOCK = 4096  # faces per _face_text call: one table of number cells, one g
 # rows per window of _write_vertex_rows, whose new rows' y, z take one format_17g call;
 # of 1024, 2048 and 4096, 2048 wrote the meshes of the benchmark's emit deck fastest
 VERTEX_WINDOW = 2048
+# characters of profile CSV text that read_profile_csv parses in one call, then up to the line
+# end: a whole 39 MB file in one call took 300 MB, blocks of this size about 20 MB more than loadtxt
+READ_BLOCK = 1 << 20
 
 # bytes of a format_17g cell: a sign slot, '0.' and three zeros, then 17 digits
 # each followed by a slot for the point; the last slot is left for a separator
@@ -383,22 +386,118 @@ def write_json(sink, doc) -> None:
         write((json_text(doc) + "\n").encode())
 
 
+def _json_rows(block: str):
+    """The lines of block, 4 numbers each, as an (n, 4) float64 array; None where JSON cannot spell them.
+
+    Every token must be a JSON number and every line must hold 4 of them.
+    With no quote, bracket, brace, letter t or l (true, false, null) and no
+    whitespace but the line feeds, every value orjson reads is a number, and
+    orjson reads numbers correctly rounded, as np.loadtxt does.  Each line feed
+    is read as a null, so the lines hold 4 values each exactly when the
+    nulls are every fifth value.  Anything else (nan, +1, .5, 5., 01,
+    1e400, comment and blank lines, ragged rows) returns None.
+    """
+    import orjson  # on first use, so that only commands reading a CSV import it
+
+    if any(c in block for c in '"tl[{ \t\r'):
+        return None
+    if not block.endswith("\n"):  # the last line of a file may have no line feed
+        block += "\n"
+    try:
+        values = orjson.loads("[" + block.replace("\n", ",null,")[:-1] + "]")
+    except orjson.JSONDecodeError:
+        return None
+    n = len(values) // 5
+    if len(values) != 5 * n or values[4::5].count(None) != n:
+        return None
+    del values[4::5]
+    data = np.fromiter(values, float, 4 * n)
+    zeros = np.flatnonzero(data == 0.0)
+    if len(zeros):  # JSON reads -0 as the integer 0: the sign is the token's first byte
+        text = np.frombuffer(block.encode(), np.uint8)
+        ends = np.flatnonzero((text == ord(",")) | (text == ord("\n")))  # one per token
+        starts = np.where(zeros > 0, ends[zeros - 1] + 1, 0)
+        data[zeros[text[starts] == ord("-")]] = -0.0
+    return data.reshape(n, 4)
+
+
+def _is_loadtxt_number(field: str) -> bool:
+    """Whether np.loadtxt reads field as a float: ASCII strtod text with
+    whitespace around it, which is float() without digit underscores."""
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return field.isascii() and "_" not in field
+
+
+def _width_error(row: int, n: int) -> str:
+    return f"profile CSV data row {row} has {n} column{'s' * (n != 1)}, expected 4 (t,x,z,theta)"
+
+
+def _bad_row(block: str, row0: int, names: list) -> str:
+    """The message for the first bad data row of block, whose first data row is row0 + 1.
+
+    A data row is a line with text before any '#', as np.loadtxt reads it.
+    """
+    row = row0
+    for line in block.split("\n"):
+        fields = line.split("#", 1)[0]
+        if not fields:
+            continue
+        row += 1
+        fields = fields.split(",")
+        if len(fields) != len(names):
+            return _width_error(row, len(fields))
+        for name, field in zip(names, fields):
+            if not _is_loadtxt_number(field):
+                return f"profile CSV data row {row}: {name} is {field!r}, not a number"
+    return ""
+
+
 def read_profile_csv(source) -> np.ndarray:
-    """The (n, 4) rows under a t,x,z,theta header; ValueError names a bad header,
-    column count, or non-finite value (by data row and column)."""
+    """The (n, 4) rows under a t,x,z,theta header.
+
+    The rows are read one block of about READ_BLOCK characters at a time.
+    A block of JSON numbers, 4 a line, is parsed by orjson (_json_rows);
+    any other block by np.loadtxt.  Both round correctly, so the bits do
+    not depend on the path.  ValueError names a bad header, columns other
+    than 4, and a value that is not a number or not finite, with its data
+    row (comment and blank lines are not counted) and column.
+    """
+    parts, rows = [], 0
     with text_sink(source) as fh:
         header = fh.readline().strip()
         if header != "t,x,z,theta":
             raise ValueError(f"unexpected profile CSV header: {header!r}")
-        with warnings.catch_warnings():  # a file without rows is rejected below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    n_cols = data.shape[1] if len(data) else 0
-    if n_cols != 4:
-        raise ValueError(f"profile CSV rows have {n_cols} columns, expected 4 (t,x,z,theta)")
+        names = header.split(",")
+        while block := fh.read(READ_BLOCK):
+            block += fh.readline()  # the block ends at a line end
+            data = _json_rows(block)
+            if data is None:
+                try:
+                    with warnings.catch_warnings():  # a block without rows is fine
+                        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                        data = np.loadtxt(io.StringIO(block), delimiter=",", ndmin=2)
+                except ValueError as exc:
+                    raise ValueError(_bad_row(block, rows, names) or str(exc)) from None
+            if len(data):
+                parts.append(data)
+                rows += len(data)
+    widths = {part.shape[1] for part in parts}
+    if widths != {4}:
+        if len(widths) > 1:  # blocks of different widths: name the first row not 4 wide
+            row = 1
+            for part in parts:
+                if part.shape[1] != 4:
+                    raise ValueError(_width_error(row, part.shape[1]))
+                row += len(part)
+        raise ValueError(f"profile CSV rows have {widths.pop() if widths else 0} columns, "
+                         f"expected 4 (t,x,z,theta)")
+    data = np.concatenate(parts) if len(parts) > 1 else parts[0]
     if not np.isfinite(data).all():
         row, col = np.argwhere(~np.isfinite(data))[0]
-        raise ValueError(f"profile CSV data row {row + 1}: {header.split(',')[col]} "
+        raise ValueError(f"profile CSV data row {row + 1}: {names[col]} "
                          f"is {data[row, col]}, not a finite number")
     return data
 

@@ -484,6 +484,28 @@ class TestExtendAndVerify:
             assert "not above the row before" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda f: ",".join([f[0], "abc", *f[2:]]), "data row 40: x is 'abc', not a number"),
+        (lambda f: ",".join([*f[:3], "0x1p3"]), "data row 40: theta is '0x1p3', not a number"),
+        (lambda f: ",".join([f[0], '"1"', *f[2:]]), "data row 40: x is '\"1\"', not a number"),
+        (lambda f: ";".join(f), "data row 40 has 1 column, expected 4 (t,x,z,theta)"),
+        (lambda f: ",".join(f[:3]), "data row 40 has 3 columns, expected 4 (t,x,z,theta)"),
+        (lambda f: ",".join([*f, "1"]), "data row 40 has 5 columns, expected 4 (t,x,z,theta)"),
+    ], ids=["abc", "hex", "quoted", "semicolons", "3-fields", "5-fields"])
+    def test_verify_unreadable_row_exit_2(self, tmp_path, capsys, edit, message):
+        # np.loadtxt's own messages once counted rows from 0 for a value and
+        # from 1 for a column count, and named a usecols argument
+        curve, out = tmp_path / "c.csv", tmp_path / "v.json"
+        assert run("curve", "--lambda", "4.0", "--span", "2", "--out", curve) == 0
+        lines = curve.read_text().splitlines()
+        lines[40] = edit(lines[40].split(","))
+        curve.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("verify", curve, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: profile CSV {message}\n"
+        assert captured.out == "" and not out.exists()
+
     def test_verify_non_finite_names_data_row_past_comments(self, tmp_path, capsys):
         # comment and blank lines are skipped: the message counts data rows
         curve, out = tmp_path / "c.csv", tmp_path / "v.json"
@@ -550,6 +572,30 @@ class TestExtendAndVerify:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stdout + done.stderr
         assert done.stdout.splitlines()[-1] == "(0, 0) []"
+
+    def test_only_verify_loads_orjson(self, tmp_path):
+        # the CSV reader imports orjson on first use, so the commands that
+        # read no CSV start without it
+        d = str(tmp_path)
+        code = (
+            "import sys\n"
+            "from rotsurf.cli import main\n"
+            f"argvs = [['curve', '--lambda', '4', '--span', '2', '--out', {d!r} + '/c.csv'],\n"
+            f"         ['mesh', '--lambda', '4', '--span', '2', '--out', {d!r} + '/m.obj'],\n"
+            f"         ['extend', '--copies', '1', '--out', {d!r} + '/e.csv'],\n"
+            f"         ['find-lambda0', '--tol', '1e-6', '--out', {d!r} + '/l.json'],\n"
+            f"         ['verify', {d!r} + '/c.csv', '--out', {d!r} + '/v.json']]\n"
+            "seen = [(argv[0], main(argv), 'orjson' in sys.modules) for argv in argvs]\n"
+            "print(seen)\n")
+        src = str(Path(rs.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.splitlines()[-1] == str([
+            ("curve", 0, False), ("mesh", 0, False), ("extend", 0, False),
+            ("find-lambda0", 0, False), ("verify", 0, True)])
 
     @pytest.mark.parametrize("flag", ["--rel-tol=nan", "--abs-tol=nan",
                                       "--boundary-eps=1e-10", "--config=run.conf"])

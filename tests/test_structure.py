@@ -2,7 +2,7 @@
 
 rotsurf.text is the one module that knows how files are read and written:
 no other module opens a file or holds a '.17g' format, and text imports no
-module of the package.
+module of the package.  Only text imports orjson, inside the CSV reader.
 """
 
 import ast
@@ -78,3 +78,27 @@ def test_text_imports_no_package_module():
     tree = parse(next(p for p in SOURCES if p.name == "text.py"))
     assert list(package_imports(tree)) == []
     assert list(format_texts(tree)) and list(open_calls(tree))  # the checks see what they look for
+
+
+def orjson_imports(tree):
+    """(line, inside a function) of each import of orjson."""
+    in_function = {id(inner) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)}
+    for node in ast.walk(tree):
+        names = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                 else [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [])
+        if any(name.split(".")[0] == "orjson" for name in names):
+            yield node.lineno, id(node) in in_function
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_text_imports_orjson_and_on_first_use(path):
+    # orjson takes milliseconds to import, so only the CSV reader imports it,
+    # and only when it runs: the commands that read no CSV never load it
+    found = list(orjson_imports(parse(path)))
+    if path.name == "text.py":
+        assert found and all(inside for _, inside in found)
+    else:
+        assert found == [], f"{path.name} imports orjson"
