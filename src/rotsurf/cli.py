@@ -200,7 +200,7 @@ def cmd_curve(args) -> int:
 
 MAX_N_ANGULAR = 1024  # angular samples a revolution mesh may have
 MAX_CYLINDER_SAMPLES = 20_001  # profile samples of a builtin cylinder (span 200 at 0.01)
-# vertices a revolution mesh may have: the largest builtin cylinder's, about 2 GB to build
+# vertices a revolution mesh may have: the largest builtin cylinder's, whose OBJ is about 2 GB
 MAX_MESH_VERTICES = MAX_CYLINDER_SAMPLES * MAX_N_ANGULAR
 
 
@@ -230,7 +230,7 @@ def cmd_mesh(args) -> int:
     else:
         export_obj(mesh, args.out)
     print(f"mesh: {mesh.n_profile} x {mesh.n_angular} vertices, "
-          f"{len(mesh.faces)} faces -> {args.out}")
+          f"{mesh.n_faces} faces -> {args.out}")
     return 0
 
 

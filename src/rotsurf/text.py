@@ -4,14 +4,15 @@ Output is ASCII bytes, the same for the same input, written through
 byte_sink.  Every float in a CSV or OBJ file is the text of '%.17g' % v,
 which format_17g makes in numpy cells a few thousand values per call; a
 JSON report holds the same text, and null for a float that is not finite.
-Mesh rows make no Python object per face or per repeated vertex row
-(_write_vertex_rows, _face_text).  text_sink serves the readers.  This
-module imports no other module of the package.
+A mesh is written from its rings, a profile's x and z and an angle table,
+with no vertex or face array: each distinct z's ring of y, z text is made
+once (_write_rings), and face rows from the band pattern (_face_text).
+text_sink serves the readers.  This module imports no other module of the
+package.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import functools
 import io
@@ -20,12 +21,12 @@ import warnings
 
 import numpy as np
 
-# rows whose values format_17g turns into text in one call, in write_rows and mesh export
+# rows whose values format_17g turns into text in one call, in write_rows
 ROW_BLOCK = 1024
-FACE_BLOCK = 4096  # faces per _face_text call: one table of number cells, one gather, one translate
-# rows per window of _write_vertex_rows, whose new rows' y, z take one format_17g call;
-# of 1024, 2048 and 4096, 2048 wrote the meshes of the benchmark's emit deck fastest
-VERTEX_WINDOW = 2048
+FACE_BLOCK = 4096  # faces per _face_text call, in whole bands: one number table, gather, translate
+# rows per window of _write_rings, whose x and new rings' y, z take one format_17g call;
+# the emit deck's meshes took 0.94 of 2048's time at 4096, and about as long at 8192 or 16384
+VERTEX_WINDOW = 4096
 # characters of profile CSV text that read_profile_csv parses in one call, then up to the line
 # end: a whole 39 MB file in one call took 300 MB, blocks of this size about 20 MB more than loadtxt
 READ_BLOCK = 1 << 20
@@ -192,18 +193,16 @@ def cells_text(cells: np.ndarray) -> bytes:
 
 
 def _number_cells(v: np.ndarray) -> np.ndarray:
-    """The f"{n}" text of each integer n of v, one cell of whole uint64 words each.
+    """The f"{n}" text of each non-negative integer n of v, one cell of whole uint64 words each.
 
-    A cell holds a sign slot, then NULs, then the digits ending just before
-    its last byte, which is left NUL for the caller's separator.  Its text
-    is its bytes without NULs (cells_text).
+    A cell holds NULs, then the digits ending just before its last byte,
+    which is left NUL for the caller's separator.  Its text is its bytes
+    without NULs (cells_text).
     """
-    neg = v < 0
     mag = v.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)  # |n| by wraparound, also for -2**63
     n_digits = np.searchsorted(_POW10, mag, side="right") + 1
     width = int(n_digits.max())
-    size = (width + 9) // 8 * 8  # the sign slot, the digits and the separator, in words
+    size = (width + 8) // 8 * 8  # the digits and the separator, in words
     n_quads = (width + 3) // 4
     quads = np.empty((len(v), n_quads), np.uint32)
     table = _digit_quads()
@@ -217,7 +216,6 @@ def _number_cells(v: np.ndarray) -> np.ndarray:
     keep = (place >= size - 1 - np.arange(width + 1)[:, None]) & (place < size - 1)
     words = cells.view(np.uint64)
     words &= (keep * np.uint8(0xFF)).view(np.uint64).take(n_digits, axis=0)
-    cells[:, 0] = neg * ord("-")
     return cells
 
 
@@ -247,119 +245,93 @@ def write_csv(sink, header: bytes, *columns) -> None:
         write_rows(write, *columns)
 
 
-def _write_vertex_rows(write, vertices, n_angular: int | None) -> None:
-    """Write a row per vertex: `v x y z`, or given n_angular `i,j,x,y,z` for vertex i * n_angular + j.
+def _write_rings(write, x, z, sin_phi, cos_phi, csv: bool) -> None:
+    """Write a row per vertex of the rings: `v x y z`, or with csv `i,j,x,y,z`, vertex j of ring i.
 
-    The rows are cut into runs of bit-identical x (a ring of a revolved
-    mesh), each at most ROW_BLOCK rows and, in the mesh CSV, inside one
-    ring.  format_17g turns the runs' x into text, ROW_BLOCK runs per call.
-    The runs go out in windows of about VERTEX_WINDOW rows, and one
-    format_17g call per window turns the y, z of each run whose bits no
-    earlier run had into the run's template, kept for the rest of the call:
-    its rows' `y sep z` text, joined by the byte 1 and ended by a line
+    Ring i has x[i] and the points z[i] * (sin_phi[j], cos_phi[j]), so the
+    text of its y, z depends only on the bits of z[i]; keying by bits keeps
+    -0.0 apart from 0.0, and NaN payloads apart.  The rings go out in
+    windows of about VERTEX_WINDOW rows, and one format_17g call per window
+    turns the window's x, and the y, z of each ring whose z no earlier ring
+    had, into text.  Such a ring's y, z text is its template, kept for the rest of the
+    export: its rows' `y sep z` joined by the byte 1 and ended by a line
     break; in the mesh CSV each row leads with its `j,` and the byte 2.  A
-    run is its head (`v x `, or `i,` in the mesh CSV) and its template with
+    ring is its head (`v x `, or `i,` in the mesh CSV) and its template with
     each byte 1 replaced by a line break and the head, and in the mesh CSV
-    each byte 2 by `x,`: one bytes.replace, two in the mesh CSV, wherever the
-    run's y, z bits (and, in the mesh CSV, its first j) recur.  A symmetric
-    profile's mirrored half repeats its rings bit for bit.  Comparing bits
-    keeps -0.0 apart from 0.0.  The bytes are those of one f"{v:.17g}" per
-    value, passed to write as bytes, one window at a time.
+    each byte 2 by `x,`.  A symmetric profile's mirrored half repeats its z
+    bit for bit.  The bytes are those of one f"{v:.17g}" per value, passed to
+    write one window at a time.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    n = len(vertices)
-    if n == 0:
-        return
-    bits = vertices[:, 0].view(np.int64)
-    split = bits[1:] != bits[:-1]  # split[k]: a run ends after row k
-    csv = n_angular is not None
+    n_ring, sep = len(sin_phi), b"," if csv else b" "
     if csv:
-        n_ring, sep = n_angular, b","
-        split[n_ring - 1::n_ring] = True
         lead = _number_cells(np.arange(n_ring))  # each row's `j,`, then the byte 2 for `x,`
         lead[:, -1] = ord(",")
         lead = np.column_stack([lead, np.full(n_ring, 2, np.uint8)])
-    else:
-        n_ring, sep = 1, b" "
-    cuts = [0]
-    for end in [*(np.flatnonzero(split) + 1).tolist(), n]:
-        cuts += range(cuts[-1] + ROW_BLOCK, end, ROW_BLOCK)
-        cuts.append(end)
-    firsts = np.array(cuts[:-1])
-    xs = []  # the text of each run's x
-    for lo in range(0, len(firsts), ROW_BLOCK):
-        cells = format_17g(vertices[firsts[lo:lo + ROW_BLOCK], 0])
-        cells[:, -1] = ord(sep)
-        xs += cells_text(cells).split(sep)[:-1]
-    templates = {}  # first j and y, z bits of a run -> its template
-    lo = 0  # the window's first run
-    while lo < len(cuts) - 1:
-        hi = min(bisect.bisect_left(cuts, cuts[lo] + VERTEX_WINDOW, lo + 1), len(cuts) - 1)
-        first = cuts[lo]
-        runs = list(zip(cuts[lo:hi], cuts[lo + 1:hi + 1]))
-        yz = vertices[first:cuts[hi], 1:].tobytes()
-        keys = [(a % n_ring, yz[16 * (a - first):16 * (b - first)]) for a, b in runs]
-        new = {}  # the window's runs with bits no earlier run had, by key
-        for key, run in zip(keys, runs):
-            if key not in templates:
-                new.setdefault(key, run)
-        if new:
-            starts, ends = np.array(list(new.values())).T
-            sizes = ends - starts
-            ends = np.cumsum(sizes)  # each new run's end among the window's new rows
-            rows = np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
-            cells = format_17g(vertices[rows, 1:]).reshape(len(rows), 2 * TEXT_CELL)
-            cells[:, TEXT_CELL - 1] = ord(sep)
-            cells[:, -1] = 1  # ends each row of a run but its last
-            cells[ends - 1, -1] = ord("\n")
-            if csv:
-                cells = np.concatenate([lead[rows % n_ring], cells], axis=1)
-            templates.update(zip(new, cells_text(cells).splitlines(True)))
+    keys = np.ascontiguousarray(z, dtype=float).view(np.int64).tolist()
+    templates = {}  # z bits -> the ring's template
+    step = max(1, VERTEX_WINDOW // n_ring)  # rings per window
+    for lo in range(0, len(x), step):
+        hi = min(lo + step, len(x))
+        new = [key for key in dict.fromkeys(keys[lo:hi]) if key not in templates]
+        zs = np.array(new, np.int64).view(float)  # the window's z whose bits no earlier ring had
+        yz = np.stack([np.outer(zs, sin_phi), np.outer(zs, cos_phi)], axis=-1)
+        cells = format_17g(np.concatenate([yz.ravel(), x[lo:hi]]))
+        rows = cells[:yz.size].reshape(-1, 2 * TEXT_CELL)
+        rows[:, TEXT_CELL - 1] = ord(sep)
+        rows[:, -1] = 1  # ends each row of a ring but its last
+        rows[n_ring - 1::n_ring, -1] = ord("\n")
+        if csv:
+            rows = np.concatenate([np.tile(lead, (len(new), 1)), rows], axis=1)
+        templates.update(zip(new, cells_text(rows).splitlines(True)))
+        xs = cells[yz.size:]
+        xs[:, -1] = ord(sep)
         parts = []
-        for key, (a, _), x in zip(keys, runs, xs[lo:hi]):
-            head = b"%d," % (a // n_ring) if csv else b"v " + x + b" "
+        for i, key, xt in zip(range(lo, hi), keys[lo:hi], cells_text(xs).split(sep)):
+            head = b"%d," % i if csv else b"v " + xt + b" "
             text = templates[key].replace(b"\1", b"\n" + head)
-            parts += [head, text.replace(b"\2", x + b",") if csv else text]
+            parts += [head, text.replace(b"\2", xt + b",") if csv else text]
         write(b"".join(parts))
-        lo = hi
 
 
 def _face_text(faces: np.ndarray) -> bytes:
     """The `f a b c` rows of faces (1-based): the bytes of one f"f {a} {b} {c}" line per face.
 
-    Each number's text is made once, as a _number_cells cell: each number
-    from the block's smallest entry to its largest when that span is under
-    three times the entry count (a revolved mesh's block spans about half
-    its faces plus a ring), else the entries themselves.  One take of whole
-    words gathers three cells per face; the cells' last bytes take the
-    spaces and the line break, and one bytes.replace puts 'f ' after each
-    line break.
+    The text of each number from the block's smallest entry to its largest
+    is made once, as a _number_cells cell; a block of a revolved mesh spans
+    about half its faces plus a ring.  One take of whole words gathers
+    three cells per face; the cells' last bytes take the spaces and the
+    line break, and one bytes.replace puts 'f ' after each line break.
     """
     v = faces + 1
     lo, hi = int(v.min()), int(v.max())
-    if hi - lo < 3 * v.size:
-        cells = _number_cells(np.arange(hi - lo + 1) + lo).view(np.uint64).take(v - lo, axis=0)
-    else:
-        cells = _number_cells(v.ravel())
+    cells = _number_cells(np.arange(lo, hi + 1)).view(np.uint64).take(v - lo, axis=0)
     rows = cells.view(np.uint8).reshape(len(v), 3, -1)
     rows[:, :, -1] = ord(" ")
     rows[:, -1, -1] = ord("\n")
     return b"f " + cells_text(rows).replace(b"\n", b"\nf ", len(v) - 1)
 
 
-def write_obj(sink, vertices, faces) -> None:
-    """Plain OBJ: `v x y z` then 1-based `f a b c` lines, LF, 17 digits."""
+def write_obj(sink, x, z, sin_phi, cos_phi, band) -> None:
+    """Plain OBJ of a revolution: `v x y z` then 1-based `f a b c` lines, LF, 17 digits.
+
+    The vertices are _write_rings's rings of x, z and the angle table.  The
+    faces between rings i and i + 1 are band + i * len(sin_phi); blocks of
+    whole bands, about FACE_BLOCK faces, go through _face_text.
+    """
+    n_ring, n_bands = len(sin_phi), max(len(x) - 1, 0)
+    step = max(1, FACE_BLOCK // len(band))  # bands per block
     with byte_sink(sink) as write:
-        _write_vertex_rows(write, vertices, None)
-        for lo in range(0, len(faces), FACE_BLOCK):
-            write(_face_text(faces[lo:lo + FACE_BLOCK]))
+        _write_rings(write, x, z, sin_phi, cos_phi, False)
+        for lo in range(0, n_bands, step):
+            shift = np.arange(lo, min(lo + step, n_bands))[:, None, None] * n_ring
+            write(_face_text((shift + band).reshape(-1, 3)))
 
 
-def write_mesh_csv(sink, vertices, n_angular: int) -> None:
-    """Vertex table `i,j,x,y,z` of the rings of n_angular vertices, i the ring, j the angle."""
+def write_mesh_csv(sink, x, z, sin_phi, cos_phi) -> None:
+    """Vertex table `i,j,x,y,z` of a revolution's rings (_write_rings), i the ring, j the angle."""
     with byte_sink(sink) as write:
         write(b"i,j,x,y,z\n")
-        _write_vertex_rows(write, vertices, n_angular)
+        _write_rings(write, x, z, sin_phi, cos_phi, True)
 
 
 def json_text(obj) -> str:

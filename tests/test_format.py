@@ -1,13 +1,17 @@
-"""text.format_17g against '%.17g' % v, the text of every emitted float.
+"""text.format_17g against '%.17g' % v, the text of every emitted float, and
+text._number_cells against '%d' % n, the text of the mesh CSV's ring and
+angle numbers and of OBJ face entries.
 
 CI runs this file a second time with numpy's AVX-512 loops switched off:
 format_17g calls np.log10 and np.rint, whose SIMD loops may differ.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotsurf.text import TEXT_CELL, cells_text, format_17g
+from rotsurf.cli import MAX_MESH_VERTICES
+from rotsurf.text import TEXT_CELL, _number_cells, cells_text, format_17g
 
 
 def texts(values) -> list[str]:
@@ -62,3 +66,16 @@ def test_arbitrary_values_in_the_exact_range(values, negate):
 def test_no_values():
     assert format_17g(np.empty(0)).shape == (0, TEXT_CELL)
     assert texts([]) == []
+
+
+# digit-count edges, and the cell-size edges at 7 and 8 digits (one and two words)
+NUMBERS = [0, 9, 10, 9999, 10000, 9_999_999, 10_000_000, 99_999_999, MAX_MESH_VERTICES]
+
+
+@pytest.mark.parametrize("numbers", [NUMBERS, *([n] for n in NUMBERS)])
+def test_number_cells(numbers):
+    cells = _number_cells(np.array(numbers, np.int64))
+    assert cells.shape[0] == len(numbers) and cells.shape[1] % 8 == 0  # whole words
+    assert not cells[:, -1].any()  # the separator slot is free
+    cells[:, -1] = ord(",")
+    assert cells_text(cells) == b"".join(b"%d," % n for n in numbers)

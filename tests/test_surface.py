@@ -37,25 +37,37 @@ def reference_faces(n_p, n_ang):
     return np.asarray(faces, dtype=np.int64)
 
 
+def row_loop_texts(mesh):
+    """A mesh's OBJ and mesh CSV text from its vertex and face arrays, one f-string per row."""
+    verts, faces, n_ang = mesh.vertices, mesh.faces, mesh.n_angular
+    obj = "".join(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in verts)
+    obj += "".join(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in faces)
+    csv = "i,j,x,y,z\n" + "".join(
+        f"{k // n_ang},{k % n_ang},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}\n"
+        for k, v in enumerate(verts))
+    return obj, csv
+
+
 def assert_export_is_the_row_loop(mesh):
     """OBJ and mesh CSV export against one f-string per row."""
-    verts, faces, n_ang = mesh.vertices, mesh.faces, mesh.n_angular
     obj, csv = io.StringIO(), io.StringIO()
     rs.export_obj(mesh, obj)
     rs.export_mesh_csv(mesh, csv)
-    ref_obj = "".join(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in verts)
-    ref_obj += "".join(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in faces)
-    ref_csv = "i,j,x,y,z\n" + "".join(
-        f"{k // n_ang},{k % n_ang},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}\n"
-        for k, v in enumerate(verts))
+    ref_obj, ref_csv = row_loop_texts(mesh)
     assert obj.getvalue() == ref_obj
     assert csv.getvalue() == ref_csv
 
 
 def distinct_rings(mesh):
-    """How many rings of a revolved mesh differ in the bits of their y, z columns."""
+    """How many rings of a mesh differ in the bits of their y, z columns.
+
+    Each equals the number of distinct z bits: a ring's y, z are its z
+    times one sin/cos table.
+    """
     yz = mesh.vertices[:, 1:].reshape(mesh.n_profile, mesh.n_angular * 2)
-    return len({ring.tobytes() for ring in yz})
+    n = len({ring.tobytes() for ring in yz})
+    assert n == len(set(np.asarray(mesh.z, dtype=float).view(np.int64).tolist()))
+    return n
 
 
 class TestRevolve:
@@ -66,6 +78,7 @@ class TestRevolve:
             ref = reference_faces(len(prof), n_ang)
             assert mesh.faces.dtype == np.int64
             assert np.array_equal(mesh.faces, ref)
+            assert mesh.n_faces == len(ref)
 
     def test_vertex_count_and_meridian(self):
         prof = rs.sphere_profile(n=71)
@@ -131,12 +144,15 @@ class TestRevolve:
 
 class TestExport:
     def test_single_triangle_obj(self):
-        mesh = Mesh(np.eye(3), np.array([[0, 1, 2]]), 3, 1, "test")
+        # the smallest revolution: 2 rings of 3 angles, 6 vertices and 6 faces
+        mesh = Mesh(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 3, "test")
         buf = io.StringIO()
         rs.export_obj(mesh, buf)
         lines = buf.getvalue().splitlines()
-        assert len(lines) == 4
-        assert lines[-1] == "f 1 2 3"
+        assert len(lines) == 12 and mesh.n_faces == 6
+        assert lines[0] == "v 0 0 1"
+        assert lines[6] == "f 1 4 5"
+        assert lines[-1] == "f 3 4 1"
 
     def test_obj_roundtrip_bit_exact(self):
         mesh = rs.revolve(rs.sphere_profile(n=17), 9)
@@ -159,70 +175,58 @@ class TestExport:
 
     def test_export_is_the_row_loop_at_block_edges(self, format_branches):
         # OBJ and mesh CSV against one f-string per row, on each side of a
-        # block edge, with a value for every branch of the float formatter
+        # window edge, with a value for every branch of the float formatter
         rng = np.random.default_rng(11)
         special = np.concatenate([format_branches, [np.nan, np.inf, -np.inf]])
         meshes = []
-        # n = 0 and n = 1 are the empty and the one-vertex mesh
-        for n in (0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, VERTEX_WINDOW,
-                  VERTEX_WINDOW + 1):
-            verts = np.resize(special, (n, 3)) * rng.choice([1.0, -1.0], (n, 3))
-            faces = rng.integers(0, 10**6, (2 * n, 3))
-            meshes.append(Mesh(verts, faces, n_profile=max(1, n // 5), n_angular=5,
-                               source_kind="test"))
-        # runs of x that == would merge (0.0 then -0.0) or split (NaN)
-        x = np.repeat([0.0, -0.0, np.nan, 1.0], ROW_BLOCK // 2 + 1)
-        verts = np.column_stack([x, rng.standard_normal((len(x), 2))])
-        meshes.append(Mesh(verts, np.zeros((0, 3), np.int64), 4, len(x) // 4, "test"))
-        # revolved meshes: rings of n_angular equal x across ROW_BLOCK edges and
-        # window edges; past ROW_BLOCK a ring's later runs start at j > 0
-        for n_angular in (3, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 1024, VERTEX_WINDOW + 1):
+        # x and z of every branch, NaN and +-inf, with random signs; 0, 1 and
+        # 2 rings, and ring counts around one and two windows of
+        # VERTEX_WINDOW // n_angular rings: at 4 angles the window edge is
+        # VERTEX_WINDOW rows and ROW_BLOCK rows fall inside a window, at 5
+        # both fall inside a ring
+        for n_angular in (4, 5):
+            window = VERTEX_WINDOW // n_angular
+            for n in (0, 1, 2, ROW_BLOCK // n_angular, window - 1, window, window + 1,
+                      2 * window + 1):
+                x = np.resize(special, n) * rng.choice([1.0, -1.0], n)
+                z = np.resize(np.roll(special, 5), n) * rng.choice([1.0, -1.0], n)
+                meshes.append(Mesh(x, z, n_angular, "test"))
+        # x that == would merge (0.0 then -0.0) or split (NaN) on neighbouring rings
+        x = np.array([0.0, -0.0, np.nan, np.nan, -0.0, 0.0, 1.0])
+        meshes.append(Mesh(x, rng.standard_normal(len(x)), 3, "test"))
+        # revolved meshes: rings of n_angular across ROW_BLOCK and window edges,
+        # and rings longer than a window
+        for n_angular in (3, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, VERTEX_WINDOW + 1):
             meshes.append(rs.revolve(rs.sphere_profile(n=7 if n_angular < 1024 else 3),
                                      n_angular))
-        # face blocks: negative entries (-1 is written 0) down to -2**63, in a
-        # block whose numbers get a table and in one whose entries are their own
-        # cells; 1-digit with 19-digit numbers; spans just under and at the bound
-        # (three times the entry count) below which a block's numbers get a table
-        smallest = np.iinfo(np.int64).min
-        blocks = [[[-1, -2, -5], [0, 2, 3], [-4, 1, -1]],
-                  [[-1, smallest, smallest + 1], [0, 5, -7], [2**62, 12, -1]],
-                  [[0, 8, 2**63 - 2], [10**18, 3, 9]],
-                  np.arange(10**6 - 12, 10**6 + 6).reshape(6, 3)]  # two-word cells
-        for span in (9 * 100 - 1, 9 * 100):
-            faces = rng.integers(0, span + 1, (100, 3))
-            faces[0, :2] = 0, span
-            blocks.append(faces)
-        for faces in blocks:
-            meshes.append(Mesh(np.ones((1, 3)), np.array(faces, np.int64), 1, 1, "test"))
-        # 1-based vertex numbers go from 9,999 to 10,000 inside one face block,
-        # and in the last faces only the second and third columns reach 10,000
+        # 1-based vertex numbers go from 9,999 to 10,000 inside one face block
+        # (the whole bands of 200 faces that fit in FACE_BLOCK), and in the
+        # last faces only the second and third columns reach 10,000
         wide = rs.revolve(rs.sphere_profile(n=100), 100)
-        block = (np.flatnonzero(wide.faces == 9999)[0] // 3) // FACE_BLOCK * FACE_BLOCK
-        assert {9999, 10000} <= set((wide.faces[block:block + FACE_BLOCK] + 1).ravel())
+        size = FACE_BLOCK // 200 * 200
+        block = (np.flatnonzero(wide.faces == 9999)[0] // 3) // size * size
+        assert {9999, 10000} <= set((wide.faces[block:block + size] + 1).ravel())
         meshes.append(wide)
-        for mesh in meshes:
-            assert_export_is_the_row_loop(mesh)
+        with np.errstate(invalid="ignore"):  # an infinite z times sin 0 is NaN
+            for mesh in meshes:
+                assert_export_is_the_row_loop(mesh)
 
     def test_export_is_the_row_loop_on_repeated_rings(self):
-        # the writer formats each distinct run of y, z bits once and reuses
-        # its text: repeats far apart and many times, under other x, in runs
-        # past ROW_BLOCK, and bits that compare equal but print differently
+        # the writer formats the y, z of each distinct z once and reuses its
+        # text: repeats far apart and many times, under other x, in later
+        # windows, and bits that compare equal but print differently
         nan2 = np.frombuffer(np.array([0x7FF8_0000_0000_0001], np.int64).tobytes())[0]
-        a, b = [(0.5, 1.0), (2.0, -3.0), (0.1, 1.0 / 3.0)], [(4.0, 5.0), (6.0, 7.0), (8.0, 9.0)]
-        c = a[:2] + [(0.1, 0.25)]  # a's rows but the last
-        signed = [(1.0, 2.0), (0.0, -0.0), (np.nan, 2.0)]
-        flipped = [(1.0, 2.0), (-0.0, 0.0), (nan2, 2.0)]
-        for rings, xs in (([a, b, a], [1.0, 2.0, 3.0]),  # repeat, not adjacent
-                          ([a, a, b, a, a], [1.0, 2.0, 3.0, 4.0, 5.0]),  # four times
-                          ([a, a, a], [7.0, 7.0, -7.0]),  # one x run holds two copies
-                          ([a, c, a, c], [1.0, 2.0, 3.0, 4.0]),
-                          ([signed, flipped, signed, flipped], [0.0, -0.0, 0.0, 1.0])):
-            yz = np.array(rings).reshape(-1, 2)
-            verts = np.column_stack([np.repeat(xs, 3), yz])
-            mesh = Mesh(verts, np.zeros((0, 3), np.int64), len(xs), 3, "test")
-            assert_export_is_the_row_loop(mesh)
-        # symmetric profiles: rings of n_angular above ROW_BLOCK split into
-        # blocks whose text comes back in the mirrored half
+        far = np.concatenate([[1.5], np.linspace(2.0, 3.0, 2 * VERTEX_WINDOW), [1.5, 2.0]])
+        for zs, xs in (([0.5, 2.0, 0.5], [1.0, 2.0, 3.0]),  # repeat, not adjacent
+                       ([0.5, 0.5, 2.0, 0.5, 0.5], [1.0, 2.0, 3.0, 4.0, 5.0]),  # four times
+                       ([0.5, 0.5, 0.5], [7.0, 7.0, -7.0]),  # two rings under one x
+                       (far, np.arange(len(far), dtype=float)),  # windows later
+                       ([0.5, np.nextafter(0.5, 1.0)] * 2, [1.0, 2.0, 3.0, 4.0]),  # one ulp apart
+                       ([0.0, -0.0, 0.0, -0.0], [0.0, -0.0, 0.0, 1.0]),
+                       ([np.nan, nan2, np.nan, nan2, -np.nan], [1.0, 1.0, 2.0, 2.0, 3.0])):
+            assert_export_is_the_row_loop(Mesh(np.array(xs), np.array(zs), 3, "test"))
+        # symmetric profiles: their mirrored half repeats the first half's
+        # z, also in rings of n_angular above ROW_BLOCK
         z = np.array([1.5, 2.0, 2.5, 2.0, 1.5])
         prof = rs.ProfileCurve(np.arange(5.0), np.arange(5.0) - 2.0, z, np.zeros(5))
         for n_angular in (3, ROW_BLOCK, ROW_BLOCK + 1, 1024):
@@ -232,6 +236,23 @@ class TestExport:
         mesh = rs.revolve(rs.sphere_profile(n=41), 12)
         assert distinct_rings(mesh) < 41
         assert_export_is_the_row_loop(mesh)
+
+    def test_cli_mesh_builds_no_vertex_or_face_array(self, cfg, tmp_path, monkeypatch):
+        # the CLI writes a mesh from its rings: with the arrays unreachable,
+        # both files are still the row loop of the mesh's arrays
+        def refuse(mesh):
+            raise AssertionError("the export built a vertex or face array")
+
+        argv = ["mesh", "--lambda", "2.5", "--span", "2", "--n-angular", "8", "--out"]
+        with monkeypatch.context() as patch:
+            patch.setattr(Mesh, "vertices", property(refuse))
+            patch.setattr(Mesh, "faces", property(refuse))
+            for name in ("m.obj", "m.csv"):
+                assert main(argv + [str(tmp_path / name)]) == 0
+        mesh = rs.revolve(rs.cli._profile_for_lambda(2.5, 2.0, cfg), 8)
+        ref_obj, ref_csv = row_loop_texts(mesh)
+        assert (tmp_path / "m.obj").read_bytes() == ref_obj.encode()
+        assert (tmp_path / "m.csv").read_bytes() == ref_csv.encode()
 
     def test_parse_obj_shapes(self):
         # no v or f lines still give (0, 3) arrays; a polygon is split into a
@@ -297,7 +318,9 @@ class TestRingSymmetry:
         assert main(["mesh", "--lambda", "2.5", "--span", "2", "--n-angular", "8",
                      "--out", str(out)]) == 0
         verts, faces = rs.parse_obj(out)
-        mesh = Mesh(verts, faces, len(verts) // 8, 8, "contract")
+        # angle 0 has sin 0 and cos 1, so its column holds each ring's x and z
+        mesh = Mesh(verts[::8, 0], verts[::8, 2], 8, "contract")
+        assert np.array_equal(mesh.vertices, verts) and np.array_equal(mesh.faces, faces)
         assert (distinct_rings(mesh), mesh.n_profile) == (262, 481)
 
     @pytest.mark.parametrize("n_angular", [3, 12, 30, 129, ROW_BLOCK + 1])
