@@ -124,7 +124,7 @@ def cmd_portrait(args) -> int:
         item = {
             "lambda": entry.lam,
             "class": None if entry.klass is None else entry.klass.tag,
-            "polyline": [[p[0], p[1]] for p in entry.polyline],
+            "polyline": entry.polyline,  # (n, 2), written as [[theta, z], ...]
         }
         if entry.error is not None:
             item["error"] = entry.error

@@ -49,9 +49,9 @@ H_CHECK = 4e-3  # finite-difference step of extend_separatrix's junction grading
 class ProfileCurve:
     """Sampled unit-speed generator curve, optionally with a dense evaluator.
 
-    Samples are ascending in t; z stays positive; theta is the unwrapped
-    tangent angle and is non-decreasing (strictly increasing except on the
-    horizontal stretches of extensions and the cylinder).
+    Samples are finite and ascending in t; z stays positive; theta is the
+    unwrapped tangent angle and is non-decreasing (strictly increasing
+    except on the horizontal stretches of extensions and the cylinder).
     """
 
     t: np.ndarray
@@ -70,6 +70,11 @@ class ProfileCurve:
         self.theta = np.asarray(self.theta, dtype=float)
         if len(self.t) < 2:
             raise TooFewSamplesError("profile needs at least 2 samples")
+        for name in ("t", "x", "z", "theta"):  # a file would spell a NaN or inf as null
+            values = getattr(self, name)
+            if not np.isfinite(values).all():
+                k = np.flatnonzero(~np.isfinite(values))[0]
+                raise DegenerateProfileError(f"profile {name}[{k}] is {values[k]}, not finite")
         if not np.all(np.diff(self.t) > 0.0):
             raise ValueError("profile times must be strictly increasing")
         if not np.all(self.z > 0.0):
@@ -100,7 +105,7 @@ class ProfileCurve:
         return out
 
     def write_csv(self, sink) -> None:
-        """Header t,x,z,theta; one sample per line at 17 significant digits."""
+        """Header t,x,z,theta; one sample per line, each value the shortest text of its bits."""
         write_csv(sink, b"t,x,z,theta", self.t, self.x, self.z, self.theta)
 
     @classmethod

@@ -86,6 +86,8 @@ def revolve(profile: ProfileCurve, n_angular: int) -> Mesh:
         raise ValueError("need n_angular >= 3")
     if not np.all(profile.z > 0.0):
         raise DegenerateProfileError("profile touches the axis (z <= 0)")
+    if not (np.isfinite(profile.x).all() and np.isfinite(profile.z).all()):
+        raise DegenerateProfileError("profile has an x or z that is not finite")
     return Mesh(profile.x, profile.z, n_angular, profile.kind)
 
 

@@ -1,14 +1,16 @@
 """Every file the package reads or writes: number text, sinks, CSV, OBJ and JSON.
 
 Output is ASCII bytes, the same for the same input, written through
-byte_sink.  Every float in a CSV or OBJ file is the text of '%.17g' % v,
-which format_17g makes in numpy cells a few thousand values per call; a
-JSON report holds the same text, and null for a float that is not finite.
-A mesh is written from its rings, a profile's x and z and an angle table,
-with no vertex or face array: each distinct z's ring of y, z text is made
-once (_write_rings), and face rows from the band pattern (_face_text).
-text_sink serves the readers.  This module imports no other module of the
-package.
+byte_sink.  Every float in a CSV, OBJ or JSON file is orjson's text of it
+(_json): the shortest decimal that reads back to the same float64 bits
+(Steele & White, PLDI 1990; Adams, "Ryu", PLDI 2018), in orjson's style:
+1.0, -0.0, 0.00001, 1e-6, 1e16, 1.2345678901234568e17.  A float that is
+not finite is written as null.  A mesh is written from its rings, a
+profile's x and z and an angle table, with no vertex or face array: each
+distinct z's ring of y, z text is made once (_write_rings), and face rows
+from the band pattern (_face_text).  text_sink serves the readers.  This
+module imports no other module of the package, and imports orjson on
+first use, so that a process that reads and writes no file never loads it.
 """
 
 from __future__ import annotations
@@ -16,25 +18,20 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
-import math
+import itertools
 import warnings
 
 import numpy as np
 
-# rows whose values format_17g turns into text in one call, in write_rows
-ROW_BLOCK = 1024
+ROW_BLOCK = 1024  # rows of write_rows whose values take one _json call
 FACE_BLOCK = 4096  # faces per _face_text call, in whole bands: one number table, gather, translate
-# rows per window of _write_rings, whose x and new rings' y, z take one format_17g call;
+# rows per window of _write_rings, whose x and new rings' y, z take one _json call each;
 # the emit deck's meshes took 0.94 of 2048's time at 4096, and about as long at 8192 or 16384
 VERTEX_WINDOW = 4096
 # characters of profile CSV text that read_profile_csv parses in one call, then up to the line
 # end: a whole 39 MB file in one call took 300 MB, blocks of this size about 20 MB more than loadtxt
 READ_BLOCK = 1 << 20
 
-# bytes of a format_17g cell: a sign slot, '0.' and three zeros, then 17 digits
-# each followed by a slot for the point; the last slot is left for a separator
-TEXT_CELL = 40
-VELTKAMP = 134217729.0  # 2**27 + 1 splits a float64 into two 26-bit halves
 # 10**1..10**19: an unsigned 64-bit n has one digit more than the powers <= n
 _POW10 = np.array([10 ** k for k in range(1, 20)], np.uint64)
 
@@ -77,119 +74,26 @@ def _digit_quads() -> np.ndarray:
     return quads
 
 
-@functools.cache
-def _format_tables() -> tuple:
-    """The constant tables of format_17g, built on its first call.
-
-    - 10**0..10**20, exact doubles, and their Veltkamp halves;
-    - the cell words: 0000..9999 spaced out to 'd_d_d_d_', then the lead
-      digits 0..9 at byte 6 of the first word;
-    - per quad, its last nonzero digit (1..4), or -16 for 0000;
-    - per key 21 * sign + E + 4, the marks: '-', '0.' and the leading zeros
-      when E < 0, or the point after digit E;
-    - per last digit kept, the mask of the cell's bytes up to it.
-    """
-    pow10 = np.array([float(10 ** k) for k in range(21)])
-    big = VELTKAMP * pow10
-    pow10_hi = big - (big - pow10)
-    words = np.zeros((10_010, 8), np.uint8)
-    words[:10_000, ::2] = _digit_quads().view(np.uint8).reshape(-1, 4)
-    words[10_000:, 6] = np.arange(10) + ord("0")
-    quad = np.arange(10_000)
-    trailing = sum(quad % k == 0 for k in (10, 100, 1000))
-    last = np.where(quad == 0, -16, 4 - trailing)
-    marks = np.zeros((42, TEXT_CELL), np.uint8)
-    for neg in (0, 1):
-        for e in range(-4, 16):
-            row = marks[21 * neg + e + 4]
-            if e < 0:
-                row[1:2 - e] = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
-            else:
-                row[7 + 2 * e] = ord(".")
-        marks[21 * neg:21 * neg + 21, 0] = ord("-") * neg
-    cut = np.tril(np.full((TEXT_CELL, TEXT_CELL), 0xFF, np.uint8))[6::2]
-    tables = (pow10, pow10_hi, pow10 - pow10_hi, words.view(np.uint64).ravel(), last,
-              marks.view(np.uint64), np.ascontiguousarray(cut).view(np.uint64))
-    for table in tables:
-        table.flags.writeable = False  # shared by every call
-    return tables
-
-
-def format_17g(values) -> np.ndarray:
-    """The '%.17g' text of each value of a float64 array, one TEXT_CELL-byte cell each.
-
-    A value's text is its cell's bytes with every NUL removed (cells_text).
-    The last byte of every cell is NUL: a caller may put a separator there.
-
-    For 1e-4 <= |v| < 1e17 the text is positional, and numpy builds it with
-    exact integer arithmetic:
-    - E = floor(log10 |v|).  Dekker's product of |v| and the exact double
-      10**(16 - E) is hi + lo, exactly.
-    - hi lies in [1e16, 1e17), above 2**53, so it is an even integer, and
-      N = hi + rint(lo) is the product rounded half to even: the 17 digits.
-    - log10 may be one off near a power of ten.  Then hi + lo falls outside
-      [1e16, 1e17), E moves by one and the product is taken again.
-    - N never rounds up to 10**17: in this range the double below a power
-      of ten lies at least 8e-17 of it below, more than half a unit of the
-      17th digit.
-    - The digits, the sign, '0.' and the point go to fixed slots of the
-      cell by table lookups.  The bytes after the last digit kept (the
-      integer part, and the fraction up to its last nonzero digit) are
-      cleared, and with them a point that has no fraction after it.
-    Every other value (+-0, below 1e-4, 1e17 and up, inf, NaN) gets
-    '%.17g' % v itself.
-    """
-    pow10, pow10_hi, pow10_lo, word_table, last_table, marks, cut = _format_tables()
-    v = np.ascontiguousarray(values, dtype=float).ravel()
-    a = np.abs(v)
-    exact = (a >= 1e-4) & (a < 1e17)  # False for NaN
-    np.copyto(a, 1.0, where=~exact)  # any value in range; its text is replaced below
-    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
-    big = VELTKAMP * a
-    a_hi = big - (big - a)
-    a_lo = a - a_hi
-    while True:
-        k = 16 - e
-        p_hi, p_lo = pow10_hi.take(k), pow10_lo.take(k)
-        hi = a * pow10.take(k)
-        lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-        if not np.any((hi <= 1e16) | (hi >= 1e17)):  # every product plainly in range
-            break
-        low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
-        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
-        if not np.any(low | high):
-            break
-        e += high
-        e -= low
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    # word table indices: the lead digit, then the four quads of the other 16
-    idx = np.empty((len(v), 5), np.int64)
-    np.floor_divide(n, 10 ** 16, out=idx[:, 0])
-    n -= idx[:, 0] * 10 ** 16
-    idx[:, 0] += 10_000  # the lead digits' words follow the quads'
-    upper = n // 10 ** 8
-    lower = n - upper * 10 ** 8
-    np.floor_divide(upper, 10_000, out=idx[:, 1])
-    np.subtract(upper, idx[:, 1] * 10_000, out=idx[:, 2])
-    np.floor_divide(lower, 10_000, out=idx[:, 3])
-    np.subtract(lower, idx[:, 3] * 10_000, out=idx[:, 4])
-    last = np.maximum(e, 0)  # the digit the text ends on
-    for j in range(1, 5):
-        np.maximum(last, last_table.take(idx[:, j]) + 4 * (j - 1), out=last)
-    words = word_table.take(idx)
-    words |= marks.take(21 * np.signbit(v) + e + 4, axis=0)
-    words &= cut.take(last, axis=0)
-    cells = words.view(np.uint8)
-    other = np.flatnonzero(~exact)
-    if len(other):
-        texts = [b"%.17g" % x for x in v[other].tolist()]
-        cells[other] = np.array(texts, f"S{TEXT_CELL}").view(np.uint8).reshape(-1, TEXT_CELL)
-    return cells
-
-
 def cells_text(cells: np.ndarray) -> bytes:
-    """The ASCII text of format_17g cells (and their separators), in order: their bytes without NULs."""
+    """The ASCII text of _number_cells cells (and their separators), in order: their bytes without NULs."""
     return cells.tobytes().translate(None, b"\0")
+
+
+def _json(obj) -> bytes:
+    """orjson's JSON text of obj; numpy arrays and scalars are written as lists and numbers.
+
+    Each float is the shortest text that reads back to its bits, and null
+    if it is not finite.  A whole array takes one C call; orjson refuses
+    an array that is not C contiguous, such as a column view.
+    """
+    import orjson  # on first use, so that importing the package does not load it
+
+    return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY)
+
+
+def _floats(values) -> bytes:
+    """_json's text of a float64 array: [a,b] for 1-d, [[a,b],[c,d]] for 2-d."""
+    return _json(np.ascontiguousarray(values, dtype=float))
 
 
 def _number_cells(v: np.ndarray) -> np.ndarray:
@@ -220,22 +124,18 @@ def _number_cells(v: np.ndarray) -> np.ndarray:
 
 
 def write_rows(write, *columns) -> None:
-    """Write the columns side by side: one line per row, its values as '%.17g' joined by commas.
+    """Write the columns side by side: one line per row, its values' text (_json) joined by commas.
 
     write takes bytes (a byte_sink).  A column is an array with one entry
     (1-d) or one row of entries (2-d) per line.  ROW_BLOCK lines at a time
-    are stacked, turned into cells by one format_17g call, given their
-    commas and line break, and written, so no temporary outgrows a block.
-    The bytes are those of f"{v:.17g}".
+    are stacked, and the block's [[a,b],[c,d]] text loses its outer
+    brackets and has each `],[` made a line break, so no temporary
+    outgrows a block.  The bytes are those of one orjson.dumps per value.
     """
     n = len(columns[0])
     for lo in range(0, n, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, n)
-        block = np.column_stack([col[lo:hi] for col in columns])
-        cells = format_17g(block).reshape(block.shape + (TEXT_CELL,))
-        cells[..., -1] = ord(",")
-        cells[:, -1, -1] = ord("\n")
-        write(cells_text(cells))
+        block = np.column_stack([col[lo:lo + ROW_BLOCK] for col in columns])
+        write(_floats(block)[2:-2].replace(b"],[", b"\n") + b"\n")
 
 
 def write_csv(sink, header: bytes, *columns) -> None:
@@ -251,42 +151,39 @@ def _write_rings(write, x, z, sin_phi, cos_phi, csv: bool) -> None:
     Ring i has x[i] and the points z[i] * (sin_phi[j], cos_phi[j]), so the
     text of its y, z depends only on the bits of z[i]; keying by bits keeps
     -0.0 apart from 0.0, and NaN payloads apart.  The rings go out in
-    windows of about VERTEX_WINDOW rows, and one format_17g call per window
-    turns the window's x, and the y, z of each ring whose z no earlier ring
-    had, into text.  Such a ring's y, z text is its template, kept for the rest of the
-    export: its rows' `y sep z` joined by the byte 1 and ended by a line
-    break; in the mesh CSV each row leads with its `j,` and the byte 2.  A
-    ring is its head (`v x `, or `i,` in the mesh CSV) and its template with
-    each byte 1 replaced by a line break and the head, and in the mesh CSV
-    each byte 2 by `x,`.  A symmetric profile's mirrored half repeats its z
-    bit for bit.  The bytes are those of one f"{v:.17g}" per value, passed to
-    write one window at a time.
+    windows of about VERTEX_WINDOW rows.  Per window, one _json call writes
+    the x, and one the y, z of each ring whose z no earlier ring had, split
+    into rows at `],[`.  Such a ring's y, z text is its template, kept for
+    the rest of the export: its rows' `y z` (`y,z` in the mesh CSV) joined
+    by the byte 1 and ended by a line break; in the mesh CSV each row leads
+    with its `j,` and the byte 2.  A ring is its head (`v x `, or `i,` in the mesh CSV) and
+    its template with each byte 1 replaced by a line break and the head,
+    and in the mesh CSV each byte 2 by `x,`.  A symmetric profile's
+    mirrored half repeats its z bit for bit.  The bytes are those of one
+    orjson.dumps per value, passed to write one window at a time.
     """
-    n_ring, sep = len(sin_phi), b"," if csv else b" "
+    n_ring = len(sin_phi)
+    # what goes before each row of a template: a line break before the first (cut off
+    # below, so that templates split at line breaks) and the byte 1 before the others
+    leads = [b"\n"] + [b"\1"] * (n_ring - 1)
     if csv:
-        lead = _number_cells(np.arange(n_ring))  # each row's `j,`, then the byte 2 for `x,`
-        lead[:, -1] = ord(",")
-        lead = np.column_stack([lead, np.full(n_ring, 2, np.uint8)])
+        leads = [lead + b"%d,\2" % j for j, lead in enumerate(leads)]
     keys = np.ascontiguousarray(z, dtype=float).view(np.int64).tolist()
     templates = {}  # z bits -> the ring's template
     step = max(1, VERTEX_WINDOW // n_ring)  # rings per window
     for lo in range(0, len(x), step):
         hi = min(lo + step, len(x))
         new = [key for key in dict.fromkeys(keys[lo:hi]) if key not in templates]
-        zs = np.array(new, np.int64).view(float)  # the window's z whose bits no earlier ring had
-        yz = np.stack([np.outer(zs, sin_phi), np.outer(zs, cos_phi)], axis=-1)
-        cells = format_17g(np.concatenate([yz.ravel(), x[lo:hi]]))
-        rows = cells[:yz.size].reshape(-1, 2 * TEXT_CELL)
-        rows[:, TEXT_CELL - 1] = ord(sep)
-        rows[:, -1] = 1  # ends each row of a ring but its last
-        rows[n_ring - 1::n_ring, -1] = ord("\n")
-        if csv:
-            rows = np.concatenate([np.tile(lead, (len(new), 1)), rows], axis=1)
-        templates.update(zip(new, cells_text(rows).splitlines(True)))
-        xs = cells[yz.size:]
-        xs[:, -1] = ord(sep)
+        if new:  # the window's z whose bits no earlier ring had
+            zs = np.array(new, np.int64).view(float)
+            yz = np.stack([np.outer(zs, sin_phi).ravel(), np.outer(zs, cos_phi).ravel()], axis=-1)
+            rows = _floats(yz)[2:-2].split(b"],[")  # `y,z` of each vertex
+            text = b"".join(itertools.chain.from_iterable(zip(leads * len(new), rows)))
+            if not csv:
+                text = text.replace(b",", b" ")
+            templates.update(zip(new, (text[1:] + b"\n").splitlines(True)))
         parts = []
-        for i, key, xt in zip(range(lo, hi), keys[lo:hi], cells_text(xs).split(sep)):
+        for i, key, xt in zip(range(lo, hi), keys[lo:hi], _floats(x[lo:hi])[1:-1].split(b",")):
             head = b"%d," % i if csv else b"v " + xt + b" "
             text = templates[key].replace(b"\1", b"\n" + head)
             parts += [head, text.replace(b"\2", xt + b",") if csv else text]
@@ -312,7 +209,7 @@ def _face_text(faces: np.ndarray) -> bytes:
 
 
 def write_obj(sink, x, z, sin_phi, cos_phi, band) -> None:
-    """Plain OBJ of a revolution: `v x y z` then 1-based `f a b c` lines, LF, 17 digits.
+    """Plain OBJ of a revolution: `v x y z` then 1-based `f a b c` lines, LF.
 
     The vertices are _write_rings's rings of x, z and the angle table.  The
     faces between rings i and i + 1 are band + i * len(sin_phi); blocks of
@@ -334,28 +231,10 @@ def write_mesh_csv(sink, x, z, sin_phi, cos_phi) -> None:
         _write_rings(write, x, z, sin_phi, cos_phi, True)
 
 
-def json_text(obj) -> str:
-    """Compact JSON text of obj; floats at 17 significant digits, and null if not finite."""
-    if isinstance(obj, dict):
-        return "{" + ",".join(f"{json_text(str(k))}:{json_text(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        return "[" + ",".join(json_text(v) for v in obj) + "]"
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    value = float(obj)
-    return format(value, ".17g") if math.isfinite(value) else "null"
-
-
 def write_json(sink, doc) -> None:
-    """doc as one line of json_text, to a path or a handle."""
+    """doc as one line of _json's text, to a path or a handle."""
     with byte_sink(sink) as write:
-        write((json_text(doc) + "\n").encode())
+        write(_json(doc) + b"\n")
 
 
 def _json_rows(block: str):
@@ -369,7 +248,7 @@ def _json_rows(block: str):
     nulls are every fifth value.  Anything else (nan, +1, .5, 5., 01,
     1e400, comment and blank lines, ragged rows) returns None.
     """
-    import orjson  # on first use, so that only commands reading a CSV import it
+    import orjson  # on first use, as in _json
 
     if any(c in block for c in '"tl[{ \t\r'):
         return None

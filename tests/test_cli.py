@@ -391,7 +391,9 @@ class TestExtendAndVerify:
         doc = strict_json(report.read_text())
         assert doc["max_curvature_residual"] is None
         assert doc["pass"] is False
-        assert rotsurf.text.json_text([math.nan, math.inf, -math.inf, 1.5]) == "[null,null,null,1.5]"
+        buf = io.BytesIO()
+        rotsurf.text.write_json(buf, [math.nan, math.inf, -math.inf, 1.5, np.float64(-math.inf)])
+        assert buf.getvalue() == b"[null,null,null,1.5,null]\n"
 
     def test_side_outputs_beside_a_dotted_directory(self, tmp_path):
         # the stem of --out drops only the file's own extension
@@ -573,29 +575,28 @@ class TestExtendAndVerify:
         assert done.returncode == 0, done.stdout + done.stderr
         assert done.stdout.splitlines()[-1] == "(0, 0) []"
 
-    def test_only_verify_loads_orjson(self, tmp_path):
-        # the CSV reader imports orjson on first use, so the commands that
-        # read no CSV start without it
-        d = str(tmp_path)
+    def test_import_and_shooting_load_no_orjson(self, tmp_path):
+        # the number text and the CSV reader import orjson on first use, so
+        # the CLI's import and the library's shooting path start without it;
+        # a command that writes a file loads it
         code = (
             "import sys\n"
-            "from rotsurf.cli import main\n"
-            f"argvs = [['curve', '--lambda', '4', '--span', '2', '--out', {d!r} + '/c.csv'],\n"
-            f"         ['mesh', '--lambda', '4', '--span', '2', '--out', {d!r} + '/m.obj'],\n"
-            f"         ['extend', '--copies', '1', '--out', {d!r} + '/e.csv'],\n"
-            f"         ['find-lambda0', '--tol', '1e-6', '--out', {d!r} + '/l.json'],\n"
-            f"         ['verify', {d!r} + '/c.csv', '--out', {d!r} + '/v.json']]\n"
-            "seen = [(argv[0], main(argv), 'orjson' in sys.modules) for argv in argvs]\n"
+            "import rotsurf.cli\n"
+            "from rotsurf import IntegratorConfig, classify_lambda, full_curve\n"
+            "seen = ['orjson' in sys.modules]\n"
+            "cfg = IntegratorConfig()\n"
+            "classify_lambda(4.0, cfg), full_curve(4.0, cfg)\n"
+            "seen.append('orjson' in sys.modules)\n"
+            "argv = ['curve', '--lambda', '4', '--span', '2', '--out', sys.argv[1]]\n"
+            "seen += [rotsurf.cli.main(argv), 'orjson' in sys.modules]\n"
             "print(seen)\n")
         src = str(Path(rs.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        done = subprocess.run([sys.executable, "-c", code], env=env,
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv")], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert done.stdout.splitlines()[-1] == str([
-            ("curve", 0, False), ("mesh", 0, False), ("extend", 0, False),
-            ("find-lambda0", 0, False), ("verify", 0, True)])
+        assert done.stdout.splitlines()[-1] == str([False, False, 0, True])
 
     @pytest.mark.parametrize("flag", ["--rel-tol=nan", "--abs-tol=nan",
                                       "--boundary-eps=1e-10", "--config=run.conf"])

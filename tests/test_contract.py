@@ -2,36 +2,42 @@
 
 The digests pin the primary output of a fixed config, so a refactor or a
 speed-up that moves a single emitted bit fails here.  They were measured on
-Linux x86-64 with Python 3.11.7 and numpy 2.4.6; float formatting is
-platform independent, but libm and numpy's vectorized sin/cos may round
+Linux x86-64 with Python 3.11.7, numpy 2.4.6 and orjson 3.8.3; float text
+is platform independent, but libm and numpy's vectorized sin/cos may round
 differently on another platform, so a mismatch there is worth a look
-before it is called a regression.
+before it is called a regression.  Every float in those files reads back
+to the bits its writer was given.
 """
 
 import ast
 import hashlib
+import importlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
+import orjson
 import pytest
 
 from rotsurf.cli import main
+from rotsurf.text import parse_obj, read_profile_csv
 
 PINNED = {
-    "curve.csv": "833d19898e5d58d94059c31b48fabd32fcd104efdd85aebf8f373b8558ad8bd0",
-    "extend.csv": "a67b0d6c98cdc803f2facad97a1cbbab4e4376f6be177a2c1d2b1aa43f3c03e6",
-    "extend.regularity.json": "c46a3337579d7b6feb713325393997ab28b7056028fe3861d91f56a2c2b55db5",
-    "mesh.obj": "8f9b08a13e55571d19e7be3c76871e94b887d969cbe7c3226d6f5a91be503f2e",
-    "verify.json": "7c8b58bfa5679879a88add75fffe1f2ceb8d5b057422af411fb7d3c08e5cd329",
-    "portrait.json": "03458349cd866bb25c46c35f0403937cc5c4ddce2ad8a6f0927a189b7f30639b",
-    "portrait_00.csv": "a9f53649105cf19ee9560446af78b0a7ce6ada10d0aada2568a4af3860b0624d",
-    "portrait_01.csv": "14ee832348cbc26380fc162510481da104c30ad26bf26bdc361ceb4f4b14a851",
-    "sphere.obj": "f6dc46b117d884ed0fe5baa3132c74ba144bdb8636582b83acba51c10a06277a",
-    "mesh.csv": "8189e2160697fda03385511a71c83bca795a03e399e26219bbd53f5aab8eb1fc",
-    "lambda0.json": "8bbdbff4e6040652b634a81eb7bc60a47eaf4f3c46b874e53e4280cd75b2c0de",
-    "verify_extend.json": "49863fc138e24013a722f91200bf39126c989cbd49d7ba4f433a7bac0aba6e63",
-    "clamped.csv": "c47aa09de5bb1cc93cdb7e4bbd0c5bba3ad633e8c222a563a577c9d558c3a8c9",
-    "verify_clamped.json": "9ec5846ead76c9212f2da7b5055c828d3b0ae6b731da4ae14a218a5206ac1839",
+    "curve.csv": "9ac041cb0f9dc83151e205fa5d1bcea98eb813abdd1a4579b6d1aa008f9ab0a4",
+    "extend.csv": "f88660212070ecf5b7404d869fa71a20d68c8750c0369e53571f18f5c19e3b43",
+    "extend.regularity.json": "d8d00c59ebe29985189c56219b1dd5506db4210349f1b9a57ce88eab4d54e287",
+    "mesh.obj": "07d69755223bfaba61a1443b61dbba83f392feaa5c9175bab588995a58498b99",
+    "verify.json": "8f3b38b8df4362a76eca1b3683f08cb4968d52a8c49356b316eef393cfceb0f2",
+    "portrait.json": "c9be978ff9acf0e4ae4fbdb9d8321d51f04e283d4a5c6fee2523ac58d031c9f5",
+    "portrait_00.csv": "e55fb59cbb53f07667988d38ba70a95b2c15d2ac9f122ef7e8fd3c4e6c6843f7",
+    "portrait_01.csv": "b6526533e46d71b89cb21135e76f727eb4f62264b6d63bbb4cb49387a4f0cc9e",
+    "sphere.obj": "9027a9d10853a01103b11262b511eee437a0e26984e9a72cbac9a9dc15f1fd47",
+    "mesh.csv": "3c533d881d31ee8b25a09ce02e54106e741212cc8fdc63038db3f2c638767aa8",
+    "lambda0.json": "f8e96e8001a3a47a2806058a6f980196e7aa55555a551c14e2a4be6e1e588d3e",
+    "verify_extend.json": "ce9906bd0b702ec8ff4e578ecc72c6070c29042f7174361d4dcc34e09e162ebf",
+    "clamped.csv": "381fcf4be1dce73e6e392243a2bf12c3cb2dd09c64395618b9f4bb30f4d3a1b7",
+    "verify_clamped.json": "de74d92efaa480746f8f905e7b7cff597942b625c901e82067adc2438b893ef5",
 }
 
 
@@ -65,13 +71,33 @@ def _emit_pinned(tmp_path):
     return tmp_path, codes
 
 
+# the writers the commands call, as (module, the name it calls the writer by)
+WRITERS = (("cli", "write_csv"), ("cli", "write_json"), ("profile", "write_csv"),
+           ("surface", "write_obj"), ("surface", "write_mesh_csv"))
+
+
+def _recorder(given, write):
+    """write, keeping what it is given by the name of the file it writes."""
+    def record(sink, *args):
+        given[Path(sink).name] = (write.__name__, args)
+        write(sink, *args)
+    return record
+
+
 @pytest.fixture(scope="module")
 def pinned(tmp_path_factory):
-    return _emit_pinned(tmp_path_factory.mktemp("pinned"))
+    """The output directory, each command's exit code, and what each file's writer was given."""
+    given = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in WRITERS:
+            module = importlib.import_module(f"rotsurf.{module}")
+            patch.setattr(module, name, _recorder(given, getattr(module, name)))
+        out, codes = _emit_pinned(tmp_path_factory.mktemp("pinned"))
+    return out, codes, given
 
 
 def test_output_bytes_pinned(pinned):
-    out, _ = pinned
+    out, _, _ = pinned
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED}
     assert got == PINNED
 
@@ -88,7 +114,7 @@ VERIFY = {
 
 @pytest.mark.parametrize("name", sorted(VERIFY))
 def test_verify_reports_pinned(pinned, name):
-    out, codes = pinned
+    out, codes, _ = pinned
     csv, curvature, speed = VERIFY[name]
     assert codes[name] == 0
     doc = json.loads((out / name).read_text())
@@ -100,6 +126,59 @@ def test_verify_reports_pinned(pinned, name):
     assert (doc["h"], doc["end_trim"], doc["threshold"], doc["speed_threshold"]) == (
         0.001, 0.01, 0.0001, 9.9999999999999995e-07)
     assert (doc["max_curvature_residual"], doc["max_speed_residual"]) == (curvature, speed)
+
+
+def same(read, value) -> bool:
+    """Whether JSON read back is value: each float bit for bit, one that is not finite as null."""
+    if isinstance(value, dict):
+        return list(read) == list(value) and all(same(read[k], v) for k, v in value.items())
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return len(read) == len(value) and all(map(same, read, value))
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            return read is None
+        return type(read) is float and np.float64(read).tobytes() == np.float64(value).tobytes()
+    return read == value
+
+
+def csv_rows(path) -> list:
+    """The data rows of a CSV file, each read by orjson as a JSON list."""
+    return [orjson.loads(b"[" + line + b"]") for line in path.read_bytes().splitlines()[1:]]
+
+
+def test_every_float_reads_back_to_its_bits(pinned, monkeypatch):
+    # each file is read back (profile CSVs by read_profile_csv, OBJ by
+    # parse_obj, the rest by orjson) and compared, -0.0 included, with the
+    # arrays and documents its writer was given
+    out, _, given = pinned
+    assert sorted(given) == sorted(PINNED)
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)  # every profile CSV takes the JSON path
+    for name, (writer, args) in sorted(given.items()):
+        path = out / name
+        if writer == "write_json":
+            assert same(orjson.loads(path.read_bytes()), args[0]), name
+        elif writer == "write_csv":
+            header, *columns = args
+            want = np.column_stack(columns)
+            got = read_profile_csv(path) if header == b"t,x,z,theta" else np.array(csv_rows(path))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        else:
+            x, z, sin_phi, cos_phi = args[:4]
+            n_ring = len(sin_phi)
+            want = np.column_stack([np.repeat(x, n_ring), np.outer(z, sin_phi).ravel(),
+                                    np.outer(z, cos_phi).ravel()])
+            if writer == "write_obj":
+                got = parse_obj(path)[0]
+            else:
+                rows = csv_rows(path)
+                ij = [row[:2] for row in rows]
+                assert ij == [[i, j] for i in range(len(x)) for j in range(n_ring)], name
+                got = np.array([row[2:] for row in rows])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def test_oracles_import_no_package_module():

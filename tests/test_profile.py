@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import orjson
 import pytest
 
 import rotsurf as rs
@@ -494,9 +495,9 @@ class TestCsv:
         assert np.array_equal(again.theta, prof.theta)
 
     def test_write_csv_is_the_row_loop_at_block_edges(self, format_branches):
-        # block formatting gives the bytes of one f-string per row on each
+        # block writing gives the bytes of one orjson.dumps per value on each
         # side of a block edge, with a value for every branch of the float
-        # formatter (a profile has at least 2 samples; the mesh export tests
+        # text (a profile has at least 2 samples; the mesh export tests
         # cover 0 and 1 rows, and NaN and inf)
         rng = np.random.default_rng(7)
         special = format_branches
@@ -508,7 +509,8 @@ class TestCsv:
             buf = io.StringIO()
             prof.write_csv(buf)
             ref = "t,x,z,theta\n" + "".join(
-                f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}\n" for a, b, c, d in zip(t, x, z, theta))
+                ",".join(orjson.dumps(v).decode() for v in row) + "\n"
+                for row in zip(t.tolist(), x.tolist(), z.tolist(), theta.tolist()))
             assert buf.getvalue() == ref
 
     def test_header_validated(self):
@@ -519,3 +521,21 @@ class TestCsv:
         with pytest.raises(DegenerateProfileError):
             ProfileCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                          np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+
+    def test_non_finite_samples_rejected(self):
+        # a file would spell NaN and inf as null, so no profile holds them
+        with pytest.raises(DegenerateProfileError, match=r"profile x\[1\] is nan, not finite"):
+            ProfileCurve([0, 1], [0, math.nan], [1, math.inf], [0, 0])
+        for name in ("t", "x", "z", "theta"):
+            columns = {"t": [0.0, 1.0, 2.0], "x": [0.0] * 3, "z": [1.0] * 3, "theta": [0.0] * 3}
+            for bad in (math.nan, math.inf, -math.inf):
+                columns[name][2] = bad
+                with pytest.raises(DegenerateProfileError, match=rf"profile {name}\[2\] is "):
+                    ProfileCurve(**columns)
+        # revolve checks the arrays again: a profile's arrays can change after it is built
+        prof = ProfileCurve([0.0, 1.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0])
+        for name, bad in (("x", math.nan), ("z", math.inf)):
+            getattr(prof, name)[1] = bad
+            with pytest.raises(DegenerateProfileError, match="not finite"):
+                rs.revolve(prof, 8)
+            getattr(prof, name)[1] = 1.0

@@ -1,8 +1,9 @@
 """The package's module boundaries, read from its source.
 
 rotsurf.text is the one module that knows how files are read and written:
-no other module opens a file or holds a '.17g' format, and text imports no
-module of the package.  Only text imports orjson, inside the CSV reader.
+no other module opens a file, and text imports no module of the package.
+No module holds a '.17g' format: every float is written as orjson's text.
+Only text imports orjson, inside its functions.
 """
 
 import ast
@@ -77,7 +78,14 @@ def test_only_text_reads_and_writes_files(path):
 def test_text_imports_no_package_module():
     tree = parse(next(p for p in SOURCES if p.name == "text.py"))
     assert list(package_imports(tree)) == []
-    assert list(format_texts(tree)) and list(open_calls(tree))  # the checks see what they look for
+    assert list(format_texts(tree)) == [], "text.py holds a .17g format"
+    assert list(open_calls(tree))  # the check sees what it looks for
+
+
+def test_format_check_sees_a_17g_format():
+    # no module holds one now, so the check is tried on source that does
+    tree = ast.parse('"""A docstring: .17g."""\na = f"{v:.17g}"\nb = b"%.17g" % v\n')
+    assert sorted(format_texts(tree)) == [2, 3]
 
 
 def orjson_imports(tree):
@@ -95,8 +103,9 @@ def orjson_imports(tree):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_text_imports_orjson_and_on_first_use(path):
-    # orjson takes milliseconds to import, so only the CSV reader imports it,
-    # and only when it runs: the commands that read no CSV never load it
+    # orjson takes milliseconds to import, so text imports it inside the
+    # functions that write or read numbers: a process that only integrates,
+    # such as the library's shooting path, never loads it
     found = list(orjson_imports(parse(path)))
     if path.name == "text.py":
         assert found and all(inside for _, inside in found)

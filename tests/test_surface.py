@@ -3,6 +3,7 @@ import math
 from collections import Counter
 
 import numpy as np
+import orjson
 import pytest
 
 import rotsurf as rs
@@ -37,13 +38,18 @@ def reference_faces(n_p, n_ang):
     return np.asarray(faces, dtype=np.int64)
 
 
+def num(v) -> str:
+    """A float's text in every file: one orjson.dumps of it (null if not finite)."""
+    return orjson.dumps(float(v)).decode()
+
+
 def row_loop_texts(mesh):
     """A mesh's OBJ and mesh CSV text from its vertex and face arrays, one f-string per row."""
     verts, faces, n_ang = mesh.vertices, mesh.faces, mesh.n_angular
-    obj = "".join(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in verts)
+    obj = "".join(f"v {num(v[0])} {num(v[1])} {num(v[2])}\n" for v in verts)
     obj += "".join(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in faces)
     csv = "i,j,x,y,z\n" + "".join(
-        f"{k // n_ang},{k % n_ang},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}\n"
+        f"{k // n_ang},{k % n_ang},{num(v[0])},{num(v[1])},{num(v[2])}\n"
         for k, v in enumerate(verts))
     return obj, csv
 
@@ -150,7 +156,7 @@ class TestExport:
         rs.export_obj(mesh, buf)
         lines = buf.getvalue().splitlines()
         assert len(lines) == 12 and mesh.n_faces == 6
-        assert lines[0] == "v 0 0 1"
+        assert lines[0] == "v 0.0 0.0 1.0"
         assert lines[6] == "f 1 4 5"
         assert lines[-1] == "f 3 4 1"
 

@@ -2,8 +2,9 @@
 
 A block of JSON numbers, 4 a line, is parsed by orjson (text._json_rows
 returns its rows); any other block by np.loadtxt (_json_rows returns None).
-CI installs the latest orjson, so these tests also guard a release that
-rounds differently.
+Values are spelled three ways: '%.17g', repr, and orjson's text, which is
+what the package writes.  CI installs the latest orjson, so these tests
+also guard a release that rounds differently.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,8 +51,12 @@ def csv_rows(tokens) -> str:
     return "".join(",".join(tokens[k:k + 4]) + "\n" for k in range(0, len(tokens), 4))
 
 
+# the three spellings of a float: '%.17g', repr, and orjson's text (the package's)
+SPELLINGS = ("%.17g".__mod__, repr, lambda v: orjson.dumps(v).decode())
+
+
 def test_format_branches(format_branches):
-    for spell in ("%.17g".__mod__, repr):
+    for spell in SPELLINGS:
         tokens = [spell(v) for v in format_branches.tolist()]
         got = assert_bits(csv_rows(tokens), fast=True)
         assert got.ravel()[:len(tokens)].tobytes() == np.array(
@@ -64,7 +70,7 @@ def test_arbitrary_bit_patterns(bits):
     values = values[np.isfinite(values)]
     if not len(values):
         return
-    for spell in ("%.17g".__mod__, repr):
+    for spell in SPELLINGS:
         assert_bits(csv_rows(spell(v) for v in values.tolist()), fast=True)
 
 
