@@ -1,33 +1,39 @@
 """Adaptive Runge-Kutta integration of the phase field with dense output.
 
-The scheme is the Dormand-Prince embedded 5(4) pair with its free 4th-order
-interpolant, coefficients pinned here so that results are reproducible
-bit-for-bit for a given config.  The field is smooth in the interior; the
-boundary z = |cos theta| (where it is continuous but not Lipschitz) is
-handled by events, not by implicit methods: stage evaluations that land
-outside the domain are clamped, and an accepted step whose end falls within
-``boundary_eps`` of the boundary is cut at the contact event.
+The scheme is DOP853, the Dormand-Prince 8(5,3) pair: an 8th-order step
+whose error is estimated from a 5th- and a 3rd-order part, with its
+7th-order dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and
+II.6; Hairer's dop853.f).  Its coefficients are pinned here so that results
+are reproducible bit-for-bit for a given config.  The field is smooth in
+the interior; the boundary z = |cos theta| (where it is continuous but not
+Lipschitz) is handled by events, not by implicit methods: stage evaluations
+that land outside the domain are clamped, and an accepted step whose end
+falls within ``boundary_eps`` of the boundary is cut at the contact event.
 
 The stepping loop evaluates the field inline with exactly the arithmetic of
 field.slope and field.domain_gap, which stay the reference: a test checks
 every stored stage against them bit for bit.  The direction sign rides on
-the step size (exact, see _integrate_raw), and _finalized signs the stages.
+the step size (exact, see _integrate_raw): the stages are stored unsigned
+and the table keeps the signed step.
 
 Dense output is one table per trajectory, numpy columns with a row per
 accepted step: row k covers [ts[k], ts[k+1]] between two nodes, so the
 table keeps no time span of its own.  A row holds the affine map onto the
-step's internal parameter, the start state, the step size and the 7 stage
-derivatives, and an output scale and offset (see Trajectory).  Reflection
-and time shifts are one affine move of the columns, concatenation joins
-them, and states_at evaluates many times at once by searchsorted plus
-Horner.  The quartic coefficients are not stored: each evaluation builds
-them in one vectorized pass (_dense_coef), once for each distinct row it
-reads, so callers that read only nodes and the termination record
-(shooting) never pay for them.  One row's coefficients are built in plain
-floats with the same bits (_step_coef): by the stepping loop, only for the
-one step that brackets a boundary contact or a theta-target crossing, and
-by Trajectory._row, the row reader of state_at and crossing_time, which
-bisects on the one row that brackets its target.
+step's internal parameter, the start state, the signed step size and the
+13 stages of the step, and an output scale and offset (see Trajectory).
+Reflection and time shifts are one affine move of the columns,
+concatenation joins them, and states_at evaluates many times at once by
+searchsorted and the interpolant's nested form.  The interpolant needs 3
+more stages and 7 terms per component, which are not stored: each
+evaluation builds them in one vectorized pass (_dense_terms), once for
+each distinct row it reads, so callers that read only nodes and the
+termination record (shooting) never pay for them.  One row's terms are
+built in plain floats with the same bits (_step_terms): by the stepping
+loop, only for the one step that brackets a boundary contact or a
+theta-target crossing, and by Trajectory._row, the row reader of state_at
+and crossing_time, which bisects on the one row that brackets its target.
+The field at the extra stages is field.slope and libm's sin and cos, never
+a numpy ufunc, so no output bit depends on numpy's SIMD dispatch.
 
 Trajectory time t always increases with theta; backward integration runs in
 an internal parameter and is exposed with t = -sigma, so samples are always
@@ -53,32 +59,123 @@ from .errors import (
 )
 from .field import PhasePoint, domain_gap, slope
 
-# Dormand-Prince 5(4) tableau.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 8(5,3) tableau, as in Hairer's dop853.f (Hairer, Norsett &
+# Wanner, Solving ODEs I, II.5; Prince & Dormand, J. Comput. Appl. Math. 7(1),
+# 1981), each coefficient the float nearest its 30-digit value.  Row i - 1
+# of _A holds a_i1 .. a_i,i-1 of stage i, zeros included: stages 2 .. 12 of
+# the step, then the weights b of its 8th-order update (the 13th stage is
+# the field at the update, FSAL), then stages 14 .. 16, which only the
+# dense output evaluates.  The field is autonomous, so the nodes c_i are
+# not needed.
 _A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (
+        0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+        -0.015319437748624402, 0.008273789163814023,
+    ),
+    (
+        0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+        27.59209969944671, 20.154067550477894, -43.48988418106996,
+    ),
+    (
+        0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+        21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627,
+    ),
+    (
+        -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+        -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+        -3.0467644718982196,
+    ),
+    (
+        2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+        27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+        0.6433927460157636,
+    ),
+    (
+        0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+        -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+        0.04471061572777259,
+    ),
+    (
+        0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025,
+        -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+        -0.008298,
+    ),
+    (
+        0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+        -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+        -0.00034046500868740456, 0.1413124436746325,
+    ),
+    (
+        -0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+        4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+        2.9475147891527724, -9.15095847217987,
+    ),
 )
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-# b - b_hat: weights of the embedded error estimate.
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# Free quartic interpolant: y(sigma) = y0 + h * sum_i k_i * P_i(sigma).
-_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+_B = _A[12]
+# Weights of the two error estimates over stages 1 .. 12: the 5th-order
+# part, and the 3rd-order part b - bhat (dop853.f's bhh1, bhh2, bhh3).
+_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294,
+)
+_E3 = tuple(b - bhh for b, bhh in zip(_B, (0.2440944881889764, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                           0.0, 0.7338466882816118, 0.0, 0.0,
+                                           0.022058823529411766)))
+# Interpolant terms 4 .. 7 of the dense output: h * (d_m1 k_1 + ... + d_m16 k_16).
+_D = (
+    (
+        -8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+        2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+        0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+        -4.436036387594894,
+    ),
+    (
+        10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+        -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+        -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+        35.81684148639408,
+    ),
+    (
+        19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+        527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+        0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+        11.99229113618279,
+    ),
+    (
+        -25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+        357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+        29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+        -149.72683625798564,
+    ),
 )
 
-_ORDER_EXP = -1.0 / 5.0
+
+def _nonzero(weights) -> tuple:
+    """The (index, weight) pairs of the nonzero weights, in order."""
+    return tuple((j, w) for j, w in enumerate(weights) if w != 0.0)
+
+
+_B_NZ = _nonzero(_B)
+_EXTRA_NZ = tuple(_nonzero(row) for row in _A[13:])
+_D_NZ = tuple(_nonzero(row) for row in _D)
+# The rows of _D share their zeros, so _dense_terms takes the 4 rows in one
+# pass: the weight of stage j is the column (d_1j, .., d_4j), shaped to
+# broadcast over (row, component).
+_D_COLS = tuple((j, np.array([row[j] for row in _D])[:, None, None]) for j, _ in _D_NZ[0])
+
+# Step-size factor limits and safety factor: dop853.f's defaults FAC1 = 0.333,
+# FAC2 = 6.0 and SAFE = 0.9 (its WORK(3), WORK(4) and WORK(2)), with the
+# exponent -1/8 of its error estimate (BETA = 0, no step-size stabilization).
+_FAC_MIN, _FAC_MAX, _SAFE = 0.333, 6.0, 0.9
+_ORDER_EXP = -1.0 / 8.0
 # Accepted steps one integration may take.  A span of 200 at max_step 0.1
 # takes 2,000; the cap stops a huge max_time or a tolerance that makes the
 # steps crawl before their lists fill memory.
@@ -154,52 +251,113 @@ class EndInfo:
     limit_point: tuple[float, float] | None = None
 
 
-_P_COLS = np.array(_P)[:, :, None]  # (7, 4, 1): stage j, power m
+def _dot(weights, k):
+    """w_1 k_1 + w_2 k_2 + ... over the nonzero (index, weight) pairs, left to right.
 
-
-def _dense_coef(h: np.ndarray, stages: np.ndarray) -> np.ndarray:
-    """Quartic coefficients coef[m, n, i] of n steps (m = 0..3 for u .. u^4).
-
-    h has shape (n,) and stages (n, 7, 3), the 7 stage derivatives of each
-    step.  Each coefficient is h * (0.0 + k_1 P_1 + ... + k_7 P_7), summed
-    left to right: the bits of the scalar per-step expression this table
-    replaced (plain builtins.sum, Python <= 3.11).  The stages are laid out
-    as 7 contiguous rows first, so each term is one long elementwise pass.
+    k holds floats (one component of a step's stages) or arrays (one per
+    stage, of many rows): both take the same products and sums, so both
+    have the same bits.
     """
-    k = np.ascontiguousarray(stages.transpose(1, 0, 2)).reshape(7, -1)
-    acc = 0.0 + k[0] * _P_COLS[0]
-    for j in range(1, 7):
-        acc = acc + k[j] * _P_COLS[j]
-    return h[:, None] * acc.reshape(4, -1, 3)
+    (j, w), *rest = weights
+    acc = w * k[j]
+    for j, w in rest:
+        acc = acc + w * k[j]
+    return acc
 
 
-_P_ROWS = tuple(zip(*_P))  # (4, 7): power m, stage j
+def _dense_stages(y0, hh, k) -> list:
+    """A step's 13 stages extended by the 3 stages only the dense output reads.
 
-
-def _step_coef(h: float, sgn: float, k) -> list[list[float]]:
-    """Quartic coefficients of one step as float lists, one per component.
-
-    k is the flat sequence of the step's 21 stage values (k1_theta, k1_z,
-    k1_x, k2_theta, ...) and sgn the sign _dense_coef's stages carry: the
-    direction sign for the loop's unsigned stages (see _integrate_raw), 1.0
-    for a table row's.  In plain floats with _dense_coef's bits: the same
-    products, summed left to right from 0.0.
+    k is the flat sequence of the 39 stage values (k1_theta, k1_z, k1_x,
+    k2_theta, ...) unsigned, as the stepping loop computes them, and hh the
+    step's signed size: the stage state is y0 + hh * (a_i1 k_1 + ...), the
+    loop's arithmetic.  The field comes from field.slope and libm.
     """
-    coef = []
+    th, z = y0[0], y0[1]
+    k = list(k)
+    for row in _EXTRA_NZ:
+        t_, z_ = th + hh * _dot(row, k[0::3]), z + hh * _dot(row, k[1::3])
+        k += (slope(t_, z_), math.sin(t_), math.cos(t_))
+    return k
+
+
+def _step_terms(y0, hh, k) -> list[list[float]]:
+    """Interpolant terms F0 .. F6 of one step, a float list per component.
+
+    y0 is the step's start state, hh its signed size and k its 39 unsigned
+    stage values (see _dense_stages).  F0 is the update hh * (b_1 k_1 + ...)
+    that the loop adds to y0, F1 and F2 follow dop853.f's rcont, and F3 ..
+    F6 are hh * (d_m1 k_1 + ... + d_m16 k_16).  _dense_terms builds the
+    same bits for many rows.
+    """
+    k = _dense_stages(y0, hh, k)
+    terms = []
     for i in range(3):
-        k1, k2, k3, k4, k5, k6, k7 = [sgn * v for v in k[i::3]]
-        coef.append([h * (0.0 + k1 * p1 + k2 * p2 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6
-                          + k7 * p7) for p1, p2, p3, p4, p5, p6, p7 in _P_ROWS])
-    return coef
+        ki = k[i::3]
+        f0 = hh * _dot(_B_NZ, ki)
+        f1 = hh * ki[0] - f0
+        terms.append([f0, f1, f0 - hh * ki[12] - f1] + [hh * _dot(w, ki) for w in _D_NZ])
+    return terms
 
 
-def _quartic(y0, coef, u):
-    """The step interpolant y0 + u*c1 + u^2*c2 + u^3*c3 + u^4*c4 at u.
+def _field_rows(th: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(slope, sin, cos) of field.py at n states, as an (n, 3) array.
 
+    The arithmetic of field.slope is numpy's, which rounds each operation
+    as floats do; sin, cos and sqrt are libm's, one value at a time, so no
+    numpy transcendental reaches a bit.
+    """
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+    ths = th.tolist()
+    s = np.array([sin(0.5 * v) for v in ths])
+    c = np.array([cos(v) for v in ths])
+    with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 is clamped below
+        q = np.where(z > 0.0, ((z - 1.0) + 2.0 * s * s) * (z + c) / (z * z), 0.0)
+    slopes = [sqrt(v) if v > 0.0 else 0.0 for v in q.tolist()]
+    return np.column_stack([slopes, [sin(v) for v in ths], c])
+
+
+def _dense_terms(y0: np.ndarray, h: np.ndarray, stages: np.ndarray) -> np.ndarray:
+    """_step_terms of n table rows at once, as an array F[m, n, i].
+
+    y0 has shape (n, 3), h (n,) and stages (n, 13, 3).  Stage states and
+    terms are numpy sums in _dot's order, and the 3 extra stages come from
+    _field_rows.
+    """
+    hc = h[:, None]
+    k = list(stages.transpose(1, 0, 2))  # 13 arrays (n, 3)
+    for row in _EXTRA_NZ:
+        st = y0 + hc * _dot(row, k)
+        k.append(_field_rows(st[:, 0], st[:, 1]))
+    f0 = hc * _dot(_B_NZ, k)
+    f1 = hc * k[0] - f0
+    return np.concatenate([[f0, f1, f0 - hc * k[12] - f1], hc * _dot(_D_COLS, k)])
+
+
+def _dense(y0, terms, u):
+    """The step interpolant at u, in dop853.f's nested form (its CONTD8).
+
+    y0 + u (F0 + v (F1 + u (F2 + v (F3 + u (F4 + v (F5 + u F6)))))) with
+    v = 1 - u: y0 at u = 0, and y0 + F0, the step's end node, at u = 1.
     Elementwise: floats for one component, or arrays for many rows.
     """
-    c1, c2, c3, c4 = coef
-    return y0 + u * (c1 + u * (c2 + u * (c3 + u * c4)))
+    f0, f1, f2, f3, f4, f5, f6 = terms
+    v = 1.0 - u
+    return y0 + u * (f0 + v * (f1 + u * (f2 + v * (f3 + u * (f4 + v * (f5 + u * f6))))))
+
+
+def _dense_slope(terms, u):
+    """d/du of _dense, by the product rule through the same nesting."""
+    f0, f1, f2, f3, f4, f5, f6 = terms
+    v = 1.0 - u
+    q5 = f5 + u * f6
+    q4 = f4 + v * q5
+    q3 = f3 + u * q4
+    q2 = f2 + v * q3
+    q1 = f1 + u * q2
+    d = q4 + u * (v * f6 - q5)  # dq3
+    d = q2 + u * (v * d - q3)  # dq1
+    return f0 + v * q1 + u * (v * d - q1)
 
 
 class Trajectory:
@@ -212,14 +370,15 @@ class Trajectory:
     The dense output is one table of numpy columns with a row per step,
     ascending in t: row k covers the nodes' [ts[k], ts[k+1]] (the table
     keeps no time span of its own), maps t onto its internal parameter
-    u = a*t + b, starts at y0 with size h and 7 stage derivatives
-    (stages[n, 7, 3]), and evaluates to scale * p(u) + offset with p the
-    quartic interpolant.  Reflection and time shifts compose into (a, b,
-    scale, offset), so mirrored and concatenated trajectories keep full dense
-    output.  The coefficients of p are built, by _dense_coef, once for each
-    distinct row an evaluation reads.  The arrays of an integrated
-    trajectory are read-only: shooting hands one trajectory to several
-    callers.
+    u = a*t + b, starts at y0 with signed size h and the 13 unsigned stage
+    derivatives of its step (stages[n, 13, 3]), and evaluates to
+    scale * p(u) + offset with p the step's 7th-order interpolant.
+    Reflection and time shifts compose into (a, b, scale, offset), so
+    mirrored and concatenated trajectories keep full dense output.  The
+    interpolant's 3 extra stages and its terms are built, by _dense_terms,
+    once for each distinct row an evaluation reads.  The arrays of an
+    integrated trajectory are read-only: shooting hands one trajectory to
+    several callers.
     """
 
     def __init__(self, ts, ys, table, left_info, right_info):
@@ -278,11 +437,11 @@ class Trajectory:
         rows = np.flatnonzero(read)
         a = tab["a"][i, None]
         u = a * ts[:, None] + tab["b"][i, None]
-        coef = _dense_coef(tab["h"][rows], tab["stages"][rows])
-        c1, c2, c3, c4 = coef[:, np.cumsum(read)[i] - 1]
+        terms = _dense_terms(tab["y0"][rows], tab["h"][rows], tab["stages"][rows])
+        terms = terms[:, np.cumsum(read)[i] - 1]
         if deriv:
-            return tab["scale"][i] * (c1 + u * (2 * c2 + u * (3 * c3 + u * 4 * c4))) * a
-        return tab["scale"][i] * _quartic(tab["y0"][i], (c1, c2, c3, c4), u) + tab["offset"][i]
+            return tab["scale"][i] * _dense_slope(terms, u) * a
+        return tab["scale"][i] * _dense(tab["y0"][i], terms, u) + tab["offset"][i]
 
     def state_at(self, t: float) -> tuple[float, float, float]:
         """states_at's row at one time, in plain floats with its bits."""
@@ -292,14 +451,15 @@ class Trajectory:
             raise RangeError(f"t={t} outside span [{lo}, {hi}]")
         a, b, comps = self._row(int(np.searchsorted(self.ts[1:-1], min(max(t, lo), hi), "right")))
         u = a * t + b
-        return tuple(scale * _quartic(y0, coef, u) + offset for y0, coef, scale, offset in comps)
+        return tuple(scale * _dense(y0, terms, u) + offset for y0, terms, scale, offset in comps)
 
     def _row(self, i: int):
-        """Row i's a, b and per component (y0, quartic coef, scale, offset), as floats."""
+        """Row i's a, b and per component (y0, interpolant terms, scale, offset), as floats."""
         tab = self.table
-        coef = _step_coef(tab["h"][i].item(), 1.0, tab["stages"][i].ravel().tolist())
-        y0, scale, offset = (tab[key][i].tolist() for key in ("y0", "scale", "offset"))
-        return tab["a"][i].item(), tab["b"][i].item(), list(zip(y0, coef, scale, offset))
+        y0 = tab["y0"][i].tolist()
+        terms = _step_terms(y0, tab["h"][i].item(), tab["stages"][i].ravel().tolist())
+        scale, offset = (tab[key][i].tolist() for key in ("scale", "offset"))
+        return tab["a"][i].item(), tab["b"][i].item(), list(zip(y0, terms, scale, offset))
 
     def shifted(self, dt: float = 0.0, dtheta: float = 0.0, dx: float = 0.0) -> "Trajectory":
         """Translate in time, angle lift, and abscissa (all affine, dense output kept)."""
@@ -347,14 +507,14 @@ class Trajectory:
         if not lo < theta_target < hi:
             return None
         # row i covers the bracket [ts[i], ts[i+1]], so every midpoint reads it:
-        # theta(m) - theta_target in plain floats with the coefficients and
-        # Horner order of states_at, so with its bits
+        # theta(m) - theta_target in plain floats with the terms and nesting
+        # of states_at, so with its bits
         i = int(np.searchsorted(th, theta_target)) - 1
         a, b, comps = self._row(i)
-        y0, coef, scale, offset = comps[0]
+        y0, terms, scale, offset = comps[0]
 
         def gap(m):
-            return scale * _quartic(y0, coef, a * m + b) + offset - theta_target
+            return scale * _dense(y0, terms, a * m + b) + offset - theta_target
 
         return bisect_root(gap, float(self.ts[i]), float(self.ts[i + 1]), 100)
 
@@ -404,41 +564,55 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
     Returns (sig_nodes, nodes, hs, stages, stop): nodes is one flat list of
     the node states (theta, z, x of node 0, then node 1, ...); step i runs
     from node i to node i + 1 with size hs[i] (the last step may be cut
-    short at its event); stages is one flat list of the steps' 7 unsigned
+    short at its event); stages is one flat list of the steps' 13 unsigned
     stage derivatives (k1_theta, k1_z, k1_x, k2_theta, ... of step 0, then
     step 1, ...); stop is an EndInfo in internal time.
 
-    The field is (sgn * slope, sgn * sin, sgn * cos) of (theta, z); x does
-    not feed back.  The sign rides on the step, hh = sgn * h, which is exact
-    as rounding to nearest is symmetric: h*(a*(-f)) == (-h)*(a*f), a sum of
-    negated terms is the negated sum, and the error norm squares the sign
-    away.  The sums are written out over locals in the tableau's
-    left-to-right order, so every float equals that of the textbook
-    summation; the zero-weight b2 k2 and e2 k2 are left out, since adding
-    +-0.0 to a nonzero float returns it (k2 is never NaN, by the q > 0
-    guard, and an infinite k2 raises in stage 3's sin first).  Stages 2..7
-    evaluate it inline with field.py's arithmetic (one cos serves z + cos
-    and the x component), and the FSAL stage's min(z - cos, z + cos) is the
-    end state's domain_gap for the event scan; only k1 of the start state
-    calls slope.  Step-size clamps are comparisons with min's and max's tie
-    semantics.  TestScheme::test_stages_are_the_field_module holds every
-    stored stage to field.py bit for bit.
+    The scheme is DOP853: 12 stages and the 8th-order update, then the FSAL
+    stage k13 at the update, which is the next step's k1.  The field is
+    (sgn * slope, sgn * sin, sgn * cos) of (theta, z); x does not feed back.
+    The sign rides on the step, hh = sgn * h, which is exact as rounding to
+    nearest is symmetric: h*(a*(-f)) == (-h)*(a*f), a sum of negated terms
+    is the negated sum, and the error norm squares the sign away.  Each sum
+    is written out over locals in the tableau's order, its zero weights left
+    out.  Stages 2..13 evaluate the field inline with field.py's arithmetic
+    (one cos serves z + cos and the x component), and the FSAL stage's
+    min(z - cos, z + cos) is the end state's domain_gap for the event scan;
+    only k1 of the start state calls slope.
+    TestScheme::test_stages_are_the_field_module holds every stored stage to
+    field.py bit for bit.
 
-    The error norm squares with ** 2, not x * x: glibc 2.36's pow(x, 2.0)
-    differs from the product in the last bit on about 1 in 1,200 random
-    doubles, so that rewrite is not exact and could move accepted steps.
-    The abs() of a state is taken once, when it is the end of the step
-    being tried, and reused while the next step starts from it.  The
-    contact and crossing bisections halve the step's parameter interval
-    (a, b) at most 80 and 60 times, and stop at the first halving that
-    leaves (a, b) unchanged (the midpoint is already the endpoint it would
-    replace): every later halving would repeat it, so the result is that
-    of the full count.
+    The error norm is that of dop853.f and scipy's DOP853: per component,
+    the 5th-order estimate e5 and the 3rd-order estimate e3 over the scale
+    abs_tol + rel_tol * max(|y0|, |y1|), then
+    h * |e5|^2 / sqrt(3 * (|e5|^2 + 0.01 |e3|^2)); the step is accepted at
+    norm <= 1, and the next is h * min(6, max(0.333, 0.9 * norm^(-1/8))),
+    not above h after a rejection.  A 5th-order sum that overflows makes
+    the norm NaN, which rejects the step by the least factor.  The abs() of a state is taken
+    once, when it is the end of the step being tried, and reused while the
+    next step starts from it.  Step-size clamps are comparisons with min's
+    and max's tie semantics.
+
+    A step whose end is within boundary_eps of the boundary, or past a
+    theta target, is cut at its event: the dense output of that one step
+    (_step_terms, with its 3 extra stages) is bisected in its parameter
+    (a, b) at most 80 (contact) or 60 (crossing) times, stopping at the
+    first halving that leaves (a, b) unchanged (the midpoint is already the
+    endpoint it would replace): every later halving would repeat it, so
+    the result is that of the full count.
     """
     sin, cos, sqrt = math.sin, math.cos, math.sqrt
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A[1:6]
-    b1, _, b3, b4, b5, b6, _ = _B
-    e1, _, e3, e4, e5, e6, e7 = _E
+    (
+        (a2_1,), (a3_1, a3_2), (a4_1, _, a4_3), (a5_1, _, a5_3, a5_4), (a6_1, _, _, a6_4, a6_5),
+        (a7_1, _, _, a7_4, a7_5, a7_6), (a8_1, _, _, a8_4, a8_5, a8_6, a8_7),
+        (a9_1, _, _, a9_4, a9_5, a9_6, a9_7, a9_8),
+        (a10_1, _, _, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+        (a11_1, _, _, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
+        (a12_1, _, _, a12_4, a12_5, a12_6, a12_7, a12_8, a12_9, a12_10, a12_11),
+    ) = _A[1:12]
+    b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12 = _B
+    e1, _, _, _, _, e6, e7, e8, e9, e10, e11, e12 = _E5
+    d1, _, _, _, _, d6, d7, d8, d9, d10, d11, d12 = _E3
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
     max_step, min_step, max_time = cfg.max_step, cfg.min_step, cfg.max_time
     boundary_eps, targets = cfg.boundary_eps, cfg.theta_targets
@@ -473,59 +647,116 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
             h = r
         hh = sgn * h
 
-        # Stages 2..6, then the FSAL stage at y1 (row 7 of A equals b); zm,
-        # zp and q are field.z_minus_cos, z_plus_cos and slope_sq.
-        t_, z_ = th + hh * (a21 * k1a), z + hh * (a21 * k1b)
+        # Stages 2..12, then the update and the FSAL stage k13 at it; zm, zp
+        # and q are field.z_minus_cos, z_plus_cos and slope_sq.
+        t_ = th + hh * (a2_1 * k1a)
+        z_ = z + hh * (a2_1 * k1b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
         q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
         k2a, k2b, k2c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
-        t_ = th + hh * (a31 * k1a + a32 * k2a)
-        z_ = z + hh * (a31 * k1b + a32 * k2b)
+        t_ = th + hh * (a3_1 * k1a + a3_2 * k2a)
+        z_ = z + hh * (a3_1 * k1b + a3_2 * k2b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
         q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
         k3a, k3b, k3c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
-        t_ = th + hh * (a41 * k1a + a42 * k2a + a43 * k3a)
-        z_ = z + hh * (a41 * k1b + a42 * k2b + a43 * k3b)
+        t_ = th + hh * (a4_1 * k1a + a4_3 * k3a)
+        z_ = z + hh * (a4_1 * k1b + a4_3 * k3b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
         q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
         k4a, k4b, k4c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
-        t_ = th + hh * (a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a)
-        z_ = z + hh * (a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b)
+        t_ = th + hh * (a5_1 * k1a + a5_3 * k3a + a5_4 * k4a)
+        z_ = z + hh * (a5_1 * k1b + a5_3 * k3b + a5_4 * k4b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
         q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
         k5a, k5b, k5c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
-        t_ = th + hh * (a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a)
-        z_ = z + hh * (a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b)
+        t_ = th + hh * (a6_1 * k1a + a6_4 * k4a + a6_5 * k5a)
+        z_ = z + hh * (a6_1 * k1b + a6_4 * k4b + a6_5 * k5b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
         q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
         k6a, k6b, k6c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
-        th1 = th + hh * (b1 * k1a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a)
-        z1 = z + hh * (b1 * k1b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b)
-        x1 = x + hh * (b1 * k1c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c)
+        t_ = th + hh * (a7_1 * k1a + a7_4 * k4a + a7_5 * k5a + a7_6 * k6a)
+        z_ = z + hh * (a7_1 * k1b + a7_4 * k4b + a7_5 * k5b + a7_6 * k6b)
+        s, c = sin(0.5 * t_), cos(t_)
+        zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
+        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        k7a, k7b, k7c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
+        t_ = th + hh * (a8_1 * k1a + a8_4 * k4a + a8_5 * k5a + a8_6 * k6a + a8_7 * k7a)
+        z_ = z + hh * (a8_1 * k1b + a8_4 * k4b + a8_5 * k5b + a8_6 * k6b + a8_7 * k7b)
+        s, c = sin(0.5 * t_), cos(t_)
+        zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
+        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        k8a, k8b, k8c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
+        t_ = th + hh * (a9_1 * k1a + a9_4 * k4a + a9_5 * k5a + a9_6 * k6a + a9_7 * k7a
+                        + a9_8 * k8a)
+        z_ = z + hh * (a9_1 * k1b + a9_4 * k4b + a9_5 * k5b + a9_6 * k6b + a9_7 * k7b + a9_8 * k8b)
+        s, c = sin(0.5 * t_), cos(t_)
+        zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
+        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        k9a, k9b, k9c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
+        t_ = th + hh * (a10_1 * k1a + a10_4 * k4a + a10_5 * k5a + a10_6 * k6a + a10_7 * k7a
+                        + a10_8 * k8a + a10_9 * k9a)
+        z_ = z + hh * (a10_1 * k1b + a10_4 * k4b + a10_5 * k5b + a10_6 * k6b + a10_7 * k7b
+                       + a10_8 * k8b + a10_9 * k9b)
+        s, c = sin(0.5 * t_), cos(t_)
+        zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
+        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        k10a, k10b, k10c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
+        t_ = th + hh * (a11_1 * k1a + a11_4 * k4a + a11_5 * k5a + a11_6 * k6a + a11_7 * k7a
+                        + a11_8 * k8a + a11_9 * k9a + a11_10 * k10a)
+        z_ = z + hh * (a11_1 * k1b + a11_4 * k4b + a11_5 * k5b + a11_6 * k6b + a11_7 * k7b
+                       + a11_8 * k8b + a11_9 * k9b + a11_10 * k10b)
+        s, c = sin(0.5 * t_), cos(t_)
+        zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
+        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        k11a, k11b, k11c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
+        t_ = th + hh * (a12_1 * k1a + a12_4 * k4a + a12_5 * k5a + a12_6 * k6a + a12_7 * k7a
+                        + a12_8 * k8a + a12_9 * k9a + a12_10 * k10a + a12_11 * k11a)
+        z_ = z + hh * (a12_1 * k1b + a12_4 * k4b + a12_5 * k5b + a12_6 * k6b + a12_7 * k7b
+                       + a12_8 * k8b + a12_9 * k9b + a12_10 * k10b + a12_11 * k11b)
+        s, c = sin(0.5 * t_), cos(t_)
+        zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
+        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        k12a, k12b, k12c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
+        th1 = th + hh * (b1 * k1a + b6 * k6a + b7 * k7a + b8 * k8a + b9 * k9a + b10 * k10a
+                         + b11 * k11a + b12 * k12a)
+        z1 = z + hh * (b1 * k1b + b6 * k6b + b7 * k7b + b8 * k8b + b9 * k9b + b10 * k10b
+                       + b11 * k11b + b12 * k12b)
+        x1 = x + hh * (b1 * k1c + b6 * k6c + b7 * k7c + b8 * k8c + b9 * k9c + b10 * k10c
+                       + b11 * k11c + b12 * k12c)
         s, c = sin(0.5 * th1), cos(th1)
         zm, zp = (z1 - 1.0) + 2.0 * s * s, z1 + c
         q = zm * zp / (z1 * z1) if z1 > 0.0 else 0.0
-        k7a, k7b, k7c = sqrt(q) if q > 0.0 else 0.0, sin(th1), c
+        k13a, k13b, k13c = sqrt(q) if q > 0.0 else 0.0, sin(th1), c
 
-        try:
-            err = hh * (e1 * k1a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
-            ath1, az1, ax1 = abs(th1), abs(z1), abs(x1)
-            norm = (err / (abs_tol + rel_tol * (ath1 if ath1 > ath else ath))) ** 2
-            err = hh * (e1 * k1b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
-            norm += (err / (abs_tol + rel_tol * (az1 if az1 > az else az))) ** 2
-            err = hh * (e1 * k1c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
-            norm += (err / (abs_tol + rel_tol * (ax1 if ax1 > ax else ax))) ** 2
-            norm = math.sqrt(norm / 3.0)
-        except OverflowError:  # float ** 2 raises past 1e308 (tiny tolerances)
-            norm = math.inf
+        ath1, az1, ax1 = abs(th1), abs(z1), abs(x1)
+        sk = abs_tol + rel_tol * (ath1 if ath1 > ath else ath)
+        e = (e1 * k1a + e6 * k6a + e7 * k7a + e8 * k8a + e9 * k9a + e10 * k10a + e11 * k11a
+             + e12 * k12a) / sk
+        d = (d1 * k1a + d6 * k6a + d7 * k7a + d8 * k8a + d9 * k9a + d10 * k10a + d11 * k11a
+             + d12 * k12a) / sk
+        n5, n3 = e * e, d * d
+        sk = abs_tol + rel_tol * (az1 if az1 > az else az)
+        e = (e1 * k1b + e6 * k6b + e7 * k7b + e8 * k8b + e9 * k9b + e10 * k10b + e11 * k11b
+             + e12 * k12b) / sk
+        d = (d1 * k1b + d6 * k6b + d7 * k7b + d8 * k8b + d9 * k9b + d10 * k10b + d11 * k11b
+             + d12 * k12b) / sk
+        n5, n3 = n5 + e * e, n3 + d * d
+        sk = abs_tol + rel_tol * (ax1 if ax1 > ax else ax)
+        e = (e1 * k1c + e6 * k6c + e7 * k7c + e8 * k8c + e9 * k9c + e10 * k10c + e11 * k11c
+             + e12 * k12c) / sk
+        d = (d1 * k1c + d6 * k6c + d7 * k7c + d8 * k8c + d9 * k9c + d10 * k10c + d11 * k11c
+             + d12 * k12c) / sk
+        n5, n3 = n5 + e * e, n3 + d * d
+        den = n5 + 0.01 * n3
+        norm = h * n5 / sqrt(3.0 * den) if den != 0.0 else 0.0
 
         if not norm <= 1.0:  # too large, or NaN
-            fac = 0.2 if norm != norm else max(0.2, 0.9 * norm ** _ORDER_EXP)
+            fac = _FAC_MIN if norm != norm else max(_FAC_MIN, _SAFE * norm ** _ORDER_EXP)
             h_new = h * fac
             if h_new < min_step:
                 if domain_gap(th, z) < 10.0 * boundary_eps:
@@ -537,22 +768,23 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
             last_rejected = True
             continue
 
-        k = (k1a, k1b, k1c, k2a, k2b, k2c, k3a, k3b, k3c, k4a, k4b, k4c,
-             k5a, k5b, k5c, k6a, k6b, k6c, k7a, k7b, k7c)
+        k = (k1a, k1b, k1c, k2a, k2b, k2c, k3a, k3b, k3c, k4a, k4b, k4c, k5a, k5b, k5c,
+             k6a, k6b, k6c, k7a, k7b, k7c, k8a, k8b, k8c, k9a, k9b, k9c, k10a, k10b, k10c,
+             k11a, k11b, k11c, k12a, k12b, k12c, k13a, k13b, k13c)
 
-        # Event scan: boundary contact and theta-target crossings.  Dense
-        # coefficients (one list per component) are built only for a step
-        # that brackets an event.
+        # Event scan: boundary contact and theta-target crossings.  The
+        # dense output (terms per component) is built only for a step that
+        # brackets an event.
         u_event = None
         ev = None
-        coef = None
+        terms = None
         # domain_gap(th1, z1) is min(zm, zp) of the FSAL stage
         if (zp if zp < zm else zm) - boundary_eps < 0.0:
-            coef = _step_coef(h, sgn, k)
+            terms = _step_terms((th, z, x), hh, k)
             a, b = 0.0, 1.0
             for _ in range(80):
                 m = 0.5 * (a + b)
-                if domain_gap(_quartic(th, coef[0], m), _quartic(z, coef[1], m)) - boundary_eps < 0.0:
+                if domain_gap(_dense(th, terms[0], m), _dense(z, terms[1], m)) - boundary_eps < 0.0:
                     if m == b:
                         break  # a fixed point: no later iteration moves (a, b)
                     b = m
@@ -562,16 +794,16 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
                     a = m
             u_event, ev = b, ("boundary", None)
         for tgt in targets:
-            d0 = th - tgt
-            d1 = th1 - tgt
-            if d0 == 0.0:
+            g0 = th - tgt
+            g1 = th1 - tgt
+            if g0 == 0.0:
                 continue  # crossing at a node belongs to the previous step
-            if d0 * d1 < 0.0 or d1 == 0.0:
-                coef = coef or _step_coef(h, sgn, k)
+            if g0 * g1 < 0.0 or g1 == 0.0:
+                terms = terms or _step_terms((th, z, x), hh, k)
                 a, b = 0.0, 1.0
                 for _ in range(60):
                     m = 0.5 * (a + b)
-                    if (_quartic(th, coef[0], m) - tgt) * d0 > 0.0:
+                    if (_dense(th, terms[0], m) - tgt) * g0 > 0.0:
                         if m == a:
                             break
                         a = m
@@ -585,9 +817,9 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
 
         if ev is not None:
             sig_c = sig + u_event * h
-            y_c = (_quartic(th, coef[0], u_event), _quartic(z, coef[1], u_event),
-                   _quartic(x, coef[2], u_event))
-            # keep the full-step polynomial but restrict its valid span
+            y_c = (_dense(th, terms[0], u_event), _dense(z, terms[1], u_event),
+                   _dense(x, terms[2], u_event))
+            # keep the full-step interpolant but restrict its valid span
             hs.append(h)
             stages += k
             sig_nodes.append(sig_c)
@@ -605,18 +837,18 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
         nodes += (th1, z1, x1)
         th, z, x = th1, z1, x1
         ath, az, ax = ath1, az1, ax1
-        k1a, k1b, k1c = k7a, k7b, k7c
+        k1a, k1b, k1c = k13a, k13b, k13c
         if len(hs) == MAX_STEPS:
             raise StepLimitError(f"more than {MAX_STEPS} steps, at sigma={sig}")
         if norm == 0.0:
-            fac = 5.0  # the limit of the expression below as norm -> 0
+            fac = _FAC_MAX  # the limit of the expression below as norm -> 0
         else:
-            # min(5.0, max(0.2, f)), then min(fac, 1.0) and min(h * fac, max_step)
-            fac = 0.9 * norm ** _ORDER_EXP
-            if not fac > 0.2:
-                fac = 0.2
-            if not fac < 5.0:
-                fac = 5.0
+            # min(FAC_MAX, max(FAC_MIN, f)), then min(fac, 1.0) and min(h * fac, max_step)
+            fac = _SAFE * norm ** _ORDER_EXP
+            if not fac > _FAC_MIN:
+                fac = _FAC_MIN
+            if not fac < _FAC_MAX:
+                fac = _FAC_MAX
         if last_rejected and 1.0 < fac:
             fac = 1.0
         last_rejected = False
@@ -668,9 +900,9 @@ def _finalized(sig_nodes, nodes, hs, stages, stop, direction, start_info):
     table = {
         "a": sgn / h,  # u = (sigma - sig0)/h with sigma = sgn * t
         "b": -sig[:-1] / h,
-        "h": h,
+        "h": sgn * h,  # the loop's signed step hh
         "y0": ys[:-1],
-        "stages": sgn * _packed(stages).reshape(-1, 7, 3),  # unsigned in the loop
+        "stages": _packed(stages).reshape(-1, 13, 3),  # unsigned, as the loop's
         "scale": np.ones((len(h), 3)),
         "offset": np.zeros((len(h), 3)),
     }

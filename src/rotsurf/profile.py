@@ -40,6 +40,7 @@ TWO_PI = 2.0 * math.pi
 # uniform steps verify_profile may sample an evaluator at, and samples a glued curve may have
 MAX_RESAMPLE_STEPS = 1_000_000
 SAMPLE_DT = 0.01  # largest time step between stored samples of a built profile
+CONTACT_GRADING = 0.1  # near a contact end, the step is at most this times the distance to it
 SPHERE_TRIM = 1e-6  # the closed-form sphere stops this short of its two poles
 N_PERIOD_CHECK = 800  # points of the one-period overlap find_period measures on
 H_CHECK = 4e-3  # finite-difference step of extend_separatrix's junction grading
@@ -70,15 +71,23 @@ class ProfileCurve:
         self.theta = np.asarray(self.theta, dtype=float)
         if len(self.t) < 2:
             raise TooFewSamplesError("profile needs at least 2 samples")
-        for name in ("t", "x", "z", "theta"):  # a file would spell a NaN or inf as null
-            values = getattr(self, name)
-            if not np.isfinite(values).all():
-                k = np.flatnonzero(~np.isfinite(values))[0]
-                raise DegenerateProfileError(f"profile {name}[{k}] is {values[k]}, not finite")
+        self._check_finite()
         if not np.all(np.diff(self.t) > 0.0):
             raise ValueError("profile times must be strictly increasing")
         if not np.all(self.z > 0.0):
             raise DegenerateProfileError("profile has z <= 0")
+
+    def _check_finite(self) -> None:
+        """DegenerateProfileError naming the first sample that is NaN or infinite.
+
+        A file would spell such a value null.  The arrays stay writable, so
+        write_csv checks again.
+        """
+        for name in ("t", "x", "z", "theta"):
+            values = getattr(self, name)
+            if not np.isfinite(values).all():
+                k = np.flatnonzero(~np.isfinite(values))[0]
+                raise DegenerateProfileError(f"profile {name}[{k}] is {values[k]}, not finite")
 
     def __len__(self):
         return len(self.t)
@@ -105,7 +114,12 @@ class ProfileCurve:
         return out
 
     def write_csv(self, sink) -> None:
-        """Header t,x,z,theta; one sample per line, each value the shortest text of its bits."""
+        """Header t,x,z,theta; one sample per line, each value the shortest text of its bits.
+
+        A sample made NaN or infinite since the profile was built raises
+        DegenerateProfileError before the sink is opened.
+        """
+        self._check_finite()
         write_csv(sink, b"t,x,z,theta", self.t, self.x, self.z, self.theta)
 
     @classmethod
@@ -200,19 +214,29 @@ class VerificationReport:
 def build_profile(traj: Trajectory, kind: str = "Generic") -> ProfileCurve:
     """Extract (t, x, z, theta) from a trajectory, regularized to SAMPLE_DT.
 
-    A gap between nodes a and b larger than SAMPLE_DT is cut into
-    n = ceil(gap / SAMPLE_DT) equal steps, at a + gap * k / n for k < n,
-    and filled from the dense output; the nodes themselves are kept as
-    they are.  A sample closer than SAMPLE_DT/4 to the last sample kept is
-    dropped (never the first); the last node is kept in the place of the
-    sample before it when those two are that close.  So the stored grid
-    stays compatible with fine resampling.
+    A gap between nodes a and b larger than its step dt is cut into
+    n = ceil(gap / dt) equal steps, at a + gap * k / n for k < n, and
+    filled from the dense output; the nodes themselves are kept as they
+    are.  dt is SAMPLE_DT, or, near an end where the trajectory meets the
+    boundary, CONTACT_GRADING times the gap's distance to that end, but not
+    below SAMPLE_DT/4: theta ~ c s^(3/2) in the distance s to such an end,
+    and verify's 5-point stencils there read their own truncation error
+    unless the rows close in on the end (the integrator's own steps are
+    too long there for that).  A sample closer than SAMPLE_DT/4 to the last
+    sample kept is dropped (never the first); the last node is kept in the
+    place of the sample before it when those two are that close.  So the
+    stored grid stays compatible with fine resampling.
     """
     nodes = traj.ts
     gaps = np.diff(nodes)
+    dt = np.full(len(gaps), SAMPLE_DT)
+    for end, info in ((nodes[0], traj.left_info), (nodes[-1], traj.right_info)):
+        if info.kind == "boundary_contact":
+            s = np.minimum(abs(nodes[:-1] - end), abs(nodes[1:] - end))
+            dt = np.minimum(dt, np.maximum(SAMPLE_DT / 4, CONTACT_GRADING * s))
     steps = np.ones(len(gaps), np.int64)
-    wide = gaps > SAMPLE_DT
-    steps[wide] = np.ceil(gaps[wide] / SAMPLE_DT)
+    wide = gaps > dt
+    steps[wide] = np.ceil(gaps[wide] / dt[wide])
     ends = np.cumsum(steps)  # the index of each node after the first among the samples
     gap_of = np.repeat(np.arange(len(gaps)), steps)  # the gap of each sample after the first
     k = np.arange(1, len(gap_of) + 1) - np.repeat(ends - steps, steps)

@@ -10,7 +10,7 @@ bisection is valid.
 
 The same threshold lets find_lambda0 skip most of its integrations: every
 integrated height decides the heights beyond it, and the heights either
-side of the series-launch estimate (within 5e-10 of lambda0 at the default
+side of the series-launch estimate (within 1e-14 of lambda0 at the default
 config) are integrated first.  The result is still the plain bisection's,
 bit for bit: a wrong or unusable estimate costs time, never bits.
 

@@ -24,20 +24,20 @@ from rotsurf.cli import main
 from rotsurf.text import parse_obj, read_profile_csv
 
 PINNED = {
-    "curve.csv": "9ac041cb0f9dc83151e205fa5d1bcea98eb813abdd1a4579b6d1aa008f9ab0a4",
-    "extend.csv": "f88660212070ecf5b7404d869fa71a20d68c8750c0369e53571f18f5c19e3b43",
-    "extend.regularity.json": "d8d00c59ebe29985189c56219b1dd5506db4210349f1b9a57ce88eab4d54e287",
-    "mesh.obj": "07d69755223bfaba61a1443b61dbba83f392feaa5c9175bab588995a58498b99",
-    "verify.json": "8f3b38b8df4362a76eca1b3683f08cb4968d52a8c49356b316eef393cfceb0f2",
-    "portrait.json": "c9be978ff9acf0e4ae4fbdb9d8321d51f04e283d4a5c6fee2523ac58d031c9f5",
-    "portrait_00.csv": "e55fb59cbb53f07667988d38ba70a95b2c15d2ac9f122ef7e8fd3c4e6c6843f7",
-    "portrait_01.csv": "b6526533e46d71b89cb21135e76f727eb4f62264b6d63bbb4cb49387a4f0cc9e",
+    "curve.csv": "4967b9e664b0cb6b3a4ae7ea7d79ecfc13d2bc72ada9c06084fdc00bcec2dd7d",
+    "extend.csv": "336199b7eba62eed775b7de308bc494b0dd04394a2c9488dafe9218007ce43a7",
+    "extend.regularity.json": "02883522195deaa4d9721b8c1121869222c430270864d2d0e454aa7a7bc5fbeb",
+    "mesh.obj": "0b887fdc794f9a9a46a8e99640f05e94c1aa8fedba8ed0704d3e43703fab4704",
+    "verify.json": "9d726e1d18c0f857a8579faabeeceb9fdd3789928a0a18d10203dbe040dbce7b",
+    "portrait.json": "1dbadb3f4ab5860e16992ba6fbc304bf76c38d0934d82990bfbc08ffe6c73887",
+    "portrait_00.csv": "73c4a00fc9a3d69b1301df7654d4336fa95aa5c22028fdc21636ad7de517c82f",
+    "portrait_01.csv": "4ad6060e902e2e7c2f07c2c95bf30c9a46d5a730a886bdb23dc09b3444b8ffb4",
     "sphere.obj": "9027a9d10853a01103b11262b511eee437a0e26984e9a72cbac9a9dc15f1fd47",
-    "mesh.csv": "3c533d881d31ee8b25a09ce02e54106e741212cc8fdc63038db3f2c638767aa8",
-    "lambda0.json": "f8e96e8001a3a47a2806058a6f980196e7aa55555a551c14e2a4be6e1e588d3e",
-    "verify_extend.json": "ce9906bd0b702ec8ff4e578ecc72c6070c29042f7174361d4dcc34e09e162ebf",
-    "clamped.csv": "381fcf4be1dce73e6e392243a2bf12c3cb2dd09c64395618b9f4bb30f4d3a1b7",
-    "verify_clamped.json": "de74d92efaa480746f8f905e7b7cff597942b625c901e82067adc2438b893ef5",
+    "mesh.csv": "0d2608df7fbb882b2f19eda2c4c0a71f8337d41c39cac0d7715b85514206a844",
+    "lambda0.json": "433244c9816ce061bbc2019fd245270af542f7d7b0bfbf0dbdac56dd4d7e2877",
+    "verify_extend.json": "e76bb46884757a3563fccce57ec8a94d084595df2578560d29fd8c07fc972d07",
+    "clamped.csv": "fe217e55a587120f21187a2f57a59137543bfd885a2f0234ab364dfcc4c613cd",
+    "verify_clamped.json": "73f25cf50b12b3e1b2cb35a65958a00ba024c9ab2917df3d4c6dd88a026956e7",
 }
 
 
@@ -106,9 +106,9 @@ def test_output_bytes_pinned(pinned):
 # and these say what those bytes are.  n_points is the CSV's row count,
 # since the estimator reads the rows themselves.
 VERIFY = {
-    "verify.json": ("curve.csv", 2.2779008079787388e-07, 2.0654856713875347e-09),
-    "verify_extend.json": ("extend.csv", 2.0146118173691718e-07, 1.5946260978338955e-09),
-    "verify_clamped.json": ("clamped.csv", 1.8111516685292983e-05, 8.437390563997837e-09),
+    "verify.json": ("curve.csv", 2.1967515140275395e-08, 5.566898053643854e-10),
+    "verify_extend.json": ("extend.csv", 2.5170876494229333e-09, 9.206665430028238e-10),
+    "verify_clamped.json": ("clamped.csv", 3.925761087075763e-05, 1.6335791053201376e-08),
 }
 
 

@@ -1,6 +1,7 @@
 import importlib
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,13 @@ from rotsurf.field import domain_gap, slope, slope_sq
 from rotsurf.integrate import (
     _A,
     _B,
-    _P,
-    _dense_coef,
-    _step_coef,
+    _D,
+    _E3,
+    _E5,
+    _dense,
+    _dense_stages,
+    _dense_terms,
+    _step_terms,
     bisect_root,
     corner_series,
     corner_series_slope,
@@ -37,39 +42,81 @@ def sphere_closed_form(t):
 
 
 class TestScheme:
-    def test_interpolant_consistent_with_step(self):
-        # the quartic interpolant must hit the step endpoint: row sums of
-        # the dense matrix equal the 5th-order weights
-        for i in range(7):
-            assert sum(_P[i]) == pytest.approx(_B[i], abs=1e-12)
+    def test_tableau_is_scipys(self):
+        # every coefficient is the float of scipy's DOP853 tableau, bit for bit
+        coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
 
-    def test_dense_coef_is_the_scalar_stage_sum(self):
-        # the vectorized builder keeps the bits of h * (k_1 P_1 + ... + k_7 P_7)
-        # summed left to right from 0.0, as the scalar interpolant did, and
-        # the plain-float one-row builder keeps the vectorized builder's, for
-        # stages of both signs with +-0.0 entries and either direction sign
+        def bits(rows):
+            return [[v.hex() for v in row] for row in np.asarray(rows, dtype=float).tolist()]
+
+        full = np.zeros((16, 16))
+        for i, row in enumerate(_A):
+            full[i, :i] = row
+        assert bits(full) == bits(coeffs.A)
+        assert bits([_B]) == bits([coeffs.B])
+        assert bits([_E3 + (0.0,), _E5 + (0.0,)]) == bits([coeffs.E3, coeffs.E5])
+        assert bits(_D) == bits(coeffs.D)
+
+    def test_dense_terms_are_the_row_path(self, cfg, launch):
+        # states_at's builder (numpy sums, its 3 extra stages from
+        # _field_rows) keeps the bits of _row's plain-float one, on
+        # backward, mirrored and concatenated tables, and on random rows with
+        # +-0.0 stage entries of either step sign
+        t_cross, x_cross = float(launch.ts[-1]), float(launch.xs[-1])
+        sep = rs.with_mirror(launch.shifted(dt=-t_cross, dx=-x_cross))
         rng = np.random.default_rng(7)
-        h = rng.uniform(1e-4, 0.1, 25)
-        stages = rng.normal(size=(25, 7, 3))
+        n = 25
+        stages = rng.normal(size=(n, 13, 3))
         stages[rng.random(stages.shape) < 0.2] = 0.0
         stages[rng.random(stages.shape) < 0.2] = -0.0
-        stages[3] = 0.0  # all-zero rows: the sign of a zero coefficient counts
+        stages[3] = 0.0  # all-zero rows: the sign of a zero term counts
         stages[4] = -0.0
-        coef = _dense_coef(h, stages).tolist()
-        hs, ks = h.tolist(), stages.tolist()
-        for r in range(25):
-            for m in range(4):
-                for i in range(3):
-                    acc = 0.0
-                    for j in range(7):
-                        acc += ks[r][j][i] * _P[j][m]
-                    assert coef[m][r][i] == hs[r] * acc
-        for sgn in (1.0, -1.0):
-            signed = _dense_coef(h, sgn * stages)
-            for r in range(25):
-                want = [[v.hex() for v in comp] for comp in signed[:, r].T.tolist()]
-                got = _step_coef(hs[r], sgn, stages[r].ravel().tolist())
-                assert [[v.hex() for v in comp] for comp in got] == want
+        y0 = np.column_stack([rng.uniform(0.0, 3.0, n), rng.uniform(1.0, 3.0, n),
+                              rng.normal(size=n)])
+        h = rng.uniform(1e-4, 0.1, n) * rng.choice([-1.0, 1.0], n)
+        tables = [tr.table for tr in (rs.backward_trajectory(4.0, cfg), rs.full_curve(2.5, cfg),
+                                      sep)]
+        tables.append({"y0": y0, "h": h, "stages": stages})
+        for tab in tables:
+            terms = _dense_terms(tab["y0"], tab["h"], tab["stages"])
+            assert terms.shape == (7, len(tab["h"]), 3)
+            for r in range(len(tab["h"])):
+                got = _step_terms(tab["y0"][r].tolist(), tab["h"][r].item(),
+                                  tab["stages"][r].ravel().tolist())
+                assert [[v.hex() for v in comp] for comp in got] == [
+                    [v.hex() for v in comp] for comp in terms[:, r].T.tolist()]
+
+    def test_field_rows_are_the_field_module(self):
+        # the extra stages' vectorized field keeps field.py's bits, also
+        # outside the domain (slope clamped to 0), at z <= 0 and at NaN
+        th = np.array([0.3, 2.0, math.pi, 0.0, 1.0, 1.0, 1.0, math.nan, 0.5, -4.0])
+        z = np.array([2.0, 0.1, 1.0, 1.0, 0.0, -1.0, math.nan, 2.0, 1e-3, 3.0])
+        want = [[v.hex() for v in (slope(t, zz), math.sin(t), math.cos(t))]
+                for t, zz in zip(th.tolist(), z.tolist())]
+        got = integrate_mod._field_rows(th, z).tolist()
+        assert [[v.hex() for v in row] for row in got] == want
+        assert integrate_mod._field_rows(th[:0], z[:0]).shape == (0, 3)
+
+    def test_row_ends_are_the_nodes(self, cfg, launch):
+        # a row's interpolant is its start node at u = 0 exactly, and its end
+        # node at u = 1 within 2 ulps, on rows the event did not cut (u_end
+        # < 1 there); plain and mirrored-then-joined tables, in t coordinates
+        for tr in (rs.backward_trajectory(4.0, cfg), rs.backward_trajectory(1.2, cfg), launch,
+                   rs.full_curve(2.5, cfg)):
+            ys, ts, uncut = tr.ys.tolist(), tr.ts.tolist(), 0
+            for k in range(len(tr.table["h"])):
+                a, b, comps = tr._row(k)
+                first, last = (k, k + 1) if a > 0.0 else (k + 1, k)
+                at0 = [scale * _dense(y0, terms, 0.0) + offset
+                       for y0, terms, scale, offset in comps]
+                assert at0 == ys[first]
+                if abs(a * ts[last] + b - 1.0) > 1e-9:
+                    continue
+                uncut += 1
+                for (y0, terms, scale, offset), want in zip(comps, ys[last]):
+                    got = scale * _dense(y0, terms, 1.0) + offset
+                    assert abs(got - want) <= 2 * math.ulp(want)
+            assert uncut >= len(tr.table["h"]) - 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -88,8 +135,8 @@ class TestScheme:
     def test_accepted_step_sequence_pinned(self, cfg, lambda0):
         # exact counts: any change to step control, stage arithmetic or event
         # location that moves an accepted node shows up here
-        for lam, n_nodes in ((1.2, 112), (2.5, 177), (4.0, 117), (6.0, 85),
-                             (3.2136253987, 430)):
+        for lam, n_nodes in ((1.2, 36), (2.5, 57), (4.0, 37), (6.0, 36),
+                             (3.2136253987, 68)):
             assert len(rs.backward_trajectory(lam, cfg).ts) == n_nodes
         assert lambda0.iterations == 29
         assert lambda0.value == 3.2136243981774015
@@ -108,41 +155,45 @@ class TestScheme:
     @pytest.mark.parametrize("which", TRAJECTORIES)
     def test_stages_are_the_field_module(self, cfg, launch, which):
         # the stepping loop evaluates the field inline; every stored stage
-        # must equal (sgn * slope, sgn * sin, sgn * cos) from field.py, bit
-        # for bit, at its state: the row's start y0 for the FSAL stage k1,
-        # and y0 + h * (a_i1 k_1 + ...) summed left to right for k2..k7
-        tr, sgn = self.trajectory(which, cfg, launch)
+        # must equal (slope, sin, cos) from field.py, bit for bit, at its
+        # state: the row's start y0 for the FSAL stage k1, and
+        # y0 + h * (a_i1 k_1 + ...) with the signed step h, all weights
+        # (zeros too) summed left to right, for k2..k13; the dense output's
+        # 3 extra stages k14..k16 likewise
+        tr, _ = self.trajectory(which, cfg, launch)
 
         def bits(th, z):
-            return [(sgn * v).hex() for v in (slope(th, z), math.sin(th), math.cos(th))]
+            return [v.hex() for v in (slope(th, z), math.sin(th), math.cos(th))]
 
         tab = tr.table
         y0s, hs, stages = tab["y0"].tolist(), tab["h"].tolist(), tab["stages"].tolist()
         assert [[v.hex() for v in k[0]] for k in stages] == [bits(th, z) for th, z, _ in y0s]
-        for (th, z, _), h, k in zip(y0s, hs, stages):
-            for i in range(1, 7):
+        for y0, h, row in zip(y0s, hs, stages):
+            flat = _dense_stages(y0, h, [v for stage in row for v in stage])
+            k = [flat[3 * j:3 * j + 3] for j in range(16)]
+            assert k[:13] == row
+            for i in range(1, 16):
                 acc = [_A[i][0] * k[0][0], _A[i][0] * k[0][1]]
                 for j in range(1, i):
                     acc = [acc[0] + _A[i][j] * k[j][0], acc[1] + _A[i][j] * k[j][1]]
-                assert [v.hex() for v in k[i]] == bits(th + h * acc[0], z + h * acc[1])
+                assert [v.hex() for v in k[i]] == bits(y0[0] + h * acc[0], y0[1] + h * acc[1])
         if which == "contact 1.2":
             assert repr(tr.termination) == (
-                "EndInfo(kind='boundary_contact', theta_target=None, t_star=-1.1732185421482195, "
-                "limit_point=(2.5903520416452137, 0.851875414138503))")
+                "EndInfo(kind='boundary_contact', theta_target=None, t_star=-1.1732185423068549, "
+                "limit_point=(2.5903520414866152, 0.8518754140553582))")
         elif which == "contact 2.5":
             assert repr(tr.termination) == (
-                "EndInfo(kind='boundary_contact', theta_target=None, t_star=-2.543356083411398, "
-                "limit_point=(0.8408236144873501, 0.6668493006655158))")
+                "EndInfo(kind='boundary_contact', theta_target=None, t_star=-2.543356083403904, "
+                "limit_point=(0.8408236144801855, 0.6668493006708512))")
 
     @pytest.mark.parametrize("which", TRAJECTORIES)
     def test_nodes_are_the_textbook_sum(self, cfg, launch, which):
-        # each step's end node is y0 + h * (b_1 k_1 + ... + b_7 k_7) with the
-        # signed stages, all seven weights (zeros too) summed left to right in
-        # floats: the loop's unsigned stages with the sign on the step, and its
-        # dropped zero-weight products, keep these bits.  The end node is
-        # ys[k + 1] on a forward row and ys[k] on a backward one.  The
-        # integration's last step (the last row forward, row 0 backward) is
-        # cut at its event, so it is skipped.
+        # each step's end node is y0 + h * (b_1 k_1 + ... + b_12 k_12) with the
+        # signed step h, all twelve weights (zeros too) summed left to right
+        # in floats: the loop's dropped zero-weight products keep these bits.
+        # The end node is ys[k + 1] on a forward row and ys[k] on a backward
+        # one.  The integration's last step (the last row forward, row 0
+        # backward) is cut at its event, so it is skipped.
         tr, sgn = self.trajectory(which, cfg, launch)
         assert tr.termination.kind in ("theta_crossing", "boundary_contact")
         tab = tr.table
@@ -153,15 +204,16 @@ class TestScheme:
             end = ys[k + 1] if sgn > 0 else ys[k]
             for i in range(3):
                 acc = _B[0] * stages[k][0][i]
-                for j in range(1, 7):
+                for j in range(1, 12):
                     acc += _B[j] * stages[k][j][i]
                 assert (y0s[k][i] + hs[k] * acc).hex() == end[i].hex()
 
     def test_field_calls_per_trajectory(self, cfg, monkeypatch):
-        # exact counts: slope only for the start stage k1, domain_gap for the
-        # start check, plus, at a contact, the contact step's bisection
-        # probes up to its fixed point (55 here, of at most 80) and the 2
-        # gaps of the limit-point extrapolation
+        # exact counts: slope for the start stage k1 and the 3 dense-output
+        # stages of the event step, domain_gap for the start check, plus, at
+        # a contact, the contact step's bisection probes up to its fixed
+        # point (54 here, of at most 80) and the 2 gaps of the limit-point
+        # extrapolation
         calls = Counter()
         for name in ("slope", "domain_gap"):
             def counted(*args, _real=getattr(integrate_mod, name), _name=name):
@@ -169,28 +221,29 @@ class TestScheme:
                 return _real(*args)
 
             monkeypatch.setattr(integrate_mod, name, counted)
-        for lam, n_nodes, n_gaps in ((4.0, 117, 1), (1.2, 112, 58)):
+        for lam, n_nodes, n_gaps in ((4.0, 37, 1), (1.2, 36, 57)):
             calls.clear()
             rs.backward_trajectory.cache_clear()
             assert len(rs.backward_trajectory(lam, cfg).ts) == n_nodes
-            assert calls == {"slope": 1, "domain_gap": n_gaps}
+            assert calls == {"slope": 4, "domain_gap": n_gaps}
         rs.backward_trajectory.cache_clear()
 
     def test_design_order_convergence(self, cfg):
         # with slack tolerances the step cap drives the error: halving
-        # max_step should shrink the endpoint error by ~2^5
+        # max_step should shrink the endpoint error by ~2^8 (64 and 4,400
+        # here), against a reference with a 10 times finer cap
         ref = rs.integrate(PhasePoint(math.pi, 4.0), "backward",
-                           cfg.with_targets(0.0))
+                           replace(cfg, max_step=0.01, theta_targets=(0.0,)))
         z_ref = float(ref.zs[0])
         errs = []
-        for h in (0.4, 0.2, 0.1):
+        for h in (0.8, 0.4, 0.2):
             c = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3, max_step=h,
                                  theta_targets=(0.0,))
             tr = rs.integrate(PhasePoint(math.pi, 4.0), "backward", c)
             errs.append(abs(float(tr.zs[0]) - z_ref))
-        assert errs[0] / errs[1] > 20.0
-        assert errs[1] / errs[2] > 20.0
-        assert errs[2] < 1e-10
+        assert errs[0] / errs[1] > 50.0
+        assert errs[1] / errs[2] > 50.0
+        assert errs[2] < 1e-12
 
 
 class TestSphereTrajectory:
@@ -239,16 +292,17 @@ class TestEvents:
         The cut step is the last row forward and row 0 backward.  Its
         parameter u is bisected for all 80 (contact) or 60 (crossing)
         halvings, the counts whose result the stepping loop's early stop
-        must reproduce, on _dense_coef's quartic in plain floats.
+        must reproduce, on the interpolant of _dense_terms's terms in plain
+        floats.
         """
         tab = tr.table
         r = len(tab["h"]) - 1 if sgn > 0 else 0
-        y0, h = tab["y0"][r].tolist(), tab["h"][r].item()
-        coef = _dense_coef(tab["h"][r:r + 1], tab["stages"][r:r + 1])[:, 0].T.tolist()
+        y0, h = tab["y0"][r].tolist(), tab["h"][r].item()  # h is signed
+        terms = _dense_terms(tab["y0"][r:r + 1], tab["h"][r:r + 1],
+                             tab["stages"][r:r + 1])[:, 0].T.tolist()
 
         def at(i, u):
-            c1, c2, c3, c4 = coef[i]
-            return y0[i] + u * (c1 + u * (c2 + u * (c3 + u * c4)))
+            return _dense(y0[i], terms[i], u)
 
         stop = tr.termination
         a, b = 0.0, 1.0
@@ -271,7 +325,8 @@ class TestEvents:
                     b = m
             u = 0.5 * (a + b)
         t_start = tr.ts[r if sgn > 0 else 1].item()  # the step's start node
-        return sgn * (sgn * t_start + u * h), [at(i, u) for i in range(3)]
+        # the loop's sgn * (sigma + u * |h|), with the sign distributed (exact)
+        return t_start + u * h, [at(i, u) for i in range(3)]
 
     def test_event_nodes_are_the_full_bisection(self, cfg, launch):
         # the event bisections stop at their fixed point: every event-cut
@@ -332,7 +387,7 @@ class TestEvents:
     def test_step_underflow_without_boundary(self, cfg):
         # min_step too close to max_step: the controller cannot satisfy the
         # tolerance in the smooth interior, which is a config bug, not contact
-        c = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15, min_step=0.05,
+        c = IntegratorConfig(rel_tol=1e-16, abs_tol=1e-18, min_step=0.09,
                              max_step=0.1)
         with pytest.raises(StepUnderflowError):
             rs.integrate(PhasePoint(0.4, 3.0), "forward", c)
@@ -408,14 +463,14 @@ class TestDenseOutput:
             rs.build_profile(tr).eval_at(math.nan)
 
     def test_states_at_builds_each_row_once(self, cfg, monkeypatch):
-        # times sharing a row share its coefficients: one build per distinct row
+        # times sharing a row share its terms: one build per distinct row
         tr = rs.full_curve(4.0, cfg)
         ts = np.linspace(*tr.t_span, 1401)
         expected = tr.states_at(ts)
         built = []
-        dense_coef = integrate_mod._dense_coef
-        monkeypatch.setattr(integrate_mod, "_dense_coef",
-                            lambda h, stages: built.append(len(h)) or dense_coef(h, stages))
+        dense_terms = integrate_mod._dense_terms
+        monkeypatch.setattr(integrate_mod, "_dense_terms", lambda y0, h, stages:
+                            built.append(len(h)) or dense_terms(y0, h, stages))
         assert np.array_equal(tr.states_at(ts), expected)
         rows = np.searchsorted(tr.ts[1:-1], ts, side="right")
         assert built == [len(np.unique(rows))] and built[0] < len(ts)

@@ -15,7 +15,12 @@ from rotsurf.errors import (
     NotPeriodicError,
     TooFewSamplesError,
 )
-from rotsurf.profile import MAX_RESAMPLE_STEPS, SAMPLE_DT, _five_point_weights
+from rotsurf.profile import (
+    CONTACT_GRADING,
+    MAX_RESAMPLE_STEPS,
+    SAMPLE_DT,
+    _five_point_weights,
+)
 from rotsurf.shooting import SPHERE_HALF_SPAN, _sphere_polyline
 from rotsurf.text import ROW_BLOCK
 
@@ -67,13 +72,20 @@ class TestBuildProfile:
         assert np.max(np.abs(speed - 1.0)) < 1e-4
 
 
-def reference_grid(nodes):
-    """build_profile's sample times as the plain loop over the nodes: fill, then thin."""
+def reference_grid(nodes, contact_ends=()):
+    """build_profile's sample times as the plain loop over the nodes: fill, then thin.
+
+    contact_ends are the end times where the trajectory meets the boundary.
+    """
     raw = [float(nodes[0])]
     for a, b in zip(nodes[:-1], nodes[1:]):
         gap = float(b - a)
-        if gap > SAMPLE_DT:
-            n = int(math.ceil(gap / SAMPLE_DT))
+        dt = SAMPLE_DT
+        for end in contact_ends:
+            s = min(abs(float(a) - end), abs(float(b) - end))
+            dt = min(dt, max(SAMPLE_DT / 4, CONTACT_GRADING * s))
+        if gap > dt:
+            n = int(math.ceil(gap / dt))
             raw.extend(float(a) + gap * k / n for k in range(1, n))
         raw.append(float(b))
     ts = [raw[0]]
@@ -87,10 +99,14 @@ def reference_grid(nodes):
 
 
 class StubTrajectory:
-    """Nodes at the given times, and a dense output with theta = x = t and z = 1."""
+    """Nodes at the given times, and a dense output with theta = x = t and z = 1.
 
-    def __init__(self, ts):
+    Its two ends are of the given kinds.
+    """
+
+    def __init__(self, ts, left="initial", right="initial"):
         self.ts = np.asarray(ts, dtype=float)
+        self.left_info, self.right_info = rs.EndInfo(left), rs.EndInfo(right)
 
     def states_at(self, tq):
         return np.column_stack([tq, np.ones_like(tq), tq])
@@ -101,7 +117,9 @@ class TestBuildProfileGrid:
 
     @staticmethod
     def assert_grid_is_the_loop(traj):
-        got, want = rs.build_profile(traj).t, reference_grid(traj.ts)
+        ends = [t for t, info in ((traj.ts[0], traj.left_info), (traj.ts[-1], traj.right_info))
+                if info.kind == "boundary_contact"]
+        got, want = rs.build_profile(traj).t, reference_grid(traj.ts, ends)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lam", [1.2, 1.41421356, 2.5, 3.2136243986, 3.2136244, 4.0, 8.0])
@@ -123,15 +141,31 @@ class TestBuildProfileGrid:
     ])
     def test_chosen_nodes(self, nodes):
         self.assert_grid_is_the_loop(StubTrajectory(nodes))
+        # the same nodes with one and two ends on the boundary
+        self.assert_grid_is_the_loop(StubTrajectory(nodes, "boundary_contact"))
+        self.assert_grid_is_the_loop(StubTrajectory(nodes, "boundary_contact", "boundary_contact"))
 
     def test_random_nodes(self):
         rng = np.random.default_rng(22)
+        kinds = ["initial", "boundary_contact", "theta_crossing"]
         for _ in range(200):
             n = int(rng.integers(2, 60))
             scale = rng.choice([1e-4, 1e-3, 3e-3, 1e-2, 0.1, 1.0], n - 1)
             gaps = rng.uniform(0.1, 1.0, n - 1) * scale
             self.assert_grid_is_the_loop(StubTrajectory(rng.uniform(-5.0, 5.0) + np.cumsum(
-                np.concatenate([[0.0], gaps]))))
+                np.concatenate([[0.0], gaps])), *rng.choice(kinds, 2)))
+
+    def test_rows_close_in_on_a_contact_end(self, cfg):
+        # within 0.05 of a contact end the fill step is at most 0.005
+        # (CONTACT_GRADING times the distance, or SAMPLE_DT / 4), and the
+        # thinning keeps rows at most SAMPLE_DT / 2 apart; without the
+        # grading, the integrator's steps leave 0.0086 there at lambda 1.6.
+        # A periodic curve keeps SAMPLE_DT.
+        t = rs.build_profile(rs.full_curve(1.6, cfg)).t
+        for s in (t[1:] - t[0], t[-1] - t[:-1]):
+            near = s < 0.05
+            assert near.sum() > 10 and np.all(np.diff(t)[near] <= 0.5 * SAMPLE_DT)
+        assert np.max(np.diff(rs.build_profile(rs.full_curve(4.0, cfg)).t)) > 0.9 * SAMPLE_DT
 
 
 class TestClosedForms:
@@ -539,3 +573,17 @@ class TestCsv:
             with pytest.raises(DegenerateProfileError, match="not finite"):
                 rs.revolve(prof, 8)
             getattr(prof, name)[1] = 1.0
+
+    def test_write_csv_rejects_a_sample_made_non_finite(self, tmp_path):
+        # write_csv checks the arrays again, before it opens the path, so no
+        # file with a null is written and none is left behind
+        prof = ProfileCurve([0, 1], [0, 1], [1, 1], [0, 0])
+        x = prof.x
+        prof.x[1] = math.nan
+        out = tmp_path / "p.csv"
+        with pytest.raises(DegenerateProfileError, match=r"profile x\[1\] is nan, not finite"):
+            prof.write_csv(out)
+        assert not out.exists() and prof.x is x
+        prof.x[1] = 1.0
+        prof.write_csv(out)
+        assert out.read_bytes() == b"t,x,z,theta\n0.0,0.0,1.0,0.0\n1.0,1.0,1.0,0.0\n"

@@ -297,16 +297,16 @@ class TestCertifiedSkip:
         yield calls
         rs.backward_trajectory.cache_clear()
 
-    # tol -> heights find_lambda0 integrates on (default, tightened, loose),
-    # and the heights the plain loop does on every config
+    # tol -> heights find_lambda0 integrates and heights the plain loop
+    # does, each on (default, tightened, loose)
     COUNTS = {
-        1e-4: ((2, 2, 2), 17),
-        1e-6: ((3, 3, 3), 24),
-        1e-8: ((2, 2, 3), 31),
-        1e-10: ((2, 2, 9), 37),
-        1e-12: ((5, 4, 18), 44),
-        1e-13: ((8, 7, 21), 47),
-        1e-300: ((15, 14, 28), 54),
+        1e-4: ((2, 2, 2), (17, 17, 17)),
+        1e-6: ((3, 3, 3), (24, 24, 24)),
+        1e-8: ((2, 2, 2), (31, 31, 31)),
+        1e-10: ((2, 2, 2), (37, 37, 37)),
+        1e-12: ((4, 4, 4), (44, 44, 44)),
+        1e-13: ((7, 7, 7), (47, 47, 47)),
+        1e-300: ((15, 15, 14), (55, 55, 54)),
     }
 
     @pytest.mark.parametrize("name", sorted(SKIP_CONFIGS))
@@ -316,8 +316,8 @@ class TestCertifiedSkip:
         got = rs.find_lambda0(cfg, tol=tol)
         want, visited = plain_bisection(cfg, tol)
         assert got == want
-        per_config, n_plain = self.COUNTS[tol]
-        assert (len(heights), len(visited)) == (per_config[list(SKIP_CONFIGS).index(name)], n_plain)
+        index = list(SKIP_CONFIGS).index(name)
+        assert (len(heights), len(visited)) == tuple(n[index] for n in self.COUNTS[tol])
         assert_loop_skips_only_decided(heights, visited, cfg)
 
     def test_default_solve_integrates_two_heights(self, cfg, launch, heights):
@@ -373,21 +373,26 @@ class TestCertifiedSkip:
         assert len(visited) == 31
         assert heights == visited
 
+    # answer changes of the predicate over the 17 floats lo - 8 ulp .. lo + 8 ulp
+    FLIPS = {"default": 3, "tightened": 1, "loose": 1}
+
     @pytest.mark.parametrize("name", sorted(SKIP_CONFIGS))
     def test_probe_floor_clears_the_non_monotone_heights(self, name):
-        # Within a few ulps of the threshold the numerical predicate flips
-        # back and forth, so a fact there could answer a height against its
-        # own integration (a floorless s = tol/2 probe turned the tightened
-        # config's tol = 1e-300 result from ...702 into ...7046).  The floor
-        # keeps the facts thousands of ulps away, where the answers are
-        # monotone.
+        # Within a few ulps of the threshold the numerical predicate can flip
+        # back and forth: on the default config it does (3 changes in 17
+        # floats), while the tightened and loose ones are monotone there.
+        # A fact at such a height could answer another against its own
+        # integration (under DP5, a floorless s = tol/2 probe turned the
+        # tightened config's tol = 1e-300 result from ...702 into ...7046).
+        # The floor keeps the facts thousands of ulps away, where the
+        # answers are monotone on every config.
         cfg = SKIP_CONFIGS[name]
         lo, hi = rs.find_lambda0(cfg, tol=1e-300).bracket
         ulp = hi - lo
         scan = [plain_crosses(lo + k * ulp, cfg) for k in range(-8, 9)]
         assert scan[0] is False and scan[-1] is True
         flips = sum(a != b for a, b in zip(scan, scan[1:]))
-        assert flips > 1, scan
+        assert flips == self.FLIPS[name], scan
         floor = rs.shooting.PROBE_FLOOR
         for k in (1, 3, 10):
             assert not plain_crosses(lo - k * floor, cfg)

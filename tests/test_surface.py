@@ -327,7 +327,7 @@ class TestRingSymmetry:
         # angle 0 has sin 0 and cos 1, so its column holds each ring's x and z
         mesh = Mesh(verts[::8, 0], verts[::8, 2], 8, "contract")
         assert np.array_equal(mesh.vertices, verts) and np.array_equal(mesh.faces, faces)
-        assert (distinct_rings(mesh), mesh.n_profile) == (262, 481)
+        assert (distinct_rings(mesh), mesh.n_profile) == (216, 423)
 
     @pytest.mark.parametrize("n_angular", [3, 12, 30, 129, ROW_BLOCK + 1])
     def test_distinct_rings_of_the_sphere(self, n_angular):
