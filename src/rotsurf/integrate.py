@@ -20,18 +20,22 @@ Dense output is one table per trajectory, numpy columns with a row per
 accepted step: row k covers [ts[k], ts[k+1]] between two nodes, so the
 table keeps no time span of its own.  A row holds the affine map onto the
 step's internal parameter, the start state, the signed step size and the
-13 stages of the step, and an output scale and offset (see Trajectory).
-Reflection and time shifts are one affine move of the columns,
-concatenation joins them, and states_at evaluates many times at once by
-searchsorted and the interpolant's nested form.  The interpolant needs 3
-more stages and 7 terms per component, which are not stored: each
-evaluation builds them in one vectorized pass (_dense_terms), once for
-each distinct row it reads, so callers that read only nodes and the
-termination record (shooting) never pay for them.  One row's terms are
-built in plain floats with the same bits (_step_terms): by the stepping
-loop, only for the one step that brackets a boundary contact or a
-theta-target crossing, and by Trajectory._row, the row reader of state_at
-and crossing_time, which bisects on the one row that brackets its target.
+13 stages of the step, an output scale and offset (see Trajectory), and
+the index of its step in the integration.  Reflection and time shifts are
+one affine move of the columns, concatenation joins them, and states_at
+evaluates many times at once by searchsorted and the interpolant's nested
+form.  The interpolant needs 3 more stages and 7 terms per component,
+which are not in the table: states_at builds them in one vectorized pass
+(_dense_terms) for the steps it reads that were never built, and keeps
+them in a store (_StepTerms) that the trajectory shares with its mirror,
+its shifts and their concatenation, so the mirrored half of a full curve
+and every repeated evaluation reuse them.  Callers that read only nodes
+and the termination record (shooting) never pay for them.  One row's
+terms are built in plain floats with the same bits (_step_terms): by the
+stepping loop, only for the one step that brackets a boundary contact or
+a theta-target crossing, and by Trajectory._row, the row reader of
+state_at and crossing_time, which bisects on the one row that brackets
+its target.
 The field at the extra stages is field.slope and libm's sin and cos, never
 a numpy ufunc, so no output bit depends on numpy's SIMD dispatch.
 
@@ -360,6 +364,36 @@ def _dense_slope(terms, u):
     return f0 + v * q1 + u * (v * d - q1)
 
 
+class _StepTerms:
+    """The interpolant terms of one integration's steps, each built at its first read.
+
+    y0, h and stages are the steps' table columns in step order, and a
+    table row reads step tab["step"][row]: a trajectory, its moved copies
+    (mirror, shifts) and their concatenations share one store.  The terms
+    (7, steps, 3) and the mask of built steps are allocated at the first
+    read, so a trajectory never evaluated densely allocates neither.
+    """
+
+    __slots__ = ("y0", "h", "stages", "terms", "built")
+
+    def __init__(self, y0: np.ndarray, h: np.ndarray, stages: np.ndarray):
+        self.y0, self.h, self.stages = y0, h, stages
+        self.terms = self.built = None
+
+    def read(self, steps: np.ndarray) -> np.ndarray:
+        """The terms F[m, k, i] of the steps, building those never built by _dense_terms."""
+        n = len(self.h)
+        if self.terms is None:
+            self.terms, self.built = np.empty((7, n, 3)), np.zeros(n, dtype=bool)
+        new = np.zeros(n, dtype=bool)  # a mask: cheaper than np.unique
+        new[steps] = True
+        new = np.flatnonzero(new & ~self.built)
+        if len(new):
+            self.terms[:, new] = _dense_terms(self.y0[new], self.h[new], self.stages[new])
+            self.built[new] = True
+        return self.terms[:, steps]
+
+
 class Trajectory:
     """Dense, adaptively sampled integral curve with a termination record.
 
@@ -376,17 +410,19 @@ class Trajectory:
     Reflection and time shifts compose into (a, b, scale, offset), so
     mirrored and concatenated trajectories keep full dense output.  The
     interpolant's 3 extra stages and its terms are built, by _dense_terms,
-    once for each distinct row an evaluation reads.  The arrays of an
-    integrated trajectory are read-only: shooting hands one trajectory to
-    several callers.
+    once per step of the integration: the column step maps a row to its
+    step in terms, a store shared by the trajectory's mirror, shifts and
+    their concatenation.  The arrays of an integrated trajectory are
+    read-only: shooting hands one trajectory to several callers.
     """
 
-    def __init__(self, ts, ys, table, left_info, right_info):
+    def __init__(self, ts, ys, table, left_info, right_info, terms: "_StepTerms"):
         self.ts = np.asarray(ts, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.table = table
         self.left_info = left_info
         self.right_info = right_info
+        self.terms = terms
 
     # -- basic accessors ---------------------------------------------------
 
@@ -431,14 +467,9 @@ class Trajectory:
         tab = self.table
         # the last row starting at or before t (row 0 before the first start)
         i = np.searchsorted(self.ts[1:-1], np.clip(ts, lo, hi), side="right")
-        # build each distinct row read once (a mask: cheaper than np.unique)
-        read = np.zeros(len(tab["h"]), dtype=bool)
-        read[i] = True
-        rows = np.flatnonzero(read)
         a = tab["a"][i, None]
         u = a * ts[:, None] + tab["b"][i, None]
-        terms = _dense_terms(tab["y0"][rows], tab["h"][rows], tab["stages"][rows])
-        terms = terms[:, np.cumsum(read)[i] - 1]
+        terms = self.terms.read(tab["step"][i])
         if deriv:
             return tab["scale"][i] * _dense_slope(terms, u) * a
         return tab["scale"][i] * _dense(tab["y0"][i], terms, u) + tab["offset"][i]
@@ -493,7 +524,7 @@ class Trajectory:
         if s < 0.0:
             ts, ys, left, right = ts[::-1], ys[::-1], right, left
             table = {key: col[::-1] for key, col in table.items()}
-        return Trajectory(ts, ys, table, left, right)
+        return Trajectory(ts, ys, table, left, right, self.terms)
 
     def crossing_time(self, theta_target: float) -> float | None:
         """Time of theta(t) = theta_target; None when outside the theta range."""
@@ -905,7 +936,9 @@ def _finalized(sig_nodes, nodes, hs, stages, stop, direction, start_info):
         "stages": _packed(stages).reshape(-1, 13, 3),  # unsigned, as the loop's
         "scale": np.ones((len(h), 3)),
         "offset": np.zeros((len(h), 3)),
+        "step": np.arange(len(h)),
     }
+    terms = _StepTerms(table["y0"], table["h"], table["stages"])
     stop_t = None if stop.t_star is None else sgn * stop.t_star
     stop = EndInfo(stop.kind, stop.theta_target, stop_t, stop.limit_point)
     if direction > 0:
@@ -916,7 +949,7 @@ def _finalized(sig_nodes, nodes, hs, stages, stop, direction, start_info):
         left, right = stop, start_info
     for col in (ts, ys, *table.values()):
         col.flags.writeable = False  # a memoized trajectory is shared
-    return Trajectory(ts, ys, table, left, right)
+    return Trajectory(ts, ys, table, left, right, terms)
 
 
 def integrate(start: PhasePoint, direction, cfg: IntegratorConfig) -> Trajectory:
@@ -984,7 +1017,9 @@ def concat(a: Trajectory, b: Trajectory, tol: float = 1e-8) -> Trajectory:
 
     The junction node keeps a's time, and b's first row is read from there
     on, also where b's own first time differs from it (by up to the 1e-9
-    accepted here).
+    accepted here).  Two moved copies of one integration (with_mirror) keep
+    its store of built terms; otherwise the rows are numbered as their own
+    steps in a fresh store.
     """
     ta, tb = a.ts[-1].item(), b.ts[0].item()
     if abs(ta - tb) > 1e-9 * max(1.0, abs(ta), abs(tb)):
@@ -995,7 +1030,11 @@ def concat(a: Trajectory, b: Trajectory, tol: float = 1e-8) -> Trajectory:
     ts = np.concatenate([a.ts, b.ts[1:]])
     ys = np.concatenate([a.ys, b.ys[1:]])
     table = {key: np.concatenate([a.table[key], b.table[key]]) for key in a.table}
-    return Trajectory(ts, ys, table, a.left_info, b.right_info)
+    terms = a.terms
+    if b.terms is not terms:
+        table["step"] = np.arange(len(table["h"]))
+        terms = _StepTerms(table["y0"], table["h"], table["stages"])
+    return Trajectory(ts, ys, table, a.left_info, b.right_info, terms)
 
 
 def with_mirror(half: Trajectory) -> Trajectory:

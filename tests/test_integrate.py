@@ -462,18 +462,33 @@ class TestDenseOutput:
         with pytest.raises(RangeError):
             rs.build_profile(tr).eval_at(math.nan)
 
-    def test_states_at_builds_each_row_once(self, cfg, monkeypatch):
-        # times sharing a row share its terms: one build per distinct row
+    def test_states_at_builds_each_step_once(self, cfg, monkeypatch):
+        # a step's terms are built at its first read, into a store that the
+        # trajectory's moved copies share: the mirrored half of a full curve
+        # reads the steps of the other half, and a repeat call, a shifted
+        # copy and a mirror build none; a concatenation of two independent
+        # trajectories builds its own, with the same values
+        rs.backward_trajectory.cache_clear()  # a fresh store
         tr = rs.full_curve(4.0, cfg)
         ts = np.linspace(*tr.t_span, 1401)
-        expected = tr.states_at(ts)
         built = []
         dense_terms = integrate_mod._dense_terms
         monkeypatch.setattr(integrate_mod, "_dense_terms", lambda y0, h, stages:
                             built.append(len(h)) or dense_terms(y0, h, stages))
+        expected = tr.states_at(ts)
+        rows = np.unique(np.searchsorted(tr.ts[1:-1], ts, side="right"))
+        steps = np.unique(tr.table["step"][rows])
+        assert built == [len(steps)] and len(steps) == len(tr.table["h"]) // 2 < len(rows)
         assert np.array_equal(tr.states_at(ts), expected)
-        rows = np.searchsorted(tr.ts[1:-1], ts, side="right")
-        assert built == [len(np.unique(rows))] and built[0] < len(ts)
+        tr.shifted(dt=3.0, dtheta=2 * math.pi, dx=-1.5).states_at(ts + 3.0)
+        rs.reflect(tr, 1).states_at(ts)
+        assert built == [len(steps)]
+        half, other = (rs.integrate(PhasePoint(math.pi, 4.0), "backward", cfg.with_targets(0.0))
+                       for _ in range(2))
+        joined = rs.concat(half, rs.reflect(other, 1))
+        assert np.array_equal(joined.states_at(ts), expected)
+        assert built == [len(steps), len(rows)]
+        rs.backward_trajectory.cache_clear()
 
     def test_monotone_theta(self, cfg):
         for lam in (1.3, 2.5, 5.0):
