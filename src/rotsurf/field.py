@@ -22,6 +22,10 @@ from .errors import DomainError, SlopeZeroError
 
 SQRT2 = math.sqrt(2.0)
 
+# The least z whose square z * z is positive (it rounds to the least
+# subnormal, 5e-324); below it z * z is 0, and slope clamps to 0 there.
+Z_MIN = float.fromhex("0x1.6a09e667f3bcdp-538")  # 1.5717277847026288e-162
+
 # Limits approached along the critical trajectory at the corner (0, 1).
 THETA3_LIMIT = 1.0 / 3.0
 R4_LIMIT = 4.0 * SQRT2 / 3.0
@@ -91,8 +95,11 @@ def slope_sq(theta: float, z: float) -> float:
 
 
 def slope(theta: float, z: float) -> float:
-    """dtheta/dt, clamped to 0 outside the domain (integrator stage guard)."""
-    if z <= 0.0:
+    """dtheta/dt, clamped to 0 outside the domain (integrator stage guard).
+
+    Also 0 where z * z underflows to 0 (z < Z_MIN), which is outside it.
+    """
+    if z < Z_MIN:
         return 0.0
     q = slope_sq(theta, z)
     return math.sqrt(q) if q > 0.0 else 0.0

@@ -315,8 +315,8 @@ def _field_rows(th: np.ndarray, z: np.ndarray) -> np.ndarray:
     ths = th.tolist()
     s = np.array([sin(0.5 * v) for v in ths])
     c = np.array([cos(v) for v in ths])
-    with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 is clamped below
-        q = np.where(z > 0.0, ((z - 1.0) + 2.0 * s * s) * (z + c) / (z * z), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # z * z = 0 is clamped below
+        q = np.where(z >= _field.Z_MIN, ((z - 1.0) + 2.0 * s * s) * (z + c) / (z * z), 0.0)
     slopes = [sqrt(v) if v > 0.0 else 0.0 for v in q.tolist()]
     return np.column_stack([slopes, [sin(v) for v in ths], c])
 
@@ -606,10 +606,11 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
     nearest is symmetric: h*(a*(-f)) == (-h)*(a*f), a sum of negated terms
     is the negated sum, and the error norm squares the sign away.  Each sum
     is written out over locals in the tableau's order, its zero weights left
-    out.  Stages 2..13 evaluate the field inline with field.py's arithmetic
-    (one cos serves z + cos and the x component), and the FSAL stage's
-    min(z - cos, z + cos) is the end state's domain_gap for the event scan;
-    only k1 of the start state calls slope.
+    out.  Stages 2..13 evaluate the field inline with field.py's arithmetic,
+    its clamp below field.Z_MIN included (one cos serves z + cos and the x
+    component), and the FSAL stage's min(z - cos, z + cos) is the end
+    state's domain_gap for the event scan; only k1 of the start state calls
+    slope.
     TestScheme::test_stages_are_the_field_module holds every stored stage to
     field.py bit for bit.
 
@@ -632,7 +633,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
     endpoint it would replace): every later halving would repeat it, so
     the result is that of the full count.
     """
-    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+    sin, cos, sqrt, z_min = math.sin, math.cos, math.sqrt, _field.Z_MIN
     (
         (a2_1,), (a3_1, a3_2), (a4_1, _, a4_3), (a5_1, _, a5_3, a5_4), (a6_1, _, _, a6_4, a6_5),
         (a7_1, _, _, a7_4, a7_5, a7_6), (a8_1, _, _, a8_4, a8_5, a8_6, a8_7),
@@ -684,50 +685,50 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
         z_ = z + hh * (a2_1 * k1b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
-        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        q = zm * zp / (z_ * z_) if z_ >= z_min else 0.0
         k2a, k2b, k2c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
         t_ = th + hh * (a3_1 * k1a + a3_2 * k2a)
         z_ = z + hh * (a3_1 * k1b + a3_2 * k2b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
-        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        q = zm * zp / (z_ * z_) if z_ >= z_min else 0.0
         k3a, k3b, k3c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
         t_ = th + hh * (a4_1 * k1a + a4_3 * k3a)
         z_ = z + hh * (a4_1 * k1b + a4_3 * k3b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
-        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        q = zm * zp / (z_ * z_) if z_ >= z_min else 0.0
         k4a, k4b, k4c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
         t_ = th + hh * (a5_1 * k1a + a5_3 * k3a + a5_4 * k4a)
         z_ = z + hh * (a5_1 * k1b + a5_3 * k3b + a5_4 * k4b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
-        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        q = zm * zp / (z_ * z_) if z_ >= z_min else 0.0
         k5a, k5b, k5c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
         t_ = th + hh * (a6_1 * k1a + a6_4 * k4a + a6_5 * k5a)
         z_ = z + hh * (a6_1 * k1b + a6_4 * k4b + a6_5 * k5b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
-        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        q = zm * zp / (z_ * z_) if z_ >= z_min else 0.0
         k6a, k6b, k6c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
         t_ = th + hh * (a7_1 * k1a + a7_4 * k4a + a7_5 * k5a + a7_6 * k6a)
         z_ = z + hh * (a7_1 * k1b + a7_4 * k4b + a7_5 * k5b + a7_6 * k6b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
-        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        q = zm * zp / (z_ * z_) if z_ >= z_min else 0.0
         k7a, k7b, k7c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
         t_ = th + hh * (a8_1 * k1a + a8_4 * k4a + a8_5 * k5a + a8_6 * k6a + a8_7 * k7a)
         z_ = z + hh * (a8_1 * k1b + a8_4 * k4b + a8_5 * k5b + a8_6 * k6b + a8_7 * k7b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
-        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        q = zm * zp / (z_ * z_) if z_ >= z_min else 0.0
         k8a, k8b, k8c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
         t_ = th + hh * (a9_1 * k1a + a9_4 * k4a + a9_5 * k5a + a9_6 * k6a + a9_7 * k7a
                         + a9_8 * k8a)
         z_ = z + hh * (a9_1 * k1b + a9_4 * k4b + a9_5 * k5b + a9_6 * k6b + a9_7 * k7b + a9_8 * k8b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
-        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        q = zm * zp / (z_ * z_) if z_ >= z_min else 0.0
         k9a, k9b, k9c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
         t_ = th + hh * (a10_1 * k1a + a10_4 * k4a + a10_5 * k5a + a10_6 * k6a + a10_7 * k7a
                         + a10_8 * k8a + a10_9 * k9a)
@@ -735,7 +736,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
                        + a10_8 * k8b + a10_9 * k9b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
-        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        q = zm * zp / (z_ * z_) if z_ >= z_min else 0.0
         k10a, k10b, k10c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
         t_ = th + hh * (a11_1 * k1a + a11_4 * k4a + a11_5 * k5a + a11_6 * k6a + a11_7 * k7a
                         + a11_8 * k8a + a11_9 * k9a + a11_10 * k10a)
@@ -743,7 +744,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
                        + a11_8 * k8b + a11_9 * k9b + a11_10 * k10b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
-        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        q = zm * zp / (z_ * z_) if z_ >= z_min else 0.0
         k11a, k11b, k11c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
         t_ = th + hh * (a12_1 * k1a + a12_4 * k4a + a12_5 * k5a + a12_6 * k6a + a12_7 * k7a
                         + a12_8 * k8a + a12_9 * k9a + a12_10 * k10a + a12_11 * k11a)
@@ -751,7 +752,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
                        + a12_8 * k8b + a12_9 * k9b + a12_10 * k10b + a12_11 * k11b)
         s, c = sin(0.5 * t_), cos(t_)
         zm, zp = (z_ - 1.0) + 2.0 * s * s, z_ + c
-        q = zm * zp / (z_ * z_) if z_ > 0.0 else 0.0
+        q = zm * zp / (z_ * z_) if z_ >= z_min else 0.0
         k12a, k12b, k12c = sqrt(q) if q > 0.0 else 0.0, sin(t_), c
         th1 = th + hh * (b1 * k1a + b6 * k6a + b7 * k7a + b8 * k8a + b9 * k9a + b10 * k10a
                          + b11 * k11a + b12 * k12a)
@@ -761,7 +762,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
                        + b11 * k11c + b12 * k12c)
         s, c = sin(0.5 * th1), cos(th1)
         zm, zp = (z1 - 1.0) + 2.0 * s * s, z1 + c
-        q = zm * zp / (z1 * z1) if z1 > 0.0 else 0.0
+        q = zm * zp / (z1 * z1) if z1 >= z_min else 0.0
         k13a, k13b, k13c = sqrt(q) if q > 0.0 else 0.0, sin(th1), c
 
         ath1, az1, ax1 = abs(th1), abs(z1), abs(x1)

@@ -16,7 +16,7 @@ from rotsurf.errors import (
     StepLimitError,
     StepUnderflowError,
 )
-from rotsurf.field import domain_gap, slope, slope_sq
+from rotsurf.field import Z_MIN, domain_gap, slope, slope_sq
 from rotsurf.integrate import (
     _A,
     _B,
@@ -96,6 +96,20 @@ class TestScheme:
         got = integrate_mod._field_rows(th, z).tolist()
         assert [[v.hex() for v in row] for row in got] == want
         assert integrate_mod._field_rows(th[:0], z[:0]).shape == (0, 3)
+
+    def test_stages_where_the_square_of_z_underflows(self, cfg, monkeypatch):
+        # below field.Z_MIN, z * z is 0: slope, the stepping loop's inline
+        # stages and _field_rows clamp the slope to 0 there.  No state of
+        # the domain has such a z, so the loop's start check is passed by
+        # hand; at theta = 0 every stage of the step is at its start state
+        z = 1e-300
+        assert z * z == 0.0 == math.nextafter(Z_MIN, 0.0) ** 2 < Z_MIN * Z_MIN
+        rows = integrate_mod._field_rows(np.array([0.0, 1.0]), np.array([z, z])).tolist()
+        assert [slope(0.0, z), slope(1.0, z)] == [row[0] for row in rows] == [0.0, 0.0]
+        monkeypatch.setattr(integrate_mod, "domain_gap", lambda th, z: 1.0)
+        _, _, hs, stages, _ = integrate_mod._integrate_raw((0.0, z, 0.0), 1.0, cfg)
+        assert len(hs) == 1
+        assert [v.hex() for v in stages] == [v.hex() for v in rows[0]] * 13
 
     def test_row_ends_are_the_nodes(self, cfg, launch):
         # a row's interpolant is its start node at u = 0 exactly, and its end
