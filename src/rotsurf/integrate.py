@@ -193,7 +193,16 @@ MAX_STEPS = 100_000
 SERIES_A = (1 / 18, 1 / 432, -17 / 77760)
 SERIES_B = (1 / 72, 1 / 2592, -17 / 622080)
 _X7 = -1 / 4536  # x(s) = s - s^7/4536 + O(s^9), from x' = cos(theta(s))
-SERIES_S0 = 1e-3  # arc length of the series seed that launch_separatrix integrates from
+# Arc length of the series seed that launch_separatrix integrates from, and
+# of the series tails of the critical profile (profile._separatrix_evaluator).
+# At 0.05 the truncated series is the separatrix to within 7.5e-17 in theta,
+# 6.5e-19 in z - 1 and 3.1e-17 in x (a 30-digit Taylor integration,
+# tests/reference_mp.py), and z - 1 = 8.7e-8 keeps about 9 digits in a float.
+# A seed nearer the corner gains no accuracy and costs steps: at 1e-3,
+# z - 1 = 1.4e-14 kept two digits, which left s* and the x extent good to
+# only 4e-7 (5e-12 here), and the launch crawled there, 199 steps against
+# 91 at the default config and 4,148 against 181 at tightened(100).
+SERIES_S0 = 0.05
 
 
 def corner_series(s: float) -> tuple[float, float, float]:

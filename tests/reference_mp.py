@@ -74,21 +74,33 @@ def _first_sign_change(f, a, step):
         a, fa = b, fb
 
 
+def _separatrix_solution(s0: str):
+    """The separatrix (theta, u, x) as a function of s, launched at s0 (working precision)."""
+    s0 = mpf(s0)
+    theta0, u0, x0 = _series(s0)
+
+    def field(s, y):
+        theta, u, _ = y
+        h = mpmath.sin(theta / 2)
+        zm = u + 2 * h * h  # z - cos(theta)
+        zp = 2 + u - 2 * h * h  # z + cos(theta)
+        z = 1 + u
+        return [mpmath.sqrt(zm * zp) / z, mpmath.sin(theta), mpmath.cos(theta)]
+
+    return mpmath.odefun(field, s0, [theta0, u0, x0])
+
+
+def separatrix_state(s: str, dps: int = 30, s0: str = S0) -> dict:
+    """The separatrix's theta, u = z - 1 and x at arc length s from the corner, at dps digits."""
+    with mp.workdps(dps):
+        theta, u, x = _separatrix_solution(s0)(mpf(s))
+        return {"theta": theta, "u": u, "x": x}
+
+
 def separatrix(dps: int = 30, s0: str = S0) -> dict:
     """lambda0, s* and the x extent of the separatrix, at dps digits."""
     with mp.workdps(dps):
-        s0 = mpf(s0)
-        theta0, u0, x0 = _series(s0)
-
-        def field(s, y):
-            theta, u, _ = y
-            h = mpmath.sin(theta / 2)
-            zm = u + 2 * h * h  # z - cos(theta)
-            zp = 2 + u - 2 * h * h  # z + cos(theta)
-            z = 1 + u
-            return [mpmath.sqrt(zm * zp) / z, mpmath.sin(theta), mpmath.cos(theta)]
-
-        sol = mpmath.odefun(field, s0, [theta0, u0, x0])
+        sol = _separatrix_solution(s0)
         lo, hi = _first_sign_change(lambda s: sol(s)[0] - mp.pi, mpf(4), mpf("0.25"))
         s_star = _root(lambda s: sol(s)[0] - mp.pi, lo, hi)
         _, u, x = sol(s_star)
@@ -125,11 +137,13 @@ def backward_end(lam: float, dps: int = 30) -> dict:
 # The heights of the table: contacts and crossings either side of lambda0.
 # 3.2136243987 is the paper's lambda0 to 11 digits.
 HEIGHTS = (1.2, 1.8, 2.5, 4.0, 6.0, 3.2136243987 + 1e-6, 3.2136243987 - 1e-6)
+# The arc length of the package's series seed, where its state is compared.
+SEED_S = "0.05"
 
 
 def table(dps: int = 30) -> dict:
     """Every reference row at dps digits, keyed by name."""
-    rows = {"separatrix": separatrix(dps)}
+    rows = {"separatrix": separatrix(dps), f"separatrix at s = {SEED_S}": separatrix_state(SEED_S, dps)}
     for lam in HEIGHTS:
         rows[repr(lam)] = backward_end(lam, dps)
     return rows

@@ -25,8 +25,8 @@ from rotsurf.text import parse_obj, read_profile_csv
 
 PINNED = {
     "curve.csv": "4967b9e664b0cb6b3a4ae7ea7d79ecfc13d2bc72ada9c06084fdc00bcec2dd7d",
-    "extend.csv": "336199b7eba62eed775b7de308bc494b0dd04394a2c9488dafe9218007ce43a7",
-    "extend.regularity.json": "02883522195deaa4d9721b8c1121869222c430270864d2d0e454aa7a7bc5fbeb",
+    "extend.csv": "d2fb812fecfaf468b96b50be641da3f5e631e89444b46468ce99143cbc1a5963",
+    "extend.regularity.json": "180b3b8b4d1fb9f02cd0661b9486011cbbcb980dd511350f81693b3086612b4e",
     "mesh.obj": "0b887fdc794f9a9a46a8e99640f05e94c1aa8fedba8ed0704d3e43703fab4704",
     "verify.json": "9d726e1d18c0f857a8579faabeeceb9fdd3789928a0a18d10203dbe040dbce7b",
     "portrait.json": "1dbadb3f4ab5860e16992ba6fbc304bf76c38d0934d82990bfbc08ffe6c73887",
@@ -34,8 +34,8 @@ PINNED = {
     "portrait_01.csv": "4ad6060e902e2e7c2f07c2c95bf30c9a46d5a730a886bdb23dc09b3444b8ffb4",
     "sphere.obj": "9027a9d10853a01103b11262b511eee437a0e26984e9a72cbac9a9dc15f1fd47",
     "mesh.csv": "0d2608df7fbb882b2f19eda2c4c0a71f8337d41c39cac0d7715b85514206a844",
-    "lambda0.json": "433244c9816ce061bbc2019fd245270af542f7d7b0bfbf0dbdac56dd4d7e2877",
-    "verify_extend.json": "e76bb46884757a3563fccce57ec8a94d084595df2578560d29fd8c07fc972d07",
+    "lambda0.json": "48a5c279c49d802a0c53949d899c99cddfe2491543b38daae192dc057b79f840",
+    "verify_extend.json": "314513a9189f4def29823c7fb23a175b4f71e993e45f31abad694a8984e4b220",
     "clamped.csv": "fe217e55a587120f21187a2f57a59137543bfd885a2f0234ab364dfcc4c613cd",
     "verify_clamped.json": "73f25cf50b12b3e1b2cb35a65958a00ba024c9ab2917df3d4c6dd88a026956e7",
 }
@@ -107,7 +107,7 @@ def test_output_bytes_pinned(pinned):
 # since the estimator reads the rows themselves.
 VERIFY = {
     "verify.json": ("curve.csv", 2.1967515140275395e-08, 5.566898053643854e-10),
-    "verify_extend.json": ("extend.csv", 2.5170876494229333e-09, 9.206665430028238e-10),
+    "verify_extend.json": ("extend.csv", 2.5360662458950856e-09, 9.205838313874892e-10),
     "verify_clamped.json": ("clamped.csv", 3.925761087075763e-05, 1.6335791053201376e-08),
 }
 

@@ -155,6 +155,12 @@ class TestScheme:
         assert lambda0.iterations == 29
         assert lambda0.value == 3.2136243981774015
 
+    def test_launch_step_counts_pinned(self, cfg):
+        # exact counts of the separatrix launch from its series seed at
+        # SERIES_S0, at the default config and tightened 100-fold
+        assert len(rs.launch_separatrix(cfg).ts) == 91
+        assert len(rs.launch_separatrix(cfg.tightened(100.0)).ts) == 181
+
     TRAJECTORIES = ["periodic 4.0", "contact 1.2", "contact 2.5", "launch", "forward"]
 
     @staticmethod

@@ -10,10 +10,13 @@ The bounds are the errors measured at the default config (MEASURED), with
 a margin of up to 2, and never above 1.25 times the error of the DP5
 integrator this one replaced (DP5).  Contact records carry
 errors near boundary_eps: the loop stops once the domain gap falls below
-it and _contact_stop extrapolates from there.  The separatrix's s* and x
-extent are good only to about 1e-6 by the launch: its seed's z - 1 is
-1.4e-14 at s0 = 1e-3, held by a float to two digits, and one ulp of z
-moves s* by up to 2e-6; its terminal z, lambda0, is insensitive to the seed.
+it and _contact_stop extrapolates from there.  The separatrix is launched
+from the corner series at s0 = SERIES_S0 = 0.05, where the series is the
+separatrix to within 1e-16 in each of theta, z and x (SEED, the same
+Taylor run's state there) and z - 1 = 8.7e-8 keeps 9 of its digits in a
+float, so the launch's s* and x extent are good to 5.3e-12.  A seed at
+s0 = 1e-3 held z - 1 = 1.4e-14 to two digits, and left them good only to
+4.1e-7.  The terminal z, lambda0, is insensitive to the seed.
 """
 
 import ast
@@ -28,6 +31,8 @@ from rotsurf.integrate import SERIES_S0, corner_series
 LAMBDA0 = "3.2136243986497109426"
 S_STAR = "4.8242320820087434339"
 X_EXTENT = "1.5580910836203020763"
+# the separatrix's (theta, z - 1, x) at arc length 0.05 from the corner
+SEED = ("6.9451676532013929545e-6", "8.6811582650995782859e-8", "0.049999999999827738851")
 
 # height -> (kind, t_star, theta, z, x): a contact's theta and z are its
 # limit point, a crossing's theta is 0; x is measured from (pi, lambda).
@@ -102,19 +107,30 @@ def test_end_records(cfg, lam):
 
 @pytest.mark.parametrize("factor, bound", [(1.0, 1e-14), (100.0, 5e-15)])
 def test_lambda0_by_launch_and_bisection(factor, bound):
-    # measured: 2.1e-15 (launch) and 4.8e-15 (bisection) at the default
-    # config, 1.2e-15 and 2.1e-15 at tightened(100)
+    # measured: 1.2e-15 (launch) and 4.8e-15 (bisection) at the default
+    # config, 7.8e-16 and 2.1e-15 at tightened(100)
     cfg = rs.IntegratorConfig().tightened(factor)
     assert error(rs.launch_separatrix(cfg).zs[-1].item(), LAMBDA0) <= bound
     assert error(rs.find_lambda0(cfg, tol=1e-15).value, LAMBDA0) <= bound
 
 
+def test_series_seed_is_the_separatrix():
+    # measured: 7.5e-17 (theta), 6.2e-17 (z, set by the rounding of
+    # 1 + (z - 1) to a float) and 2.8e-17 (x)
+    assert SERIES_S0 == 0.05
+    theta, z, x = corner_series(SERIES_S0)
+    theta_ref, u_ref, x_ref = SEED
+    assert error(theta, theta_ref) <= 1e-16
+    assert error(z - 1.0, u_ref) <= 1e-16  # z - 1.0 is exact
+    assert error(x, x_ref) <= 1e-16
+
+
 def test_separatrix_arc_length_and_extent(launch):
-    # measured: 4.1e-7 for both, set by the seed's float z (module docstring)
+    # measured: 5.3e-12 for both at the default config
     s_star = launch.ts[-1].item() + SERIES_S0
     x_extent = launch.xs[-1].item() + corner_series(SERIES_S0)[2]
-    assert error(s_star, S_STAR) <= 1e-6
-    assert error(x_extent, X_EXTENT) <= 1e-6
+    assert error(s_star, S_STAR) <= 1e-11
+    assert error(x_extent, X_EXTENT) <= 1e-11
 
 
 def test_reference_imports_no_package_module():
@@ -126,6 +142,20 @@ def test_reference_imports_no_package_module():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert not any(name.split(".")[0] in ("rotsurf", "") for name in imported), imported
+
+
+def test_recomputed_seed_agrees():
+    # the separatrix's state at s = 0.05 at 25 digits (about 2 s): within
+    # 1e-19 relative of SEED
+    mpmath = pytest.importorskip("mpmath")
+    import reference_mp
+
+    row = reference_mp.separatrix_state(reference_mp.SEED_S, dps=25)
+    for key, ref in zip(("theta", "u", "x"), SEED):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            got = Decimal(mpmath.nstr(row[key], 25))
+            assert abs(got - Decimal(ref)) <= Decimal("1e-19") * abs(Decimal(ref)), key
 
 
 def test_recomputed_row_agrees():
