@@ -385,8 +385,9 @@ class _StepTerms:
 
     __slots__ = ("y0", "h", "stages", "terms", "built")
 
-    def __init__(self, y0: np.ndarray, h: np.ndarray, stages: np.ndarray):
-        self.y0, self.h, self.stages = y0, h, stages
+    def __init__(self, table: dict):
+        """The store of a table whose rows are its steps, in order."""
+        self.y0, self.h, self.stages = table["y0"], table["h"], table["stages"]
         self.terms = self.built = None
 
     def read(self, steps: np.ndarray) -> np.ndarray:
@@ -425,7 +426,7 @@ class Trajectory:
     read-only: shooting hands one trajectory to several callers.
     """
 
-    def __init__(self, ts, ys, table, left_info, right_info, terms: "_StepTerms"):
+    def __init__(self, ts, ys, table, left_info, right_info, terms: _StepTerms):
         self.ts = np.asarray(ts, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.table = table
@@ -948,7 +949,7 @@ def _finalized(sig_nodes, nodes, hs, stages, stop, direction, start_info):
         "offset": np.zeros((len(h), 3)),
         "step": np.arange(len(h)),
     }
-    terms = _StepTerms(table["y0"], table["h"], table["stages"])
+    terms = _StepTerms(table)
     stop_t = None if stop.t_star is None else sgn * stop.t_star
     stop = EndInfo(stop.kind, stop.theta_target, stop_t, stop.limit_point)
     if direction > 0:
@@ -1043,7 +1044,7 @@ def concat(a: Trajectory, b: Trajectory, tol: float = 1e-8) -> Trajectory:
     terms = a.terms
     if b.terms is not terms:
         table["step"] = np.arange(len(table["h"]))
-        terms = _StepTerms(table["y0"], table["h"], table["stages"])
+        terms = _StepTerms(table)
     return Trajectory(ts, ys, table, a.left_info, b.right_info, terms)
 
 

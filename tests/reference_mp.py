@@ -10,7 +10,8 @@ Three computations:
 
 - the separatrix, launched from the corner series at arc length s0 and
   integrated in t up to theta = pi: lambda0 is its z there, s* its arc
-  length from the corner, and its x extent its x, also from the corner.
+  length from the corner, and its x extent its x, also from the corner;
+  and its state at s = SEED_S, the package's series seed.
   The state is (theta, u = z - 1, x), so that z - cos(theta) =
   u + 2 sin^2(theta/2) keeps its digits near the corner;
 - a backward trajectory from (pi, lam), on the regular system in a time tau
@@ -143,7 +144,8 @@ SEED_S = "0.05"
 
 def table(dps: int = 30) -> dict:
     """Every reference row at dps digits, keyed by name."""
-    rows = {"separatrix": separatrix(dps), f"separatrix at s = {SEED_S}": separatrix_state(SEED_S, dps)}
+    rows = {"separatrix": separatrix(dps),
+            f"separatrix at s = {SEED_S}": separatrix_state(SEED_S, dps)}
     for lam in HEIGHTS:
         rows[repr(lam)] = backward_end(lam, dps)
     return rows

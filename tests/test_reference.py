@@ -13,7 +13,7 @@ errors near boundary_eps: the loop stops once the domain gap falls below
 it and _contact_stop extrapolates from there.  The separatrix is launched
 from the corner series at s0 = SERIES_S0 = 0.05, where the series is the
 separatrix to within 1e-16 in each of theta, z and x (SEED, the same
-Taylor run's state there) and z - 1 = 8.7e-8 keeps 9 of its digits in a
+Taylor run's state there) and z - 1 = 8.7e-8 keeps about 9 digits in a
 float, so the launch's s* and x extent are good to 5.3e-12.  A seed at
 s0 = 1e-3 held z - 1 = 1.4e-14 to two digits, and left them good only to
 4.1e-7.  The terminal z, lambda0, is insensitive to the seed.
@@ -126,7 +126,8 @@ def test_series_seed_is_the_separatrix():
 
 
 def test_separatrix_arc_length_and_extent(launch):
-    # measured: 5.3e-12 for both at the default config
+    # measured: 5.3e-12 for both at the default config; one ulp of the
+    # seed's float z moves them by up to ulp(1)/sin(theta(s0)) = 3.2e-11
     s_star = launch.ts[-1].item() + SERIES_S0
     x_extent = launch.xs[-1].item() + corner_series(SERIES_S0)[2]
     assert error(s_star, S_STAR) <= 1e-11
