@@ -23,7 +23,8 @@ from .errors import DomainError, SlopeZeroError
 SQRT2 = math.sqrt(2.0)
 
 # The least z whose square z * z is positive (it rounds to the least
-# subnormal, 5e-324); below it z * z is 0, and slope clamps to 0 there.
+# subnormal, 5e-324); below it z * z is 0, slope_sq reads -inf and slope
+# clamps to 0 there.
 Z_MIN = float.fromhex("0x1.6a09e667f3bcdp-538")  # 1.5717277847026288e-162
 
 # Limits approached along the critical trajectory at the corner (0, 1).
@@ -90,7 +91,12 @@ def domain_gap(theta: float, z: float) -> float:
 
 
 def slope_sq(theta: float, z: float) -> float:
-    """1 - cos^2(theta)/z^2 computed as (z-cos)(z+cos)/z^2; may be negative."""
+    """1 - cos^2(theta)/z^2 computed as (z-cos)(z+cos)/z^2; may be negative.
+
+    -inf where z * z underflows to 0 (z < Z_MIN), which is outside the domain.
+    """
+    if z < Z_MIN:
+        return -math.inf
     return z_minus_cos(theta, z) * z_plus_cos(theta, z) / (z * z)
 
 
@@ -99,8 +105,6 @@ def slope(theta: float, z: float) -> float:
 
     Also 0 where z * z underflows to 0 (z < Z_MIN), which is outside it.
     """
-    if z < Z_MIN:
-        return 0.0
     q = slope_sq(theta, z)
     return math.sqrt(q) if q > 0.0 else 0.0
 

@@ -426,13 +426,14 @@ class Trajectory:
     read-only: shooting hands one trajectory to several callers.
     """
 
-    def __init__(self, ts, ys, table, left_info, right_info, terms: _StepTerms):
+    def __init__(self, ts, ys, table, left_info, right_info, terms: _StepTerms, rejected: int):
         self.ts = np.asarray(ts, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.table = table
         self.left_info = left_info
         self.right_info = right_info
         self.terms = terms
+        self.rejected = rejected  # steps the integrations behind it rejected
 
     # -- basic accessors ---------------------------------------------------
 
@@ -490,7 +491,18 @@ class Trajectory:
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
         if not (t >= lo - slack and t <= hi + slack):  # NaN is outside
             raise RangeError(f"t={t} outside span [{lo}, {hi}]")
-        a, b, comps = self._row(int(np.searchsorted(self.ts[1:-1], min(max(t, lo), hi), "right")))
+        i = int(np.searchsorted(self.ts[1:-1], min(max(t, lo), hi), "right"))
+        tab = self.table
+        if tab["a"][i].item() * t + tab["b"][i].item() == 0.0:
+            # the row's start node, where reflect reads a backward half's
+            # initial state: u times the finite nested terms is a zero, and
+            # y0 plus a zero is y0 but for y0 = -0.0, whose sum takes the
+            # zero's sign, so only such a row builds its terms
+            y0 = tab["y0"][i].tolist()
+            if not any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in y0):
+                return tuple(scale * v + offset for v, scale, offset in
+                             zip(y0, tab["scale"][i].tolist(), tab["offset"][i].tolist()))
+        a, b, comps = self._row(i)
         u = a * t + b
         return tuple(scale * _dense(y0, terms, u) + offset for y0, terms, scale, offset in comps)
 
@@ -534,7 +546,7 @@ class Trajectory:
         if s < 0.0:
             ts, ys, left, right = ts[::-1], ys[::-1], right, left
             table = {key: col[::-1] for key, col in table.items()}
-        return Trajectory(ts, ys, table, left, right, self.terms)
+        return Trajectory(ts, ys, table, left, right, self.terms, self.rejected)
 
     def crossing_time(self, theta_target: float) -> float | None:
         """Time of theta(t) = theta_target; None when outside the theta range."""
@@ -602,12 +614,13 @@ def _extrapolate_limit(sig_pts, th_pts, z_pts, sig_b):
 def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
     """Core stepping loop in internal time sigma >= 0.
 
-    Returns (sig_nodes, nodes, hs, stages, stop): nodes is one flat list of
+    Returns (sig_nodes, nodes, hs, stages, stop, rejected): nodes is one flat list of
     the node states (theta, z, x of node 0, then node 1, ...); step i runs
     from node i to node i + 1 with size hs[i] (the last step may be cut
     short at its event); stages is one flat list of the steps' 13 unsigned
     stage derivatives (k1_theta, k1_z, k1_x, k2_theta, ... of step 0, then
-    step 1, ...); stop is an EndInfo in internal time.
+    step 1, ...); stop is an EndInfo in internal time; rejected counts the
+    rejected steps.
 
     The scheme is DOP853: 12 stages and the 8th-order update, then the FSAL
     stage k13 at the update, which is the next step's k1.  The field is
@@ -668,6 +681,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
     nodes = [th, z, x]
     hs = []
     stages = []
+    rejected = 0
     last_rejected = False
 
     gap = domain_gap(th, z)
@@ -690,7 +704,8 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
         hh = sgn * h
 
         # Stages 2..12, then the update and the FSAL stage k13 at it; zm, zp
-        # and q are field.z_minus_cos, z_plus_cos and slope_sq.
+        # and q are field.z_minus_cos, z_plus_cos and slope_sq (q = 0 in
+        # place of its -inf below Z_MIN: both clamp the slope to 0).
         t_ = th + hh * (a2_1 * k1a)
         z_ = z + hh * (a2_1 * k1b)
         s, c = sin(0.5 * t_), cos(t_)
@@ -807,6 +822,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
                 raise StepUnderflowError(
                     f"step underflow at sigma={sig} away from the boundary")
             h = h_new
+            rejected += 1
             last_rejected = True
             continue
 
@@ -898,7 +914,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
         if max_step < h:
             h = max_step
 
-    return sig_nodes, nodes, hs, stages, stop
+    return sig_nodes, nodes, hs, stages, stop, rejected
 
 
 def _contact_stop(sig_nodes, nodes):
@@ -932,7 +948,7 @@ def _packed(values: list) -> np.ndarray:
     return np.frombuffer(struct.pack(f"{len(values)}d", *values))
 
 
-def _finalized(sig_nodes, nodes, hs, stages, stop, direction, start_info):
+def _finalized(sig_nodes, nodes, hs, stages, stop, rejected, direction, start_info):
     """Convert internal-time data into an ascending-t Trajectory."""
     sgn = 1.0 if direction > 0 else -1.0
     sig = _packed(sig_nodes)
@@ -960,7 +976,7 @@ def _finalized(sig_nodes, nodes, hs, stages, stop, direction, start_info):
         left, right = stop, start_info
     for col in (ts, ys, *table.values()):
         col.flags.writeable = False  # a memoized trajectory is shared
-    return Trajectory(ts, ys, table, left, right, terms)
+    return Trajectory(ts, ys, table, left, right, terms, rejected)
 
 
 def integrate(start: PhasePoint, direction, cfg: IntegratorConfig) -> Trajectory:
@@ -1029,8 +1045,9 @@ def concat(a: Trajectory, b: Trajectory, tol: float = 1e-8) -> Trajectory:
     The junction node keeps a's time, and b's first row is read from there
     on, also where b's own first time differs from it (by up to the 1e-9
     accepted here).  Two moved copies of one integration (with_mirror) keep
-    its store of built terms; otherwise the rows are numbered as their own
-    steps in a fresh store.
+    its store of built terms and its count of rejected steps; otherwise the
+    rows are numbered as their own steps in a fresh store, and the counts
+    add.
     """
     ta, tb = a.ts[-1].item(), b.ts[0].item()
     if abs(ta - tb) > 1e-9 * max(1.0, abs(ta), abs(tb)):
@@ -1041,11 +1058,11 @@ def concat(a: Trajectory, b: Trajectory, tol: float = 1e-8) -> Trajectory:
     ts = np.concatenate([a.ts, b.ts[1:]])
     ys = np.concatenate([a.ys, b.ys[1:]])
     table = {key: np.concatenate([a.table[key], b.table[key]]) for key in a.table}
-    terms = a.terms
+    terms, rejected = a.terms, a.rejected
     if b.terms is not terms:
         table["step"] = np.arange(len(table["h"]))
-        terms = _StepTerms(table)
-    return Trajectory(ts, ys, table, a.left_info, b.right_info, terms)
+        terms, rejected = _StepTerms(table), a.rejected + b.rejected
+    return Trajectory(ts, ys, table, a.left_info, b.right_info, terms, rejected)
 
 
 def with_mirror(half: Trajectory) -> Trajectory:

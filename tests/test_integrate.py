@@ -107,30 +107,39 @@ class TestScheme:
         rows = integrate_mod._field_rows(np.array([0.0, 1.0]), np.array([z, z])).tolist()
         assert [slope(0.0, z), slope(1.0, z)] == [row[0] for row in rows] == [0.0, 0.0]
         monkeypatch.setattr(integrate_mod, "domain_gap", lambda th, z: 1.0)
-        _, _, hs, stages, _ = integrate_mod._integrate_raw((0.0, z, 0.0), 1.0, cfg)
+        _, _, hs, stages, _, _ = integrate_mod._integrate_raw((0.0, z, 0.0), 1.0, cfg)
         assert len(hs) == 1
         assert [v.hex() for v in stages] == [v.hex() for v in rows[0]] * 13
 
+    def test_slope_sq_where_the_square_of_z_underflows(self):
+        # below field.Z_MIN, where z * z is 0, slope_sq reads -inf, outside
+        # the domain, instead of dividing by 0; at Z_MIN it divides
+        for z in (1e-300, math.nextafter(Z_MIN, 0.0), 0.0, -0.0):
+            assert slope_sq(1.0, z) == -math.inf
+            assert slope(1.0, z) == 0.0
+        zmc, zpc = rs.field.z_minus_cos(1.0, Z_MIN), rs.field.z_plus_cos(1.0, Z_MIN)
+        assert slope_sq(1.0, Z_MIN) == zmc * zpc / (Z_MIN * Z_MIN) < 0.0
+
     def test_row_ends_are_the_nodes(self, cfg, launch):
         # a row's interpolant is its start node at u = 0 exactly, and its end
-        # node at u = 1 within 2 ulps, on rows the event did not cut (u_end
-        # < 1 there); plain and mirrored-then-joined tables, in t coordinates
+        # node at u = 1 within 2 ulps, on every row but those of the
+        # integration's last step, which its event cut (u_end < 1 there; a
+        # full curve holds it twice); plain and mirrored-then-joined tables,
+        # in t coordinates
         for tr in (rs.backward_trajectory(4.0, cfg), rs.backward_trajectory(1.2, cfg), launch,
                    rs.full_curve(2.5, cfg)):
-            ys, ts, uncut = tr.ys.tolist(), tr.ts.tolist(), 0
-            for k in range(len(tr.table["h"])):
+            ys, steps = tr.ys.tolist(), tr.table["step"].tolist()
+            for k in range(len(steps)):
                 a, b, comps = tr._row(k)
                 first, last = (k, k + 1) if a > 0.0 else (k + 1, k)
                 at0 = [scale * _dense(y0, terms, 0.0) + offset
                        for y0, terms, scale, offset in comps]
                 assert at0 == ys[first]
-                if abs(a * ts[last] + b - 1.0) > 1e-9:
+                if steps[k] == max(steps):
                     continue
-                uncut += 1
                 for (y0, terms, scale, offset), want in zip(comps, ys[last]):
                     got = scale * _dense(y0, terms, 1.0) + offset
                     assert abs(got - want) <= 2 * math.ulp(want)
-            assert uncut >= len(tr.table["h"]) - 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -154,6 +163,20 @@ class TestScheme:
             assert len(rs.backward_trajectory(lam, cfg).ts) == n_nodes
         assert lambda0.iterations == 29
         assert lambda0.value == 3.2136243981774015
+
+    def test_rejected_step_counts_pinned(self, cfg, launch):
+        # exact counts of the steps the controller rejected: a trajectory's
+        # moved copies and with_mirror's join of one integration keep them,
+        # and a join of two integrations adds them
+        for lam, n_rejected in ((1.2, 23), (1.8, 37), (2.5, 37), (4.0, 0), (6.0, 0)):
+            assert rs.backward_trajectory(lam, cfg).rejected == n_rejected
+        assert launch.rejected == 0
+        half = rs.backward_trajectory(1.8, cfg)
+        assert (half.shifted(dt=1.0, dx=2.0).rejected == rs.reflect(half, 1).rejected
+                == rs.with_mirror(half).rejected == 37)
+        other = rs.integrate(PhasePoint(math.pi, 1.8), "backward", cfg.with_targets(0.0))
+        assert other.terms is not half.terms
+        assert rs.concat(half, rs.reflect(other, 1)).rejected == 74
 
     def test_launch_step_counts_pinned(self, cfg):
         # exact counts of the separatrix launch from its series seed at
@@ -509,6 +532,29 @@ class TestDenseOutput:
         assert np.array_equal(joined.states_at(ts), expected)
         assert built == [len(steps), len(rows)]
         rs.backward_trajectory.cache_clear()
+
+    def test_state_at_reads_a_start_node_from_the_table(self, cfg, monkeypatch):
+        # at u == 0 state_at returns the row's start node, scaled and offset,
+        # with the bits of the interpolant and without building its terms:
+        # reflect reads a backward half's mirror point there.  A -0.0
+        # component is read through the terms, as the zero that u adds to it
+        # decides its sign (here: x, negated onto a -0.0 offset)
+        half = rs.backward_trajectory(4.0, cfg)
+        raw = integrate_mod._integrate_raw((0.3, 2.0, -0.0), 1.0, cfg.with_targets(2.0))
+        signed = integrate_mod._finalized(*raw, 1, rs.EndInfo("initial"))._moved(
+            1.0, 0.0, (1.0, 1.0, -1.0), (0.0, 0.0, -0.0))
+        built = []
+        step_terms = integrate_mod._step_terms
+        monkeypatch.setattr(integrate_mod, "_step_terms",
+                            lambda *args: built.append(1) or step_terms(*args))
+        t_c = half.crossing_time(math.pi)
+        assert t_c == half.ts[-1] and half.table["a"][-1] * t_c + half.table["b"][-1] == 0.0
+        assert half.state_at(t_c) == tuple(half.ys[-1].tolist()) == (math.pi, 4.0, 0.0)
+        assert built == []
+        got = signed.state_at(0.0)
+        assert built == [1]
+        assert [v.hex() for v in got] == [v.hex() for v in signed.states_at((0.0,))[0].tolist()]
+        assert got[2].hex() == "-0x0.0p+0"
 
     def test_monotone_theta(self, cfg):
         for lam in (1.3, 2.5, 5.0):
