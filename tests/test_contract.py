@@ -27,17 +27,17 @@ PINNED = {
     "curve.csv": "4967b9e664b0cb6b3a4ae7ea7d79ecfc13d2bc72ada9c06084fdc00bcec2dd7d",
     "extend.csv": "d2fb812fecfaf468b96b50be641da3f5e631e89444b46468ce99143cbc1a5963",
     "extend.regularity.json": "180b3b8b4d1fb9f02cd0661b9486011cbbcb980dd511350f81693b3086612b4e",
-    "mesh.obj": "0b887fdc794f9a9a46a8e99640f05e94c1aa8fedba8ed0704d3e43703fab4704",
+    "mesh.obj": "0bae62ef46b95c3ffbb0b9d35ece6809ab68b1452d01c5a675d77904fb5a91a5",
     "verify.json": "9d726e1d18c0f857a8579faabeeceb9fdd3789928a0a18d10203dbe040dbce7b",
-    "portrait.json": "1dbadb3f4ab5860e16992ba6fbc304bf76c38d0934d82990bfbc08ffe6c73887",
-    "portrait_00.csv": "73c4a00fc9a3d69b1301df7654d4336fa95aa5c22028fdc21636ad7de517c82f",
+    "portrait.json": "8ca0829b1fb5dabd5bc7b63b16b604e504b26b4c1a5796e8346a4a647df65590",
+    "portrait_00.csv": "aec37d3e9d430e5006b222651cb56d33146ee6ab6a9367fe32412cf4a16037e9",
     "portrait_01.csv": "4ad6060e902e2e7c2f07c2c95bf30c9a46d5a730a886bdb23dc09b3444b8ffb4",
     "sphere.obj": "9027a9d10853a01103b11262b511eee437a0e26984e9a72cbac9a9dc15f1fd47",
-    "mesh.csv": "0d2608df7fbb882b2f19eda2c4c0a71f8337d41c39cac0d7715b85514206a844",
+    "mesh.csv": "535992d108c38d408fbde296c806f3309e3b718e6c2650f7747b49728569de7e",
     "lambda0.json": "48a5c279c49d802a0c53949d899c99cddfe2491543b38daae192dc057b79f840",
     "verify_extend.json": "314513a9189f4def29823c7fb23a175b4f71e993e45f31abad694a8984e4b220",
-    "clamped.csv": "fe217e55a587120f21187a2f57a59137543bfd885a2f0234ab364dfcc4c613cd",
-    "verify_clamped.json": "73f25cf50b12b3e1b2cb35a65958a00ba024c9ab2917df3d4c6dd88a026956e7",
+    "clamped.csv": "cd19790dbb52b84e5e88d04042d11b392615086d985f1a9681121f27aa6b1ecf",
+    "verify_clamped.json": "25ae3a4372e17b01ca650f611d5e88b580f4d125142b43e212dad50703a513f8",
 }
 
 
@@ -108,7 +108,7 @@ def test_output_bytes_pinned(pinned):
 VERIFY = {
     "verify.json": ("curve.csv", 2.1967515140275395e-08, 5.566898053643854e-10),
     "verify_extend.json": ("extend.csv", 2.5360662458950856e-09, 9.205838313874892e-10),
-    "verify_clamped.json": ("clamped.csv", 3.925761087075763e-05, 1.6335791053201376e-08),
+    "verify_clamped.json": ("clamped.csv", 1.568525330108983e-05, 1.091006995856958e-08),
 }
 
 

@@ -306,7 +306,7 @@ class TestCertifiedSkip:
         1e-10: ((2, 2, 2), (37, 37, 37)),
         1e-12: ((4, 4, 4), (44, 44, 44)),
         1e-13: ((7, 7, 7), (47, 47, 47)),
-        1e-300: ((15, 15, 14), (55, 55, 54)),
+        1e-300: ((15, 14, 14), (55, 54, 54)),
     }
 
     @pytest.mark.parametrize("name", sorted(SKIP_CONFIGS))
@@ -374,13 +374,15 @@ class TestCertifiedSkip:
         assert heights == visited
 
     # answer changes of the predicate over the 17 floats lo - 8 ulp .. lo + 8 ulp
-    FLIPS = {"default": 3, "tightened": 1, "loose": 1}
+    FLIPS = {"default": 1, "tightened": 5, "loose": 3}
 
     @pytest.mark.parametrize("name", sorted(SKIP_CONFIGS))
     def test_probe_floor_clears_the_non_monotone_heights(self, name):
         # Within a few ulps of the threshold the numerical predicate can flip
-        # back and forth: on the default config it does (3 changes in 17
-        # floats), while the tightened and loose ones are monotone there.
+        # back and forth: on the tightened and loose configs it does (5 and 3
+        # changes in 17 floats), while the default one is monotone there.
+        # The widest band of flips measured, the loose config's, spans 32
+        # ulps (its lowest yes sits at lo - 32 ulps).
         # A fact at such a height could answer another against its own
         # integration (under DP5, a floorless s = tol/2 probe turned the
         # tightened config's tol = 1e-300 result from ...702 into ...7046).
