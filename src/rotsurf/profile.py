@@ -41,6 +41,13 @@ TWO_PI = 2.0 * math.pi
 MAX_RESAMPLE_STEPS = 1_000_000
 SAMPLE_DT = 0.01  # largest time step between stored samples of a built profile
 CONTACT_GRADING = 0.1  # near a contact end, the step is at most this times the distance to it
+# The least step, and the least distance between kept samples, in a gap
+# graded toward a contact end (elsewhere SAMPLE_DT / 4).  At SAMPLE_DT / 4
+# verify's 5-point stencils just outside its 0.01 collar read the end's
+# s^(3/2): `curve --span 10` then `verify --step 1e-3` at 106 heights on
+# [1.05, 3.15] failed 4 of them (worst residual 3.3e-4), and none here
+# (worst 3.4e-5), for 0.9% more bytes of emitted profile CSV.
+CONTACT_MIN_DT = SAMPLE_DT / 16
 SPHERE_TRIM = 1e-6  # the closed-form sphere stops this short of its two poles
 N_PERIOD_CHECK = 800  # points of the one-period overlap find_period measures on
 H_CHECK = 4e-3  # finite-difference step of extend_separatrix's junction grading
@@ -217,23 +224,28 @@ def build_profile(traj: Trajectory, kind: str = "Generic") -> ProfileCurve:
     A gap between nodes a and b larger than its step dt is cut into
     n = ceil(gap / dt) equal steps, at a + gap * k / n for k < n, and
     filled from the dense output; the nodes themselves are kept as they
-    are.  dt is SAMPLE_DT, or, near an end where the trajectory meets the
-    boundary, CONTACT_GRADING times the gap's distance to that end, but not
-    below SAMPLE_DT/4: theta ~ c s^(3/2) in the distance s to such an end,
+    are.  dt is SAMPLE_DT, or, in a gap graded toward an end where the
+    trajectory meets the boundary (CONTACT_GRADING times the gap's distance
+    to that end is below SAMPLE_DT), that product, but not below
+    CONTACT_MIN_DT: theta ~ c s^(3/2) in the distance s to such an end,
     and verify's 5-point stencils there read their own truncation error
     unless the rows close in on the end (the integrator's own steps are
-    too long there for that).  A sample closer than SAMPLE_DT/4 to the last
-    sample kept is dropped (never the first); the last node is kept in the
-    place of the sample before it when those two are that close.  So the
-    stored grid stays compatible with fine resampling.
+    too long there for that).  A sample closer to the last sample kept
+    than its gap's drop distance, CONTACT_MIN_DT in a graded gap and
+    SAMPLE_DT/4 elsewhere, is dropped (never the first); the last node is
+    kept in the place of the sample before it when those two are that
+    close.  So the stored grid stays compatible with fine resampling.
     """
     nodes = traj.ts
     gaps = np.diff(nodes)
     dt = np.full(len(gaps), SAMPLE_DT)
+    drop = np.full(len(gaps), 0.25 * SAMPLE_DT)
     for end, info in ((nodes[0], traj.left_info), (nodes[-1], traj.right_info)):
         if info.kind == "boundary_contact":
-            s = np.minimum(abs(nodes[:-1] - end), abs(nodes[1:] - end))
-            dt = np.minimum(dt, np.maximum(SAMPLE_DT / 4, CONTACT_GRADING * s))
+            s = CONTACT_GRADING * np.minimum(abs(nodes[:-1] - end), abs(nodes[1:] - end))
+            graded = s < SAMPLE_DT
+            dt[graded] = np.minimum(dt, np.maximum(CONTACT_MIN_DT, s))[graded]
+            drop[graded] = CONTACT_MIN_DT
     steps = np.ones(len(gaps), np.int64)
     wide = gaps > dt
     steps[wide] = np.ceil(gaps[wide] / dt[wide])
@@ -245,17 +257,18 @@ def build_profile(traj: Trajectory, kind: str = "Generic") -> ProfileCurve:
     raw[1:] = nodes[gap_of] + gaps[gap_of] * k / steps[gap_of]
     raw[ends] = nodes[1:]
     keep = np.ones(len(raw), bool)
-    min_dt = 0.25 * SAMPLE_DT
-    # the nodes ascend, so a sample at least min_dt after the one before it is
-    # kept; only the others are compared with the last sample kept, in order
-    close = np.flatnonzero(np.diff(raw) < min_dt) + 1
+    drop = drop[gap_of]  # the drop distance of each sample after the first
+    # the nodes ascend, so a sample at least its drop distance after the one
+    # before it is kept; only the others are compared with the last sample
+    # kept, in order
+    close = np.flatnonzero(np.diff(raw) < drop) + 1
     last = 0  # the index of the last sample kept
     for i in close.tolist():
         if keep[i - 1]:
             last = i - 1
         if i < len(raw) - 1:
-            keep[i] = raw[i] - raw[last] >= min_dt
-        elif raw[i] - raw[last] < min_dt and last > 0:
+            keep[i] = raw[i] - raw[last] >= drop[i - 1]
+        elif raw[i] - raw[last] < drop[i - 1] and last > 0:
             keep[last] = False
     ts = raw[keep]
 

@@ -374,6 +374,22 @@ class TestExtendAndVerify:
         assert run("verify", badfile, "--step", "1e-3",
                    "--max-residual", "1e-4") == 4
 
+    def test_verify_passes_full_incomplete_curves(self, tmp_path, capsys):
+        # every curve on [1.05, 3.15] is incomplete, and --span 10 emits it
+        # to its two contact ends: build_profile grades its rows there
+        # finely enough (CONTACT_MIN_DT) that verify's stencils just outside
+        # its collar do not read the end's s^(3/2).  With a SAMPLE_DT / 4
+        # floor, lambda 1.43, 1.45, 1.47 and 1.61 failed (worst 3.3e-4);
+        # the worst here is 3.4e-5
+        curve, report = tmp_path / "c.csv", tmp_path / "rep.json"
+        worst = 0.0
+        for lam in np.linspace(1.05, 3.15, 106).tolist():
+            run("curve", "--lambda", repr(lam), "--span", "10", "--out", curve)
+            assert run("verify", curve, "--step", "1e-3", "--out", report) == 0, lam
+            worst = max(worst, json.loads(report.read_text())["max_curvature_residual"])
+        assert worst <= 5e-5
+        assert capsys.readouterr().out.count("kind=Incomplete") == 106
+
     def test_verify_degenerate_profile_writes_strict_json(self, tmp_path):
         # rows that do not move give a NaN residual: the report holds null,
         # the verdict is FAIL (exit 4) and numpy prints no warning

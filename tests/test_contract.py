@@ -36,8 +36,8 @@ PINNED = {
     "mesh.csv": "535992d108c38d408fbde296c806f3309e3b718e6c2650f7747b49728569de7e",
     "lambda0.json": "48a5c279c49d802a0c53949d899c99cddfe2491543b38daae192dc057b79f840",
     "verify_extend.json": "314513a9189f4def29823c7fb23a175b4f71e993e45f31abad694a8984e4b220",
-    "clamped.csv": "cd19790dbb52b84e5e88d04042d11b392615086d985f1a9681121f27aa6b1ecf",
-    "verify_clamped.json": "25ae3a4372e17b01ca650f611d5e88b580f4d125142b43e212dad50703a513f8",
+    "clamped.csv": "921d254cd5feefb516e5857050cb30f934cafe9c886969cf23800a440ac84e18",
+    "verify_clamped.json": "b615705538323073c7a022c089ef74c15e5870c2bed3dcab398fb69fc16b2378",
 }
 
 
@@ -108,7 +108,7 @@ def test_output_bytes_pinned(pinned):
 VERIFY = {
     "verify.json": ("curve.csv", 2.1967515140275395e-08, 5.566898053643854e-10),
     "verify_extend.json": ("extend.csv", 2.5360662458950856e-09, 9.205838313874892e-10),
-    "verify_clamped.json": ("clamped.csv", 1.568525330108983e-05, 1.091006995856958e-08),
+    "verify_clamped.json": ("clamped.csv", 2.460253795355527e-06, 1.091006995856958e-08),
 }
 
 

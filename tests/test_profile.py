@@ -17,6 +17,7 @@ from rotsurf.errors import (
 )
 from rotsurf.profile import (
     CONTACT_GRADING,
+    CONTACT_MIN_DT,
     MAX_RESAMPLE_STEPS,
     SAMPLE_DT,
     _five_point_weights,
@@ -76,25 +77,31 @@ def reference_grid(nodes, contact_ends=()):
     """build_profile's sample times as the plain loop over the nodes: fill, then thin.
 
     contact_ends are the end times where the trajectory meets the boundary.
+    A gap graded toward one (CONTACT_GRADING times its distance to it below
+    SAMPLE_DT) fills at that product, floored at CONTACT_MIN_DT, and drops
+    its samples closer than CONTACT_MIN_DT to the last one kept; other gaps
+    fill at SAMPLE_DT and drop at SAMPLE_DT / 4.
     """
-    raw = [float(nodes[0])]
+    raw = [(float(nodes[0]), None)]  # (time, drop distance)
     for a, b in zip(nodes[:-1], nodes[1:]):
         gap = float(b - a)
-        dt = SAMPLE_DT
+        dt, drop = SAMPLE_DT, 0.25 * SAMPLE_DT
         for end in contact_ends:
-            s = min(abs(float(a) - end), abs(float(b) - end))
-            dt = min(dt, max(SAMPLE_DT / 4, CONTACT_GRADING * s))
+            s = CONTACT_GRADING * min(abs(float(a) - end), abs(float(b) - end))
+            if s < SAMPLE_DT:
+                dt, drop = min(dt, max(CONTACT_MIN_DT, s)), CONTACT_MIN_DT
         if gap > dt:
             n = int(math.ceil(gap / dt))
-            raw.extend(float(a) + gap * k / n for k in range(1, n))
-        raw.append(float(b))
-    ts = [raw[0]]
-    for t in raw[1:-1]:
-        if t - ts[-1] >= 0.25 * SAMPLE_DT:
+            raw.extend((float(a) + gap * k / n, drop) for k in range(1, n))
+        raw.append((float(b), drop))
+    ts = [raw[0][0]]
+    for t, drop in raw[1:-1]:
+        if t - ts[-1] >= drop:
             ts.append(t)
-    if raw[-1] - ts[-1] < 0.25 * SAMPLE_DT and len(ts) > 1:
+    t, drop = raw[-1]
+    if t - ts[-1] < drop and len(ts) > 1:
         ts.pop()
-    ts.append(raw[-1])
+    ts.append(t)
     return np.asarray(ts)
 
 
@@ -157,7 +164,7 @@ class TestBuildProfileGrid:
 
     def test_rows_close_in_on_a_contact_end(self, cfg):
         # within 0.05 of a contact end the fill step is at most 0.005
-        # (CONTACT_GRADING times the distance, or SAMPLE_DT / 4), and the
+        # (CONTACT_GRADING times the distance, or CONTACT_MIN_DT), and the
         # thinning keeps rows at most SAMPLE_DT / 2 apart; without the
         # grading, the integrator's steps leave 0.0086 there at lambda 1.6.
         # A periodic curve keeps SAMPLE_DT.
