@@ -137,7 +137,8 @@ def backward_end(lam: float, dps: int = 30) -> dict:
 
 # The heights of the table: contacts and crossings either side of lambda0.
 # 3.2136243987 is the paper's lambda0 to 11 digits.
-HEIGHTS = (1.2, 1.8, 2.5, 4.0, 6.0, 3.2136243987 + 1e-6, 3.2136243987 - 1e-6)
+HEIGHTS = (1.05, 1.2, 1.45, 1.8, 2.0, 2.5, 3.0, 3.2036, 4.0, 6.0, 3.2136243987 + 1e-6,
+           3.2136243987 - 1e-6)
 # The arc length of the package's series seed, where its state is compared.
 SEED_S = "0.05"
 

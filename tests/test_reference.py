@@ -8,9 +8,13 @@ need no mpmath; one slow test recomputes a row with it.
 
 The bounds are the errors measured at the default config (MEASURED), with
 a margin of up to 2, and never above 1.25 times the error of the DP5
-integrator this one replaced (DP5).  Contact records carry
-errors near boundary_eps: the loop stops once the domain gap falls below
-it and _contact_stop extrapolates from there.  The separatrix is launched
+integrator this one replaced (DP5).  Contact records are good to about
+1e-12: the loop stops once the domain gap falls below boundary_eps and
+_contact_stop extrapolates from there, and the step control at a closing
+contact holds h/s, the step over the distance to the contact, so the
+steps close in on it (plain DOP853 control left 8e-11 at lambda 1.2 and
+4e-11 at 2.0).  The two rows within 1e-6 of lambda0 carry about 1e-10
+in t_star, a crossing's x too, from the passage by the corner.  The separatrix is launched
 from the corner series at s0 = SERIES_S0 = 0.05, where the series is the
 separatrix to within 1e-16 in each of theta, z and x (SEED, the same
 Taylor run's state there) and z - 1 = 8.7e-8 keeps about 9 digits in a
@@ -38,12 +42,22 @@ SEED = ("6.9451676532013929545e-6", "8.6811582650995782859e-8", "0.0499999999998
 # limit point, a crossing's theta is 0; x is measured from (pi, lambda).
 # 3.2136243987 is the paper's lambda0 to 11 digits.
 ENDS = {
+    1.05: ("boundary_contact", "-0.67692259340072523045", "2.976869176268735894",
+           "0.9864637371272200054", "0.67308440081104757271"),
     1.2: ("boundary_contact", "-1.1732185422234626898", "2.5903520415699395818",
           "0.8518754140990982064", "1.1033808400538000272"),
+    1.45: ("boundary_contact", "-2.1466802644905839354", "1.4867857291332861442",
+           "0.083911811135468726704", "1.3449120896148037994"),
     1.8: ("boundary_contact", "-2.159635128524985541", "1.2438850333274242999",
           "0.32111944017294775692", "1.0868959430107093964"),
+    2.0: ("boundary_contact", "-2.2428452491049400265", "1.1322617093752665326",
+          "0.42461320089400664799", "0.98964417314730534156"),
     2.5: ("boundary_contact", "-2.543356083403271081", "0.84082361447952131914",
           "0.66684930067133733357", "0.71649753413417779651"),
+    3.0: ("boundary_contact", "-3.0603640629929353837", "0.44879448117220107525",
+          "0.90097080706764311963", "0.22076875562534793478"),
+    3.2036: ("boundary_contact", "-3.799035770556201581", "0.09635273318662878179",
+             "0.99536166553655803635", "-0.53080686932453302118"),
     4.0: ("theta_crossing", "-3.2746389714195283078", "0", "1.9485491098064196453",
           "-0.069824918720168420383"),
     6.0: ("theta_crossing", "-3.1771629633042800692", "0", "3.9852797560349609062",
@@ -59,15 +73,18 @@ ENDS = {
 # (t_star, theta, z), crossings over (t_star, z, x), measured on this
 # integrator (DOP853) and on the DP5 integrator it replaced
 MEASURED = {
-    1.2: 8.34e-11, 1.8: 8.10e-12, 2.5: 6.64e-13, 4.0: 5.28e-15, 6.0: 1.65e-15,
-    3.2136243987 + 1e-6: 8.48e-11, 3.2136243987 - 1e-6: 6.40e-11,
+    1.05: 1.26e-12, 1.2: 1.00e-12, 1.45: 9.30e-13, 1.8: 5.35e-13, 2.0: 4.64e-13,
+    2.5: 2.93e-13, 3.0: 1.60e-13, 3.2036: 8.47e-14, 4.0: 5.28e-15, 6.0: 1.65e-15,
+    3.2136243987 + 1e-6: 9.47e-11, 3.2136243987 - 1e-6: 8.01e-11,
 }
 DP5 = {
-    1.2: 7.53e-11, 1.8: 7.46e-11, 2.5: 8.13e-12, 4.0: 1.60e-13, 6.0: 5.25e-13,
+    1.05: 1.59e-10, 1.2: 7.53e-11, 1.45: 2.62e-11, 1.8: 7.46e-11, 2.0: 5.10e-11,
+    2.5: 8.13e-12, 3.0: 2.52e-11, 3.2036: 4.49e-12, 4.0: 1.60e-13, 6.0: 5.25e-13,
     3.2136243987 + 1e-6: 3.67e-9, 3.2136243987 - 1e-6: 4.12e-9,
 }
 BOUND = {
-    1.2: 9.4e-11, 1.8: 1.2e-11, 2.5: 1e-12, 4.0: 8e-15, 6.0: 2.5e-15,
+    1.05: 2.4e-12, 1.2: 1.9e-12, 1.45: 1.8e-12, 1.8: 1e-12, 2.0: 9e-13, 2.5: 5.5e-13,
+    3.0: 3e-13, 3.2036: 1.6e-13, 4.0: 8e-15, 6.0: 2.5e-15,
     3.2136243987 + 1e-6: 1.3e-10, 3.2136243987 - 1e-6: 1e-10,
 }
 
