@@ -182,18 +182,19 @@ _FAC_MIN, _FAC_MAX, _SAFE = 0.333, 6.0, 0.9
 _ORDER_EXP = -1.0 / 8.0
 # Step control at a closing boundary contact.  There theta' = sqrt(q) has
 # an infinite derivative and theta ~ s^(3/2) in the distance s to the
-# contact, so the error of a step of size h grows as s shrinks at fixed h/s.
-# Once an accepted step is longer than _CONTACT_LIMITED times the distance
-# at its start, the next proposal, h * fac, is also scaled by _CONTACT_HOLD
-# times s_end / s_start: the controller holds h/s instead of h.  Plain
-# DOP853 control alternates accepted and rejected steps there instead (a
-# step that passed may not grow, and the next, at the same h and closer,
-# fails): on the seed-1 shoot deck, the backward halves that end at a
-# contact rejected 35.6 steps each (IncompleteHigh) against 1.7 with this
-# control, and their accepted steps rose from 56.1 to 61.4.  At 0.2 they
-# rejected 6-10 steps each again; at 0.05 nothing moved but the first
-# steps of a few contacts.  With a hold of 1.0 the contact records lost
-# accuracy, 1.6e-12 at lambda 2.5 against 2.9e-13 here (mpmath references,
+# contact: at a fixed h the error of a step grows as s shrinks, at a fixed
+# h/s it falls.  Once an accepted step is longer than _CONTACT_LIMITED
+# times the distance at its start, the next proposal, h * fac, is also
+# scaled by _CONTACT_HOLD times s_end / s_start: the controller holds h/s
+# instead of h.  Plain DOP853 control alternates accepted and rejected
+# steps there instead (a step that passed may not grow, and the next, at
+# the same h and closer, fails).  On the seed-1 shoot deck's 201 heights,
+# the backward halves that end at a contact rejected 35.6 steps each
+# (IncompleteHigh) against 1.7 with this control, and their accepted steps
+# rose from 56.1 to 61.4.  With 0.2 in place of 0.1 they rejected 5-10
+# steps each again; with 0.05 the deck took 10,213 step attempts against
+# 10,209.  With a hold of 1.0 the contact records lost accuracy, 1.6e-12
+# at lambda 2.5 against 2.9e-13 here (mpmath references,
 # tests/test_reference.py); 0.7 bought 1.2e-13 there for 5% more steps.
 _CONTACT_LIMITED = 0.1
 _CONTACT_HOLD = 0.8

@@ -46,7 +46,8 @@ CONTACT_GRADING = 0.1  # near a contact end, the step is at most this times the 
 # verify's 5-point stencils just outside its 0.01 collar read the end's
 # s^(3/2): `curve --span 10` then `verify --step 1e-3` at 106 heights on
 # [1.05, 3.15] failed 4 of them (worst residual 3.3e-4), and none here
-# (worst 3.4e-5), for 0.9% more bytes of emitted profile CSV.
+# (worst 3.4e-5), for 0.5% more profile CSV bytes on the seed-1 emit deck
+# and 1.7% more rows on the seed-1 verify deck.
 CONTACT_MIN_DT = SAMPLE_DT / 16
 SPHERE_TRIM = 1e-6  # the closed-form sphere stops this short of its two poles
 N_PERIOD_CHECK = 800  # points of the one-period overlap find_period measures on
@@ -242,9 +243,9 @@ def build_profile(traj: Trajectory, kind: str = "Generic") -> ProfileCurve:
     drop = np.full(len(gaps), 0.25 * SAMPLE_DT)
     for end, info in ((nodes[0], traj.left_info), (nodes[-1], traj.right_info)):
         if info.kind == "boundary_contact":
-            s = CONTACT_GRADING * np.minimum(abs(nodes[:-1] - end), abs(nodes[1:] - end))
-            graded = s < SAMPLE_DT
-            dt[graded] = np.minimum(dt, np.maximum(CONTACT_MIN_DT, s))[graded]
+            graded_dt = CONTACT_GRADING * np.minimum(abs(nodes[:-1] - end), abs(nodes[1:] - end))
+            graded = graded_dt < SAMPLE_DT
+            dt[graded] = np.minimum(dt, np.maximum(CONTACT_MIN_DT, graded_dt))[graded]
             drop[graded] = CONTACT_MIN_DT
     steps = np.ones(len(gaps), np.int64)
     wide = gaps > dt
