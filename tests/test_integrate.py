@@ -129,13 +129,14 @@ class TestScheme:
         for tr in (rs.backward_trajectory(4.0, cfg), rs.backward_trajectory(1.2, cfg), launch,
                    rs.full_curve(2.5, cfg)):
             ys, steps = tr.ys.tolist(), tr.table["step"].tolist()
+            cut = max(steps)  # the integration's last step
             for k in range(len(steps)):
                 a, b, comps = tr._row(k)
                 first, last = (k, k + 1) if a > 0.0 else (k + 1, k)
                 at0 = [scale * _dense(y0, terms, 0.0) + offset
                        for y0, terms, scale, offset in comps]
                 assert at0 == ys[first]
-                if steps[k] == max(steps):
+                if steps[k] == cut:
                     continue
                 for (y0, terms, scale, offset), want in zip(comps, ys[last]):
                     got = scale * _dense(y0, terms, 1.0) + offset
