@@ -21,6 +21,9 @@ from dataclasses import dataclass
 from .errors import DomainError, SlopeZeroError
 
 SQRT2 = math.sqrt(2.0)
+# The first integral's level at the corner (0, 1), the separatrix's: the
+# shooting height lambda0 is the one whose level is this.
+CORNER_LEVEL = math.exp(0.5 * math.pi)
 
 # The least z whose square z * z is positive (it rounds to the least
 # subnormal, 5e-324); below it z * z is 0, slope_sq reads -inf and slope
@@ -107,6 +110,20 @@ def slope(theta: float, z: float) -> float:
     """
     q = slope_sq(theta, z)
     return math.sqrt(q) if q > 0.0 else 0.0
+
+
+def first_integral(theta: float, z: float) -> float:
+    """F = z^2 (theta' + cos(theta)/z) exp(arcsin(cos(theta)/z)), constant along the flow.
+
+    With sin(phi) = cos(theta)/z = k2 and cos(phi) = theta' = k1 the field
+    gives dz/z = -cos(phi) dphi / (sin(phi) + cos(phi)), which integrates
+    to F = z^2 (sin(phi) + cos(phi)) e^phi.  The sphere (pi, sqrt(2)) has
+    level 0 and the corner (0, 1) CORNER_LEVEL; a height's class is its
+    level's interval: below 0 IncompleteLow, up to CORNER_LEVEL
+    IncompleteHigh, above it Periodic.
+    """
+    k2 = math.cos(theta) / z
+    return z * z * (slope(theta, z) + k2) * math.exp(math.asin(k2))
 
 
 def in_domain(p: PhasePoint) -> bool:

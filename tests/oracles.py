@@ -28,6 +28,19 @@ def rhs(theta, z, sign=1.0):
     return sign * dtheta, sign * math.sin(theta)
 
 
+def first_integral(theta, z):
+    """F = z^2 (theta' + cos(theta)/z) exp(arcsin(cos(theta)/z)), constant along the flow.
+
+    Put sin(phi) = cos(theta)/z, so that cos(phi) = theta'.  Then
+    dz/z = -cos(phi) dphi / (sin(phi) + cos(phi)) along the field, and
+    z^2 (sin(phi) + cos(phi)) e^phi is constant.  The sphere (pi, sqrt(2))
+    has level 0, the corner (0, 1) e^(pi/2).
+    """
+    c = math.cos(theta) / z
+    q = 1.0 - c * c
+    return z * z * ((math.sqrt(q) if q > 0.0 else 0.0) + c) * math.exp(math.asin(c))
+
+
 def rk4_step(theta, z, h, sign=1.0):
     k1t, k1z = rhs(theta, z, sign)
     k2t, k2z = rhs(theta + 0.5 * h * k1t, z + 0.5 * h * k1z, sign)

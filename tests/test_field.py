@@ -9,6 +9,8 @@ from rotsurf import PhasePoint
 from rotsurf.errors import DomainError
 from rotsurf.field import slope
 
+import oracles
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -197,3 +199,20 @@ class TestAlgebraicInvariants:
             b = rs.field_eval(PhasePoint(2 * math.pi - theta, z))
             assert a.dtheta == pytest.approx(b.dtheta, abs=1e-14)
             assert a.dz == pytest.approx(-b.dz, abs=1e-14)
+
+
+class TestFirstIntegral:
+    def test_sphere_and_corner_levels(self):
+        # the sphere's level is 0 (1.0e-16 in floats), the corner's e^(pi/2),
+        # by the package's F and by the oracle's own copy
+        for first_integral in (rs.field.first_integral, oracles.first_integral):
+            assert abs(first_integral(math.pi, SQRT2)) <= 1e-15
+            assert first_integral(0.0, 1.0) == math.exp(math.pi / 2) == rs.field.CORNER_LEVEL
+
+    def test_package_is_the_oracle(self):
+        rng = np.random.default_rng(13)
+        for _ in range(2000):
+            theta = rng.uniform(-10.0, 10.0)
+            z = abs(math.cos(theta)) + rng.uniform(1e-6, 5.0)
+            got, want = rs.field.first_integral(theta, z), oracles.first_integral(theta, z)
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-15)

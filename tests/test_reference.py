@@ -27,9 +27,11 @@ import ast
 from decimal import Decimal, localcontext
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rotsurf as rs
+from oracles import first_integral
 from rotsurf.integrate import SERIES_S0, corner_series
 
 LAMBDA0 = "3.2136243986497109426"
@@ -89,6 +91,16 @@ BOUND = {
 }
 
 
+# the largest |F - F(lambda)| / |F(lambda)| of the first integral over 2,001
+# dense samples of full_curve(lambda), measured at the default config; the
+# level of 1.45 is small (0.034), so its relative drift is large
+DRIFT = {
+    1.05: 2.1e-12, 1.2: 4.0e-12, 1.45: 8.0e-11, 1.8: 3.7e-12, 2.0: 3.1e-12, 2.5: 6.8e-13,
+    3.0: 2.0e-13, 3.2036: 2.0e-13, 4.0: 2.2e-14, 6.0: 3.0e-15,
+    3.2136243987 + 1e-6: 5.5e-14, 3.2136243987 - 1e-6: 5.5e-14,
+}
+
+
 def error(value: float, ref: str) -> float:
     """|value - ref|, with value's exact decimal expansion."""
     with localcontext() as ctx:
@@ -120,6 +132,18 @@ def test_bounds_hold_the_measured_errors():
 @pytest.mark.parametrize("lam", sorted(ENDS))
 def test_end_records(cfg, lam):
     assert max(end_errors(lam, cfg)) <= BOUND[lam]
+
+
+@pytest.mark.parametrize("lam", sorted(ENDS))
+def test_first_integral_drift(cfg, lam):
+    # the oracle's F along the whole curve stays at its start's level, within
+    # twice the drift measured
+    assert sorted(DRIFT) == sorted(ENDS)
+    tr = rs.full_curve(lam, cfg)
+    level = first_integral(np.pi, lam)
+    states = tr.states_at(np.linspace(*tr.t_span, 2001)).tolist()
+    drift = max(abs(first_integral(theta, z) - level) for theta, z, _ in states)
+    assert drift <= 2 * DRIFT[lam] * abs(level)
 
 
 @pytest.mark.parametrize("factor, bound", [(1.0, 1e-14), (100.0, 5e-15)])

@@ -7,13 +7,26 @@ import rotsurf as rs
 import rotsurf.shooting
 from rotsurf.errors import InvalidLambdaError
 
-from oracles import LAMBDA0_REF
+from oracles import LAMBDA0_REF, first_integral
 
 SQRT2 = math.sqrt(2.0)
 LAMBDA0_13_DIGITS = 3.2136243986497
 
 
 class TestClassify:
+    def test_tag_is_the_level_rule(self, cfg):
+        # the first integral's level at (pi, lambda) names the class: below 0
+        # IncompleteLow, below e^(pi/2) IncompleteHigh, above it Periodic; the
+        # grid keeps clear of TOL_SPHERE about sqrt(2) and BAND about lambda0
+        corner = math.exp(math.pi / 2)
+        for lam in [1.0 + k / 64 for k in range(1, 449)]:
+            if abs(lam - SQRT2) < 1e-3 or abs(lam - LAMBDA0_REF) < 1e-3:
+                continue
+            level = first_integral(math.pi, lam)
+            want = (rs.INCOMPLETE_LOW if level < 0.0 else
+                    rs.INCOMPLETE_HIGH if level < corner else rs.PERIODIC)
+            assert rs.classify_lambda(lam, cfg).tag == want, lam
+
     def test_sphere_special_case(self, cfg):
         k = rs.classify_lambda(SQRT2, cfg)
         assert k.tag == rs.SPHERE
