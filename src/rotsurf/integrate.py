@@ -184,9 +184,10 @@ _ORDER_EXP = -1.0 / 8.0
 # an infinite derivative and theta ~ s^(3/2) in the distance s to the
 # contact: at a fixed h the error of a step grows as s shrinks, at a fixed
 # h/s it falls.  Once an accepted step is longer than _CONTACT_LIMITED
-# times the distance at its start, the next proposal, h * fac, is also
-# scaled by _CONTACT_HOLD times s_end / s_start: the controller holds h/s
-# instead of h.  Plain DOP853 control alternates accepted and rejected
+# times the distance at its start, and the distance shrank over it
+# (s_end < s_start), the next proposal, h * fac, is also scaled by
+# _CONTACT_HOLD times s_end / s_start: the controller holds h/s instead of
+# h.  Plain DOP853 control alternates accepted and rejected
 # steps there instead (a step that passed may not grow, and the next, at
 # the same h and closer, fails).  On the seed-1 shoot deck's 201 heights,
 # the backward halves that end at a contact rejected 35.6 steps each
@@ -196,6 +197,9 @@ _ORDER_EXP = -1.0 / 8.0
 # 10,209.  With a hold of 1.0 the contact records lost accuracy, 1.6e-12
 # at lambda 2.5 against 2.9e-13 here (mpmath references,
 # tests/test_reference.py); 0.7 bought 1.2e-13 there for 5% more steps.
+# Scaling also where s grew (a crossing that passes by the corner, whose
+# gap closes and opens again) cost those crossings up to 5x against
+# tightened(1000): 1.1e-11 against 9.8e-14 here at lambda0 + 1e-3.
 _CONTACT_LIMITED = 0.1
 _CONTACT_HOLD = 0.8
 # Accepted steps one integration may take.  A span of 200 at max_step 0.1
@@ -662,8 +666,9 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
     norm <= 1, and the next is h * fac with fac = min(6, max(0.333, 0.9 *
     norm^(-1/8))), not above 1 after a rejection.  Near a boundary contact
     the gap is closing on, the step after an accepted one that was longer
-    than _CONTACT_LIMITED times its start's distance s to the contact is
-    h * fac * _CONTACT_HOLD * s_end / s_start instead.  s comes from the
+    than _CONTACT_LIMITED times its start's distance s to the contact, and
+    after which s shrank, is h * fac * _CONTACT_HOLD * s_end / s_start
+    instead.  s comes from the
     FSAL stage: the gap's nearer branch z -+ cos(theta) changes at the rate
     sgn * sin(theta) * (1 +- theta') per unit sigma, so s = gap / -rate
     where that rate is negative (s = inf where the gap opens, and at the
@@ -943,7 +948,7 @@ def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
         else:
             rate, g = sgn * k13b * (1.0 - k13a), zp
         s_end = g / -rate if rate < 0.0 else math.inf
-        if h > _CONTACT_LIMITED * s_start and s_end < math.inf:
+        if h > _CONTACT_LIMITED * s_start and s_end < s_start:
             fac *= _CONTACT_HOLD * s_end / s_start
         s_start = s_end
         h *= fac

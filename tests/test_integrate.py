@@ -160,7 +160,7 @@ class TestScheme:
         # exact counts: any change to step control, stage arithmetic or event
         # location that moves an accepted node shows up here
         for lam, n_nodes in ((1.2, 43), (2.5, 62), (4.0, 37), (6.0, 36),
-                             (3.2136253987, 76)):
+                             (3.2136253987, 75)):
             assert len(rs.backward_trajectory(lam, cfg).ts) == n_nodes
         assert lambda0.iterations == 29
         assert lambda0.value == 3.2136243981774015

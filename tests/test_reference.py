@@ -77,7 +77,7 @@ ENDS = {
 MEASURED = {
     1.05: 1.26e-12, 1.2: 1.00e-12, 1.45: 9.30e-13, 1.8: 5.35e-13, 2.0: 4.64e-13,
     2.5: 2.93e-13, 3.0: 1.60e-13, 3.2036: 8.47e-14, 4.0: 5.28e-15, 6.0: 1.65e-15,
-    3.2136243987 + 1e-6: 9.47e-11, 3.2136243987 - 1e-6: 8.01e-11,
+    3.2136243987 + 1e-6: 9.49e-11, 3.2136243987 - 1e-6: 8.01e-11,
 }
 DP5 = {
     1.05: 1.59e-10, 1.2: 7.53e-11, 1.45: 2.62e-11, 1.8: 7.46e-11, 2.0: 5.10e-11,
