@@ -120,9 +120,12 @@ def first_integral(theta: float, z: float) -> float:
     to F = z^2 (sin(phi) + cos(phi)) e^phi.  The sphere (pi, sqrt(2)) has
     level 0 and the corner (0, 1) CORNER_LEVEL; a height's class is its
     level's interval: below 0 IncompleteLow, up to CORNER_LEVEL
-    IncompleteHigh, above it Periodic.
+    IncompleteHigh, above it Periodic.  NaN where |cos(theta)| > z, outside
+    the domain.
     """
     k2 = math.cos(theta) / z
+    if not -1.0 <= k2 <= 1.0:
+        return math.nan
     return z * z * (slope(theta, z) + k2) * math.exp(math.asin(k2))
 
 

@@ -29,15 +29,15 @@ PINNED = {
     "extend.regularity.json": "180b3b8b4d1fb9f02cd0661b9486011cbbcb980dd511350f81693b3086612b4e",
     "mesh.obj": "0bae62ef46b95c3ffbb0b9d35ece6809ab68b1452d01c5a675d77904fb5a91a5",
     "verify.json": "9d726e1d18c0f857a8579faabeeceb9fdd3789928a0a18d10203dbe040dbce7b",
-    "portrait.json": "8ca0829b1fb5dabd5bc7b63b16b604e504b26b4c1a5796e8346a4a647df65590",
-    "portrait_00.csv": "aec37d3e9d430e5006b222651cb56d33146ee6ab6a9367fe32412cf4a16037e9",
+    "portrait.json": "a462d27afc81faaa096fd78cb762e60453c5e79dacfc7b032850bdb0f0b27376",
+    "portrait_00.csv": "77cc9164fc3c1c1815867edbbb49014a1ef53592114c4a941c3111188b277f19",
     "portrait_01.csv": "4ad6060e902e2e7c2f07c2c95bf30c9a46d5a730a886bdb23dc09b3444b8ffb4",
     "sphere.obj": "9027a9d10853a01103b11262b511eee437a0e26984e9a72cbac9a9dc15f1fd47",
     "mesh.csv": "535992d108c38d408fbde296c806f3309e3b718e6c2650f7747b49728569de7e",
     "lambda0.json": "48a5c279c49d802a0c53949d899c99cddfe2491543b38daae192dc057b79f840",
     "verify_extend.json": "314513a9189f4def29823c7fb23a175b4f71e993e45f31abad694a8984e4b220",
-    "clamped.csv": "921d254cd5feefb516e5857050cb30f934cafe9c886969cf23800a440ac84e18",
-    "verify_clamped.json": "b615705538323073c7a022c089ef74c15e5870c2bed3dcab398fb69fc16b2378",
+    "clamped.csv": "5ed6dea24b2b9b6e7157c55cfd03139663b468f0f26f2d5400e2528def80f631",
+    "verify_clamped.json": "f6a52e5122d666e78775a4bb902f206b23b9bf82a62ba45f3a7209f974f05f5e",
 }
 
 
@@ -108,7 +108,7 @@ def test_output_bytes_pinned(pinned):
 VERIFY = {
     "verify.json": ("curve.csv", 2.1967515140275395e-08, 5.566898053643854e-10),
     "verify_extend.json": ("extend.csv", 2.5360662458950856e-09, 9.205838313874892e-10),
-    "verify_clamped.json": ("clamped.csv", 2.460253795355527e-06, 1.091006995856958e-08),
+    "verify_clamped.json": ("clamped.csv", 3.0958152098525815e-06, 1.091006995856958e-08),
 }
 
 

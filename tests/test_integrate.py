@@ -16,7 +16,7 @@ from rotsurf.errors import (
     StepLimitError,
     StepUnderflowError,
 )
-from rotsurf.field import Z_MIN, domain_gap, slope, slope_sq
+from rotsurf.field import Z_MIN, domain_gap, first_integral, slope, slope_sq
 from rotsurf.integrate import (
     _A,
     _B,
@@ -159,7 +159,7 @@ class TestScheme:
     def test_accepted_step_sequence_pinned(self, cfg, lambda0):
         # exact counts: any change to step control, stage arithmetic or event
         # location that moves an accepted node shows up here
-        for lam, n_nodes in ((1.2, 43), (2.5, 62), (4.0, 37), (6.0, 36),
+        for lam, n_nodes in ((1.2, 28), (2.5, 44), (4.0, 37), (6.0, 36),
                              (3.2136253987, 75)):
             assert len(rs.backward_trajectory(lam, cfg).ts) == n_nodes
         assert lambda0.iterations == 29
@@ -223,12 +223,12 @@ class TestScheme:
                 assert [v.hex() for v in k[i]] == bits(y0[0] + h * acc[0], y0[1] + h * acc[1])
         if which == "contact 1.2":
             assert repr(tr.termination) == (
-                "EndInfo(kind='boundary_contact', theta_target=None, t_star=-1.1732185422224666, "
-                "limit_point=(2.5903520415709416, 0.8518754140996223))")
+                "EndInfo(kind='boundary_contact', theta_target=None, t_star=-1.173218542222904, "
+                "limit_point=(2.5903520415699397, 0.8518754140990983))")
         elif which == "contact 2.5":
             assert repr(tr.termination) == (
-                "EndInfo(kind='boundary_contact', theta_target=None, t_star=-2.5433560834035505, "
-                "limit_point=(0.8408236144798141, 0.6668493006711221))")
+                "EndInfo(kind='boundary_contact', theta_target=None, t_star=-2.543356083403417, "
+                "limit_point=(0.8408236144795214, 0.6668493006713373))")
 
     @pytest.mark.parametrize("which", TRAJECTORIES)
     def test_nodes_are_the_textbook_sum(self, cfg, launch, which):
@@ -253,11 +253,9 @@ class TestScheme:
                 assert (y0s[k][i] + hs[k] * acc).hex() == end[i].hex()
 
     def test_field_calls_per_trajectory(self, cfg, monkeypatch):
-        # exact counts: slope for the start stage k1 and the 3 dense-output
-        # stages of the event step, domain_gap for the start check, plus, at
-        # a contact, the contact step's bisection probes up to its fixed
-        # point (54 here, of at most 80) and the 2 gaps of the limit-point
-        # extrapolation
+        # exact counts: slope for the start stage k1, domain_gap for the
+        # start check, plus slope for the 3 dense-output stages of a
+        # crossing's event step, or for the phi of a contact's stop node
         calls = Counter()
         for name in ("slope", "domain_gap"):
             def counted(*args, _real=getattr(integrate_mod, name), _name=name):
@@ -265,11 +263,11 @@ class TestScheme:
                 return _real(*args)
 
             monkeypatch.setattr(integrate_mod, name, counted)
-        for lam, n_nodes, n_gaps in ((4.0, 37, 1), (1.2, 43, 57)):
+        for lam, n_nodes, n_slopes in ((4.0, 37, 4), (1.2, 28, 2)):
             calls.clear()
             rs.backward_trajectory.cache_clear()
             assert len(rs.backward_trajectory(lam, cfg).ts) == n_nodes
-            assert calls == {"slope": 4, "domain_gap": n_gaps}
+            assert calls == {"slope": n_slopes, "domain_gap": 1}
         rs.backward_trajectory.cache_clear()
 
     def test_design_order_convergence(self, cfg):
@@ -451,6 +449,86 @@ class TestEvents:
         c = IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300)
         with pytest.raises(StepUnderflowError):
             rs.integrate(PhasePoint(math.pi, 4.0), "backward", c)
+
+
+class TestContactEnd:
+    """Contact ends closed by the first integral at the node CONTACT_STOP short of them."""
+
+    # IncompleteLow (the contact of z + cos) and IncompleteHigh heights
+    HEIGHTS = (1.05, 1.2, 1.8, 2.0, 2.5, 3.0, 3.2036, 3.2136243987 - 1e-6)
+
+    @staticmethod
+    def closed_form(level, theta):
+        """The limit point of a level's contact: the root of cos = +-z0 in (0, pi) for theta there."""
+        side = 1.0 if level > 0.0 else -1.0
+        z0 = math.sqrt(abs(level) * math.exp(-side * math.pi / 2))
+        root = math.acos(side * z0)
+        return (root if math.sin(theta) > 0.0 else 2 * math.pi - root), z0
+
+    @pytest.mark.parametrize("lam", HEIGHTS)
+    def test_stop_node_and_limit_point(self, cfg, lam):
+        # the trajectory ends at its stop node, short of the contact by at
+        # most 1.1 CONTACT_STOP (measured 0.0069-0.0107 here) on the level
+        # it started on (drift at most 1e-12 relative, 1.8e-12 at 1.8 and
+        # 1.2e-12 at 2.0 aside), and the limit point is the closed form's
+        tr = rs.backward_trajectory(lam, cfg)
+        stop = tr.termination
+        level = first_integral(math.pi, lam)
+        assert stop.kind == "boundary_contact" and tr.left_info is stop
+        assert 0.0 < tr.ts[0] - stop.t_star <= 1.1 * integrate_mod.CONTACT_STOP
+        node_level = first_integral(tr.thetas[0].item(), tr.zs[0].item())
+        bound = {1.8: 2e-12, 2.0: 1.5e-12}.get(lam, 1e-12)
+        assert abs(node_level - level) <= bound * abs(level)
+        assert domain_gap(tr.thetas[0].item(), tr.zs[0].item()) > 1e4 * cfg.boundary_eps
+        assert stop.limit_point == self.closed_form(level, tr.thetas[0].item())
+
+    def test_forward_into_a_contact(self, cfg):
+        # forward from (pi, 2.5), theta rises to the mirror image of the
+        # backward half's contact, with sin(theta) < 0 there
+        fwd = rs.integrate(PhasePoint(math.pi, 2.5), "forward", cfg)
+        back = rs.backward_trajectory(2.5, cfg).termination
+        stop = fwd.termination
+        assert stop.kind == "boundary_contact" and fwd.right_info is stop
+        assert 0.0 < stop.t_star - fwd.ts[-1] <= 1.1 * integrate_mod.CONTACT_STOP
+        level = first_integral(math.pi, 2.5)
+        assert stop.limit_point == self.closed_form(level, fwd.thetas[-1].item())
+        assert stop.limit_point[0] == pytest.approx(2 * math.pi - back.limit_point[0], abs=1e-15)
+        # the forward steps are not the backward ones mirrored: 9.2e-13 and
+        # 1.5e-13 against the reference t_star 2.5433560834032708
+        assert abs(stop.t_star + back.t_star) <= 2e-12
+
+    def test_theta_target_before_the_contact(self, cfg):
+        # a target between the stop node and the contact keeps the loop
+        # stepping, and the target ends the trajectory
+        plain = rs.backward_trajectory(2.5, cfg)
+        target = 0.5 * (plain.thetas[0].item() + plain.termination.limit_point[0])
+        tr = rs.integrate(PhasePoint(math.pi, 2.5), "backward", cfg.with_targets(target))
+        stop = tr.termination
+        assert stop.kind == "theta_crossing" and stop.theta_target == target
+        assert abs(tr.thetas[0] - target) <= 4e-16
+        assert len(tr.ts) > len(plain.ts) and stop.t_star < plain.ts[0]
+
+    def test_boundary_eps_band_closes_by_the_level(self, cfg):
+        # a band wider than the gap at the stop cuts the step at the band,
+        # and the level closes the end from there (t_star 6.6e-14 off the
+        # reference -2.543356083403271081)
+        tr = rs.integrate(PhasePoint(math.pi, 2.5), "backward", replace(cfg, boundary_eps=0.05))
+        stop = tr.termination
+        assert domain_gap(tr.thetas[0].item(), tr.zs[0].item()) < 0.05
+        assert stop.limit_point == self.closed_form(first_integral(math.pi, 2.5), 1.0)
+        assert abs(stop.t_star + 2.543356083403271081) <= 1.5e-13
+
+    @pytest.mark.parametrize("lam", [SQRT2 + 1e-4, SQRT2 - 1e-4])
+    def test_levels_near_the_sphere_step_into_the_contact(self, cfg, lam):
+        # |F| < 1e-3 (heights within 1.1e-3 of sqrt(2)): the loop steps into
+        # the contact, cuts the step at boundary_eps and extrapolates
+        tr = rs.integrate(PhasePoint(math.pi, lam), "backward", cfg)
+        assert abs(first_integral(math.pi, lam)) < 1e-3
+        assert tr.termination.kind == "boundary_contact"
+        assert domain_gap(tr.thetas[0].item(), tr.zs[0].item()) <= cfg.boundary_eps
+        theta0, z0 = tr.termination.limit_point
+        assert (theta0, z0) == pytest.approx(
+            self.closed_form(first_integral(math.pi, lam), 1.0), abs=1e-7)
 
 
 class TestDenseOutput:

@@ -9,12 +9,15 @@ need no mpmath; one slow test recomputes a row with it.
 The bounds are the errors measured at the default config (MEASURED), with
 a margin of up to 2, and never above 1.25 times the error of the DP5
 integrator this one replaced (DP5).  Contact records are good to about
-1e-12: the loop stops once the domain gap falls below boundary_eps and
-_contact_stop extrapolates from there, and the step control at a closing
-contact holds h/s, the step over the distance to the contact, so the
-steps close in on it (plain DOP853 control left 8e-11 at lambda 1.2 and
-4e-11 at 2.0).  The two rows within 1e-6 of lambda0 carry about 1e-10
-in t_star, a crossing's x too, from the passage by the corner.  The separatrix is launched
+6e-13: the loop stops at the node about CONTACT_STOP (1e-2) short of the
+contact, the limit point is the first integral's closed form (within
+1.1e-15 away from lambda0), and t_star adds a Gauss-Legendre quadrature in
+phi from that node, exact to rounding, so what is left is the node's own
+error in t.  The step control at a closing contact holds h/s, the step
+over the distance to the contact, so the steps close in on it.  The rows
+near lambda0 carry the passage by the corner in t_star, a crossing's x
+too: about 1e-10 at 1e-6 from it, 1.5e-9 at 1e-8 and 8.5e-8 at 1e-10
+(the rows below the double nearest lambda0, 3.213624398649711).  The separatrix is launched
 from the corner series at s0 = SERIES_S0 = 0.05, where the series is the
 separatrix to within 1e-16 in each of theta, z and x (SEED, the same
 Taylor run's state there) and z - 1 = 8.7e-8 keeps about 9 digits in a
@@ -42,7 +45,8 @@ SEED = ("6.9451676532013929545e-6", "8.6811582650995782859e-8", "0.0499999999998
 
 # height -> (kind, t_star, theta, z, x): a contact's theta and z are its
 # limit point, a crossing's theta is 0; x is measured from (pi, lambda).
-# 3.2136243987 is the paper's lambda0 to 11 digits.
+# 3.2136243987 is the paper's lambda0 to 11 digits, 3.213624398649711 the
+# double nearest lambda0.
 ENDS = {
     1.05: ("boundary_contact", "-0.67692259340072523045", "2.976869176268735894",
            "0.9864637371272200054", "0.67308440081104757271"),
@@ -69,25 +73,34 @@ ENDS = {
     3.2136243987 - 1e-6: ("boundary_contact", "-4.6013671152382339949",
                           "0.00096191831777847808547", "0.99999953735661063427",
                           "-1.3352257494967570442"),
+    3.213624398649711 - 1e-8: ("boundary_contact", "-4.7207018530804164035",
+                               "0.000096194246730384947405", "0.99999999537333345155",
+                               "-1.4545608507815456417"),
+    3.213624398649711 - 1e-10: ("boundary_contact", "-4.7761689040140705947",
+                                "0.0000096194302754390668816", "0.99999999995373328059",
+                                "-1.5100279055854249695"),
 }
 
 # the largest error of each row at the default config: contacts over
 # (t_star, theta, z), crossings over (t_star, z, x), measured on this
 # integrator (DOP853) and on the DP5 integrator it replaced
 MEASURED = {
-    1.05: 1.26e-12, 1.2: 1.00e-12, 1.45: 9.30e-13, 1.8: 5.35e-13, 2.0: 4.64e-13,
-    2.5: 2.93e-13, 3.0: 1.60e-13, 3.2036: 8.47e-14, 4.0: 5.28e-15, 6.0: 1.65e-15,
-    3.2136243987 + 1e-6: 9.49e-11, 3.2136243987 - 1e-6: 8.01e-11,
+    1.05: 5.73e-13, 1.2: 5.59e-13, 1.45: 6.44e-13, 1.8: 2.50e-13, 2.0: 2.39e-13,
+    2.5: 1.46e-13, 3.0: 8.69e-14, 3.2036: 8.96e-14, 4.0: 5.28e-15, 6.0: 1.65e-15,
+    3.2136243987 + 1e-6: 9.49e-11, 3.2136243987 - 1e-6: 6.84e-11,
+    3.213624398649711 - 1e-8: 1.53e-9, 3.213624398649711 - 1e-10: 8.46e-8,
 }
 DP5 = {
     1.05: 1.59e-10, 1.2: 7.53e-11, 1.45: 2.62e-11, 1.8: 7.46e-11, 2.0: 5.10e-11,
     2.5: 8.13e-12, 3.0: 2.52e-11, 3.2036: 4.49e-12, 4.0: 1.60e-13, 6.0: 5.25e-13,
     3.2136243987 + 1e-6: 3.67e-9, 3.2136243987 - 1e-6: 4.12e-9,
+    3.213624398649711 - 1e-8: 1.94e-7, 3.213624398649711 - 1e-10: 9.09e-6,
 }
 BOUND = {
-    1.05: 2.4e-12, 1.2: 1.9e-12, 1.45: 1.8e-12, 1.8: 1e-12, 2.0: 9e-13, 2.5: 5.5e-13,
-    3.0: 3e-13, 3.2036: 1.6e-13, 4.0: 8e-15, 6.0: 2.5e-15,
+    1.05: 1.1e-12, 1.2: 1.1e-12, 1.45: 1.2e-12, 1.8: 4.8e-13, 2.0: 4.5e-13, 2.5: 2.8e-13,
+    3.0: 1.7e-13, 3.2036: 1.6e-13, 4.0: 8e-15, 6.0: 2.5e-15,
     3.2136243987 + 1e-6: 1.3e-10, 3.2136243987 - 1e-6: 1e-10,
+    3.213624398649711 - 1e-8: 3e-9, 3.213624398649711 - 1e-10: 1.6e-7,
 }
 
 
@@ -98,6 +111,7 @@ DRIFT = {
     1.05: 2.1e-12, 1.2: 4.0e-12, 1.45: 8.0e-11, 1.8: 3.7e-12, 2.0: 3.1e-12, 2.5: 6.8e-13,
     3.0: 2.0e-13, 3.2036: 2.0e-13, 4.0: 2.2e-14, 6.0: 3.0e-15,
     3.2136243987 + 1e-6: 5.5e-14, 3.2136243987 - 1e-6: 5.5e-14,
+    3.213624398649711 - 1e-8: 5.6e-14, 3.213624398649711 - 1e-10: 5.6e-14,
 }
 
 
@@ -132,6 +146,16 @@ def test_bounds_hold_the_measured_errors():
 @pytest.mark.parametrize("lam", sorted(ENDS))
 def test_end_records(cfg, lam):
     assert max(end_errors(lam, cfg)) <= BOUND[lam]
+
+
+def test_contact_limit_points(cfg):
+    # the first integral's closed form, on the contact rows away from
+    # lambda0: measured 4.3e-17 to 1.9e-16, and 1.06e-15 (theta at 3.2036)
+    rows = [lam for lam, row in ENDS.items()
+            if row[0] == "boundary_contact" and abs(lam - 3.2136) > 1e-3]
+    assert len(rows) == 8
+    for lam in rows:
+        assert max(end_errors(lam, cfg)[1:]) <= 2e-15, lam
 
 
 @pytest.mark.parametrize("lam", sorted(ENDS))
