@@ -205,6 +205,9 @@ _ORDER_EXP = -1.0 / 8.0
 # Scaling also where s grew (a crossing that passes by the corner, whose
 # gap closes and opens again) cost those crossings up to 5x against
 # tightened(1000): 1.1e-11 against 9.8e-14 here at lambda0 + 1e-3.
+# The loop still runs the s^(3/2) regime down to CONTACT_STOP: without this
+# control the seed-1 shoot deck's heights rejected 1,273 steps against 123,
+# and seven contact records broke their reference bounds.
 _CONTACT_LIMITED = 0.1
 _CONTACT_HOLD = 0.8
 # Contact ends close by the first integral F (field.first_integral): once
@@ -677,7 +680,9 @@ def _contact_end(sig, th, z, sgn, level, side, targets):
     (1 + z sin(phi))), by the 24-point Gauss-Legendre rule: the integrand
     is smooth and vanishes at the contact.  None where a theta target lies
     between the node and theta0 (the loop steps on to it), or where the
-    orbit's floats leave the domain (within about 1e-14 of lambda0).
+    orbit's floats leave the domain at a node of the rule, 1 - (z sin(phi))^2
+    <= 0, which sqrt would refuse (no close did on three configs at 201
+    heights within 1.4e-13 of lambda0 and 21 more within 5e-9 of it).
     """
     sin, cos, sqrt, exp = math.sin, math.cos, math.sqrt, math.exp
     half_pi = 0.5 * math.pi
@@ -690,19 +695,20 @@ def _contact_end(sig, th, z, sgn, level, side, targets):
     phi = math.atan2(cos(th) / z, slope(th, z))
     mid, rad = 0.5 * (side * half_pi + phi), 0.5 * (side * half_pi - phi)
     tail = 0.0
-    try:
-        for u, w in zip(_GL_NODES, _GL_WEIGHTS):
-            for p in (mid - rad * u, mid + rad * u):
-                sp, cp = sin(p), cos(p)
-                zp = sqrt(level * exp(-p) / (sp + cp))
-                zs = zp * sp
-                tail += w * zp * cp / (sign * sqrt((1.0 - zs) * (1.0 + zs)) * (sp + cp))
-    except (ValueError, ZeroDivisionError):  # sqrt of a negative, or 0 in a divisor
-        return None
-    tail *= -sgn * rad
-    if not 0.0 <= tail < math.inf:
-        return None
-    return EndInfo("boundary_contact", t_star=sig + tail, limit_point=(th0, z0))
+    for u, w in zip(_GL_NODES, _GL_WEIGHTS):
+        for p in (mid - rad * u, mid + rad * u):
+            # sin(p) + cos(p) has the sign of F on its orbit, and |F| >= _LEVEL_MIN
+            # keeps it from 0
+            sp, cp = sin(p), cos(p)
+            zp = sqrt(level * exp(-p) / (sp + cp))
+            zs = zp * sp
+            sin_sq = (1.0 - zs) * (1.0 + zs)
+            if not sin_sq > 0.0:
+                return None
+            tail += w * zp * cp / (sign * sqrt(sin_sq) * (sp + cp))
+    # -sgn / sign(sin(theta)) is 1 where the gap closes, and rad has the sign of
+    # sin(p) + cos(p), so every term adds
+    return EndInfo("boundary_contact", t_star=sig - sgn * rad * tail, limit_point=(th0, z0))
 
 
 def _integrate_raw(y_start, sgn, cfg: IntegratorConfig):
