@@ -79,6 +79,7 @@ from .shooting import (
     classify_lambda,
     find_lambda0,
     full_curve,
+    lambda0_closed_form,
     portrait,
 )
 from .surface import Mesh, export_mesh_csv, export_obj, revolve

@@ -34,7 +34,7 @@ class NotOnAxisError(RotsurfError):
 
 
 class InvalidLambdaError(RotsurfError):
-    """Shooting height lambda <= 1, or not finite."""
+    """Shooting height lambda <= 1, or above field.Z_MAX (NaN and inf included)."""
 
 
 class BracketError(RotsurfError):

@@ -29,6 +29,11 @@ CORNER_LEVEL = math.exp(0.5 * math.pi)
 # subnormal, 5e-324); below it z * z is 0, slope_sq reads -inf and slope
 # clamps to 0 there.
 Z_MIN = float.fromhex("0x1.6a09e667f3bcdp-538")  # 1.5717277847026288e-162
+# The greatest z whose square z * z is finite, the square root of the
+# largest double.  Above it z * z and (z - cos)(z + cos) overflow, slope_sq
+# reads inf / inf and slope clamps to 0, so no height above it is
+# integrated (integrate.integrate, shooting.classify_lambda).
+Z_MAX = float.fromhex("0x1.fffffffffffffp+511")  # 1.3407807929942596e154
 
 # Limits approached along the critical trajectory at the corner (0, 1).
 THETA3_LIMIT = 1.0 / 3.0

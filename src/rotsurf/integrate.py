@@ -26,21 +26,25 @@ accepted step: row k covers [ts[k], ts[k+1]] between two nodes, so the
 table keeps no time span of its own.  A row holds the affine map onto the
 step's internal parameter, the start state, the signed step size and the
 13 stages of the step, an output scale and offset (see Trajectory), and
-the index of its step in the integration.  Reflection and time shifts are
-one affine move of the columns, concatenation joins them, and states_at
-evaluates many times at once by searchsorted and the interpolant's nested
-form.  The interpolant needs 3 more stages and 7 terms per component,
-which are not in the table: states_at builds them in one vectorized pass
-(_dense_terms) for the steps it reads that were never built, and keeps
-them in a store (_StepTerms) that the trajectory shares with its mirror,
-its shifts and their concatenation, so the mirrored half of a full curve
-and every repeated evaluation reuse them.  Callers that read only nodes
-and the termination record (shooting) never pay for them.  One row's
-terms are built in plain floats with the same bits (_step_terms): by the
-stepping loop, only for the one step that brackets a boundary contact or
-a theta-target crossing, and by Trajectory._row, the row reader of
-state_at and crossing_time, which bisects on the one row that brackets
-its target.
+the index of its step in the integration.  The table is built at its
+first read (states_at, state_at, crossing_time's bisection), from the
+stepping loop's lists, which are then released; nodes and end records
+are built at once.  Reflection and time shifts are one affine move of
+the columns, concatenation joins them, each at its own first read, and
+states_at evaluates many times at once by searchsorted and the
+interpolant's nested form.  The interpolant needs 3 more stages and 7
+terms per component, which are not in the table: states_at builds them
+in one vectorized pass (_dense_terms) for the steps it reads that were
+never built, and keeps them in a store (_StepTerms) that the trajectory
+shares with its mirror, its shifts and their concatenation, so the
+mirrored half of a full curve and every repeated evaluation reuse them.
+Callers that read only nodes and the termination record (shooting, whose
+mirror point about theta = pi is the start node, see reflect) build
+neither.  One row's terms are built in plain floats with the same bits
+(_step_terms): by the stepping loop, only for the one step that brackets
+a boundary contact or a theta-target crossing, and by Trajectory._row,
+the row reader of state_at and crossing_time, which bisects on the one
+row that brackets its target.
 The field at the extra stages is field.slope and libm's sin and cos, never
 a numpy ufunc, so no output bit depends on numpy's SIMD dispatch.
 
@@ -430,30 +434,33 @@ def _dense_slope(terms, u):
 class _StepTerms:
     """The interpolant terms of one integration's steps, each built at its first read.
 
-    y0, h and stages are the steps' table columns in step order, and a
-    table row reads step tab["step"][row]: a trajectory, its moved copies
-    (mirror, shifts) and their concatenations share one store.  The terms
+    A trajectory, its moved copies (mirror, shifts) and their
+    concatenations share one store: a table row reads step tab["step"][row],
+    and holds that step's y0, h and stages, so the store keeps no columns
+    of its own and builds a step from any row that reads it.  The terms
     (7, steps, 3) and the mask of built steps are allocated at the first
     read, so a trajectory never evaluated densely allocates neither.
     """
 
-    __slots__ = ("y0", "h", "stages", "terms", "built")
+    __slots__ = ("n", "terms", "built")
 
-    def __init__(self, table: dict):
-        """The store of a table whose rows are its steps, in order."""
-        self.y0, self.h, self.stages = table["y0"], table["h"], table["stages"]
+    def __init__(self, n: int):
+        """The store of an integration of n steps."""
+        self.n = n
         self.terms = self.built = None
 
-    def read(self, steps: np.ndarray) -> np.ndarray:
-        """The terms F[m, k, i] of the steps, building those never built by _dense_terms."""
-        n = len(self.h)
+    def read(self, tab: dict, rows: np.ndarray) -> np.ndarray:
+        """The terms F[m, k, i] of the table rows' steps, building those never built by _dense_terms."""
+        n = self.n
         if self.terms is None:
             self.terms, self.built = np.empty((7, n, 3)), np.zeros(n, dtype=bool)
-        new = np.zeros(n, dtype=bool)  # a mask: cheaper than np.unique
-        new[steps] = True
-        new = np.flatnonzero(new & ~self.built)
+        steps = tab["step"][rows]
+        row_of = np.full(n, -1)  # a row that reads each step: cheaper than np.unique
+        row_of[steps] = rows
+        new = np.flatnonzero((row_of >= 0) & ~self.built)
         if len(new):
-            self.terms[:, new] = _dense_terms(self.y0[new], self.h[new], self.stages[new])
+            r = row_of[new]
+            self.terms[:, new] = _dense_terms(tab["y0"][r], tab["h"][r], tab["stages"][r])
             self.built[new] = True
         return self.terms[:, steps]
 
@@ -473,21 +480,35 @@ class Trajectory:
     scale * p(u) + offset with p the step's 7th-order interpolant.
     Reflection and time shifts compose into (a, b, scale, offset), so
     mirrored and concatenated trajectories keep full dense output.  The
-    interpolant's 3 extra stages and its terms are built, by _dense_terms,
-    once per step of the integration: the column step maps a row to its
-    step in terms, a store shared by the trajectory's mirror, shifts and
-    their concatenation.  The arrays of an integrated trajectory are
-    read-only: shooting hands one trajectory to several callers.
+    table is built at its first read, by the builder the trajectory was
+    made with (build, a callable returning the columns), and the builder
+    is dropped then with what it holds: nodes and end records are eager,
+    and a trajectory read only there (shooting) never builds a table.  The
+    builder of a moved copy or a concatenation reads its sources' tables,
+    so each is built once.  The interpolant's 3 extra stages and its terms
+    are built, by _dense_terms, once per step of the integration: the
+    column step maps a row to its step in terms, a store shared by the
+    trajectory's mirror, shifts and their concatenation.  The arrays of an
+    integrated trajectory, its table's too, are read-only: shooting hands
+    one trajectory to several callers.
     """
 
-    def __init__(self, ts, ys, table, left_info, right_info, terms: _StepTerms, rejected: int):
+    def __init__(self, ts, ys, build, left_info, right_info, terms: _StepTerms, rejected: int):
         self.ts = np.asarray(ts, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
-        self.table = table
+        self._build = build
+        self._table = None
         self.left_info = left_info
         self.right_info = right_info
         self.terms = terms
         self.rejected = rejected  # steps the integrations behind it rejected
+
+    @property
+    def table(self) -> dict:
+        """The dense-output columns, built at the first read."""
+        if self._table is None:
+            self._table, self._build = self._build(), None
+        return self._table
 
     # -- basic accessors ---------------------------------------------------
 
@@ -534,29 +555,23 @@ class Trajectory:
         i = np.searchsorted(self.ts[1:-1], np.clip(ts, lo, hi), side="right")
         a = tab["a"][i, None]
         u = a * ts[:, None] + tab["b"][i, None]
-        terms = self.terms.read(tab["step"][i])
+        terms = self.terms.read(tab, i)
         if deriv:
             return tab["scale"][i] * _dense_slope(terms, u) * a
         return tab["scale"][i] * _dense(tab["y0"][i], terms, u) + tab["offset"][i]
 
     def state_at(self, t: float) -> tuple[float, float, float]:
-        """states_at's row at one time, in plain floats with its bits."""
+        """states_at's row at one time, in plain floats with its bits.
+
+        Every time, a node's too, is read through its row's terms (_row), so
+        the first call builds the table; reflect reads a mirror point at the
+        "initial" end from its node instead.
+        """
         t, (lo, hi) = float(t), self.t_span
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
         if not (t >= lo - slack and t <= hi + slack):  # NaN is outside
             raise RangeError(f"t={t} outside span [{lo}, {hi}]")
-        i = int(np.searchsorted(self.ts[1:-1], min(max(t, lo), hi), "right"))
-        tab = self.table
-        if tab["a"][i].item() * t + tab["b"][i].item() == 0.0:
-            # the row's start node, where reflect reads a backward half's
-            # initial state: u times the finite nested terms is a zero, and
-            # y0 plus a zero is y0 but for y0 = -0.0, whose sum takes the
-            # zero's sign, so only such a row builds its terms
-            y0 = tab["y0"][i].tolist()
-            if not any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in y0):
-                return tuple(scale * v + offset for v, scale, offset in
-                             zip(y0, tab["scale"][i].tolist(), tab["offset"][i].tolist()))
-        a, b, comps = self._row(i)
+        a, b, comps = self._row(int(np.searchsorted(self.ts[1:-1], min(max(t, lo), hi), "right")))
         u = a * t + b
         return tuple(scale * _dense(y0, terms, u) + offset for y0, terms, scale, offset in comps)
 
@@ -579,13 +594,19 @@ class Trajectory:
         output scale * p + offset becomes (r*scale) * p + (r*offset + q); the
         end records move with the nodes.  With s = -1 the nodes and rows run
         in reverse and the two end records swap.  r and q are float triples.
+        The table is built from this one's at its first read.
         """
         rv, qv = np.array(r), np.array(q)
-        tab = self.table
-        a = s * tab["a"]
-        table = dict(tab, a=a, b=tab["b"] - a * dt, scale=rv * tab["scale"],
-                     offset=rv * tab["offset"] + qv)
         ts, ys = s * self.ts + dt, rv * self.ys + qv
+
+        def build() -> dict:
+            tab = self.table
+            a = s * tab["a"]
+            table = dict(tab, a=a, b=tab["b"] - a * dt, scale=rv * tab["scale"],
+                         offset=rv * tab["offset"] + qv)
+            if s < 0.0:
+                table = {key: col[::-1] for key, col in table.items()}
+            return table
 
         def end(info: EndInfo) -> EndInfo:
             return EndInfo(
@@ -599,8 +620,7 @@ class Trajectory:
         left, right = end(self.left_info), end(self.right_info)
         if s < 0.0:
             ts, ys, left, right = ts[::-1], ys[::-1], right, left
-            table = {key: col[::-1] for key, col in table.items()}
-        return Trajectory(ts, ys, table, left, right, self.terms, self.rejected)
+        return Trajectory(ts, ys, build, left, right, self.terms, self.rejected)
 
     def crossing_time(self, theta_target: float) -> float | None:
         """Time of theta(t) = theta_target; None when outside the theta range."""
@@ -1100,14 +1120,14 @@ def _packed(values: list) -> np.ndarray:
     return np.frombuffer(struct.pack(f"{len(values)}d", *values))
 
 
-def _finalized(sig_nodes, nodes, hs, stages, stop, rejected, direction, start_info):
-    """Convert internal-time data into an ascending-t Trajectory."""
-    sgn = 1.0 if direction > 0 else -1.0
-    sig = _packed(sig_nodes)
-    ys = _packed(nodes).reshape(-1, 3)
+def _step_table(sgn: float, sig: np.ndarray, ys: np.ndarray, hs: list, stages: list) -> dict:
+    """The dense-output table of an integration, a row per step in step order.
+
+    sig and ys are its packed node times (internal) and states, hs and
+    stages the loop's lists (see _integrate_raw).
+    """
     h = _packed(hs)
-    ts = sgn * sig
-    table = {
+    return {
         "a": sgn / h,  # u = (sigma - sig0)/h with sigma = sgn * t
         "b": -sig[:-1] / h,
         "h": sgn * h,  # the loop's signed step hh
@@ -1117,18 +1137,36 @@ def _finalized(sig_nodes, nodes, hs, stages, stop, rejected, direction, start_in
         "offset": np.zeros((len(h), 3)),
         "step": np.arange(len(h)),
     }
-    terms = _StepTerms(table)
+
+
+def _finalized(sig_nodes, nodes, hs, stages, stop, rejected, direction, start_info):
+    """Convert internal-time data into an ascending-t Trajectory.
+
+    The table is _step_table's, built at its first read; until then the
+    trajectory's builder holds the loop's lists hs and stages.
+    """
+    sgn = 1.0 if direction > 0 else -1.0
+    sig = _packed(sig_nodes)
+    steps_ys = _packed(nodes).reshape(-1, 3)
+
+    def build() -> dict:
+        table = _step_table(sgn, sig, steps_ys, hs, stages)
+        if direction < 0:
+            table = {key: col[::-1] for key, col in table.items()}
+        for col in table.values():
+            col.flags.writeable = False  # a memoized trajectory is shared
+        return table
+
+    ts, ys = sgn * sig, steps_ys
     stop_t = None if stop.t_star is None else sgn * stop.t_star
     stop = EndInfo(stop.kind, stop.theta_target, stop_t, stop.limit_point)
     if direction > 0:
         left, right = start_info, stop
     else:
         ts, ys = ts[::-1], ys[::-1]
-        table = {key: col[::-1] for key, col in table.items()}
         left, right = stop, start_info
-    for col in (ts, ys, *table.values()):
-        col.flags.writeable = False  # a memoized trajectory is shared
-    return Trajectory(ts, ys, table, left, right, terms, rejected)
+    ts.flags.writeable = False  # packed arrays (ys) are read-only already
+    return Trajectory(ts, ys, build, left, right, _StepTerms(len(hs)), rejected)
 
 
 def integrate(start: PhasePoint, direction, cfg: IntegratorConfig) -> Trajectory:
@@ -1144,13 +1182,16 @@ def integrate(start: PhasePoint, direction, cfg: IntegratorConfig) -> Trajectory
     cfg.boundary_eps and extrapolate the limit point.
     The abscissa x is co-integrated with x' = cos(theta), x(0) = 0 at the
     start state.  A start whose domain gap is at most cfg.boundary_eps
-    would stop at once, so it is a ValueError naming boundary_eps.
+    would stop at once, so it is a ValueError naming boundary_eps; so is a
+    start above field.Z_MAX, where the field's z * z overflows.
     """
     d = {"forward": 1, "backward": -1}.get(direction)
     if d is None:
         raise ValueError(f"unknown direction {direction!r}")
     if not _field.in_domain(start):
         raise DomainError(f"start ({start.theta}, {start.z}) not in the domain")
+    if not start.z <= _field.Z_MAX:
+        raise ValueError(f"start height {start.z} is above field.Z_MAX = {_field.Z_MAX!r}")
     y0 = (start.theta, start.z, 0.0)
     return _finalized(*_integrate_raw(y0, float(d), cfg), d, EndInfo("initial"))
 
@@ -1184,12 +1225,22 @@ def reflect(traj: Trajectory, n: int) -> Trajectory:
     Requires the trajectory to pass through (n*pi, z) with z > 1 at some
     t_c; samples map (t, theta, z, x) -> (2 t_c - t, 2 n pi - theta, z,
     2 x(t_c) - x).  Concatenating with the original is again a trajectory
-    of the field.
+    of the field.  Where t_c is the trajectory's "initial" end, the state
+    there is the integration's start, a node, and is read from it without
+    the dense output (a backward half from (pi, lambda)); elsewhere it is
+    state_at(t_c).  Both give the same mirror: the row's parameter u is
+    +-0 at that node, so the interpolant adds a zero to the start state
+    (which turns a theta of -0.0 into +0.0; the mirror reads z and x).
     """
     t_c = traj.crossing_time(n * math.pi)
     if t_c is None:
         raise NotOnAxisError(f"no point with theta = {n}*pi on this trajectory")
-    th_c, z_c, x_c = traj.state_at(t_c)
+    for info, node in ((traj.left_info, 0), (traj.right_info, -1)):
+        if info.kind == "initial" and t_c == traj.ts[node]:
+            _, z_c, x_c = traj.ys[node].tolist()
+            break
+    else:
+        _, z_c, x_c = traj.state_at(t_c)
     if not z_c > 1.0:
         raise NotOnAxisError(f"mirror point has z = {z_c} <= 1")
     return traj._moved(-1.0, 2 * t_c, (-1.0, 1.0, -1.0), (2 * n * math.pi, 0.0, 2 * x_c))
@@ -1203,7 +1254,7 @@ def concat(a: Trajectory, b: Trajectory, tol: float = 1e-8) -> Trajectory:
     accepted here).  Two moved copies of one integration (with_mirror) keep
     its store of built terms and its count of rejected steps; otherwise the
     rows are numbered as their own steps in a fresh store, and the counts
-    add.
+    add.  The table joins a's and b's at its first read.
     """
     ta, tb = a.ts[-1].item(), b.ts[0].item()
     if abs(ta - tb) > 1e-9 * max(1.0, abs(ta), abs(tb)):
@@ -1213,12 +1264,19 @@ def concat(a: Trajectory, b: Trajectory, tol: float = 1e-8) -> Trajectory:
         raise ValueError(f"junction states differ beyond {tol}: {ya} vs {yb}")
     ts = np.concatenate([a.ts, b.ts[1:]])
     ys = np.concatenate([a.ys, b.ys[1:]])
-    table = {key: np.concatenate([a.table[key], b.table[key]]) for key in a.table}
+    shared = b.terms is a.terms
     terms, rejected = a.terms, a.rejected
-    if b.terms is not terms:
-        table["step"] = np.arange(len(table["h"]))
-        terms, rejected = _StepTerms(table), a.rejected + b.rejected
-    return Trajectory(ts, ys, table, a.left_info, b.right_info, terms, rejected)
+    if not shared:
+        terms, rejected = _StepTerms(len(ts) - 1), a.rejected + b.rejected
+
+    def build() -> dict:
+        tab_a, tab_b = a.table, b.table
+        table = {key: np.concatenate([tab_a[key], tab_b[key]]) for key in tab_a}
+        if not shared:
+            table["step"] = np.arange(len(table["h"]))
+        return table
+
+    return Trajectory(ts, ys, build, a.left_info, b.right_info, terms, rejected)
 
 
 def with_mirror(half: Trajectory) -> Trajectory:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, InvalidLambdaError, RotsurfError
-from .field import SQRT2, PhasePoint
+from .field import CORNER_LEVEL, SQRT2, Z_MAX, PhasePoint, first_integral
 from .integrate import IntegratorConfig, Trajectory, integrate, launch_separatrix, with_mirror
 
 SPHERE = "Sphere"
@@ -101,10 +101,11 @@ def classify_lambda(lam: float, cfg: IntegratorConfig) -> LambdaClass:
     semicircle.  Trajectories creeping into the corner (0, 1) closer than
     the ambiguity BAND are reported as Separatrix rather than guessed a
     side.  Heights just above the critical one legitimately cross theta = 0
-    and are classified Periodic.
+    and are classified Periodic.  Heights above field.Z_MAX, where z * z
+    overflows, are refused.
     """
-    if not 1.0 < lam < math.inf:
-        raise InvalidLambdaError(f"need finite lambda > 1, got {lam}")
+    if not 1.0 < lam <= Z_MAX:
+        raise InvalidLambdaError(f"need 1 < lambda <= {Z_MAX!r} (field.Z_MAX), got {lam}")
     if abs(lam - SQRT2) <= TOL_SPHERE:
         return LambdaClass(SPHERE, limit_point=(math.pi / 2.0, 0.0), span=SPHERE_HALF_SPAN)
 
@@ -197,6 +198,27 @@ def find_lambda0(
             lo = mid
         iters += 1
     return Lambda0Result(0.5 * (lo + hi), (lo, hi), iters)
+
+
+def lambda0_closed_form() -> float:
+    """lambda0 as the root of F(pi, lambda) = CORNER_LEVEL, by Newton's method.
+
+    F is field.first_integral, and the separatrix's level is the corner's.
+    At theta = pi, with sin(phi) = -1/lambda and cos(phi) = theta', F =
+    lambda^2 (sin(phi) + cos(phi)) e^phi has the derivative 2 lambda
+    cos(phi) e^phi = 2 sqrt(lambda^2 - 1) e^(-arcsin(1/lambda)), positive
+    above 1.  From 3.2 the iteration stops at the first step that leaves
+    lambda where it is: the fourth, at 3.213624398649711, the double
+    nearest lambda0.  No integration.
+    """
+    lam = 3.2
+    for _ in range(50):
+        step = ((first_integral(math.pi, lam) - CORNER_LEVEL)
+                / (2.0 * math.sqrt(lam * lam - 1.0) * math.exp(-math.asin(1.0 / lam))))
+        if lam - step == lam:
+            return lam
+        lam -= step
+    raise RotsurfError("Newton's iteration for lambda0 did not settle")
 
 
 def _decimate(arr: np.ndarray, n_max: int) -> np.ndarray:

@@ -169,6 +169,17 @@ class TestCurve:
         assert run("curve", "--lambda", "inf", "--out", tmp_path / "x.csv") == 2
         assert run("curve", "--lambda", "4", "--span", "-1", "--out", tmp_path / "x.csv") == 2
 
+    @pytest.mark.parametrize("command", ["curve", "mesh"])
+    def test_height_above_z_max_exit_2(self, tmp_path, capsys, command):
+        # z * z overflows above field.Z_MAX: such a height once stepped to
+        # max_time at a zero slope and exited 3 as inconclusive
+        out = tmp_path / "x.csv"
+        assert run(command, "--lambda", "1e300", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: need 1 < lambda <= ") and "Z_MAX" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("curve", "--lambda", repr(SQRT2)),
         ("curve", "--lambda", "4"),

@@ -1,5 +1,6 @@
 import importlib
 import math
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -612,28 +613,56 @@ class TestDenseOutput:
         assert built == [len(steps), len(rows)]
         rs.backward_trajectory.cache_clear()
 
-    def test_state_at_reads_a_start_node_from_the_table(self, cfg, monkeypatch):
-        # at u == 0 state_at returns the row's start node, scaled and offset,
-        # with the bits of the interpolant and without building its terms:
-        # reflect reads a backward half's mirror point there.  A -0.0
-        # component is read through the terms, as the zero that u adds to it
-        # decides its sign (here: x, negated onto a -0.0 offset)
-        half = rs.backward_trajectory(4.0, cfg)
-        raw = integrate_mod._integrate_raw((0.3, 2.0, -0.0), 1.0, cfg.with_targets(2.0))
-        signed = integrate_mod._finalized(*raw, 1, rs.EndInfo("initial"))._moved(
-            1.0, 0.0, (1.0, 1.0, -1.0), (0.0, 0.0, -0.0))
+    def test_table_is_built_once_at_first_read(self, cfg):
+        # a trajectory builds its table at the first read and keeps it; the
+        # builder, which holds the stepping loop's lists, is released then.
+        # A full curve's table builds its half's, which the mirror shares
+        half = rs.integrate(PhasePoint(math.pi, 4.0), "backward", cfg.with_targets(0.0))
+        full = rs.with_mirror(half)
+        builders = [weakref.ref(tr._build) for tr in (half, full)]
+        tab = full.table
+        assert [ref() for ref in builders] == [None, None]
+        assert full.table is tab and half.table is half.table
+        n = len(half.table["h"])
+        assert tab["y0"][:n].tobytes() == half.table["y0"].tobytes()
+        assert tab["y0"][n:].tobytes() == half.table["y0"][::-1].tobytes()
+
+    def test_reflect_reads_an_initial_mirror_point_from_its_node(self, cfg, monkeypatch):
+        # where the axis crossing is the trajectory's "initial" end, reflect
+        # reads the mirror point from that node and builds no table; the
+        # interpolant's state_at(t_c) has its bits there, and the mirror is
+        # the one state_at's point gives, on the shoot deck's kinds of height
+        # (IncompleteLow, IncompleteHigh, Periodic, lambda0 -+ 1e-4), on a
+        # half whose x is negated onto a -0.0 offset (x_c = -0.0), and on a
+        # forward start at theta = -0.0 mirrored about theta = 0, whose
+        # theta_c the mirror does not read (state_at's is +0.0)
+        halves = [(rs.integrate(PhasePoint(math.pi, lam), "backward", cfg.with_targets(0.0)), 1)
+                  for lam in (1.2, 2.5, 4.0, 3.2136243987 - 1e-4, 3.2136243987 + 1e-4)]
+        halves.append((halves[2][0]._moved(1.0, 0.0, (1.0, 1.0, -1.0), (0.0, 0.0, -0.0)), 1))
+        halves.append((rs.integrate(PhasePoint(-0.0, 2.0), "forward", cfg.with_targets(1.0)), 0))
         built = []
-        step_terms = integrate_mod._step_terms
-        monkeypatch.setattr(integrate_mod, "_step_terms",
-                            lambda *args: built.append(1) or step_terms(*args))
-        t_c = half.crossing_time(math.pi)
-        assert t_c == half.ts[-1] and half.table["a"][-1] * t_c + half.table["b"][-1] == 0.0
-        assert half.state_at(t_c) == tuple(half.ys[-1].tolist()) == (math.pi, 4.0, 0.0)
+        step_table = integrate_mod._step_table
+        monkeypatch.setattr(integrate_mod, "_step_table",
+                            lambda *args: built.append(1) or step_table(*args))
+        mirrors = [rs.reflect(half, n) for half, n in halves]
         assert built == []
-        got = signed.state_at(0.0)
-        assert built == [1]
-        assert [v.hex() for v in got] == [v.hex() for v in signed.states_at((0.0,))[0].tolist()]
-        assert got[2].hex() == "-0x0.0p+0"
+        for (half, n), mirror in zip(halves, mirrors):
+            t_c = half.crossing_time(n * math.pi)
+            node = 0 if half.left_info.kind == "initial" else -1
+            assert t_c == half.ts[node]
+            want = [v.hex() for v in half.state_at(t_c)]
+            got = [v.hex() for v in half.ys[node].tolist()]
+            assert got[1:] == want[1:]
+            assert got[0] == want[0] or (n, got[0], want[0]) == (0, "-0x0.0p+0", "0x0.0p+0")
+            ref = half._moved(-1.0, 2 * t_c, (-1.0, 1.0, -1.0),
+                              (2 * n * math.pi, 0.0, 2 * half.state_at(t_c)[2]))
+            for col in ("ts", "ys"):
+                assert getattr(mirror, col).tobytes() == getattr(ref, col).tobytes()
+            assert mirror.table.keys() == ref.table.keys()
+            for key in ref.table:
+                assert mirror.table[key].tobytes() == ref.table[key].tobytes(), key
+            assert (mirror.left_info, mirror.right_info) == (ref.left_info, ref.right_info)
+        assert halves[5][0].ys[-1, 2].hex() == halves[6][0].ys[0, 0].hex() == "-0x0.0p+0"
 
     def test_monotone_theta(self, cfg):
         for lam in (1.3, 2.5, 5.0):

@@ -27,6 +27,7 @@ s0 = 1e-3 held z - 1 = 1.4e-14 to two digits, and left them good only to
 """
 
 import ast
+import math
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -170,13 +171,26 @@ def test_first_integral_drift(cfg, lam):
     assert drift <= 2 * DRIFT[lam] * abs(level)
 
 
+def test_lambda0_closed_form():
+    # Newton on F(pi, lambda) = e^(pi/2) reaches the double nearest lambda0,
+    # and the oracle's F is the corner level there within 2 ulps
+    value = rs.lambda0_closed_form()
+    assert value == 3.213624398649711
+    assert error(value, LAMBDA0) <= 0.5 * math.ulp(value)
+    corner = math.exp(math.pi / 2)
+    assert abs(first_integral(math.pi, value) - corner) <= 2 * math.ulp(corner)
+
+
 @pytest.mark.parametrize("factor, bound", [(1.0, 1e-14), (100.0, 5e-15)])
 def test_lambda0_by_launch_and_bisection(factor, bound):
     # measured: 1.2e-15 (launch) and 4.8e-15 (bisection) at the default
-    # config, 7.8e-16 and 2.1e-15 at tightened(100)
+    # config, 7.8e-16 and 2.1e-15 at tightened(100); the same bounds hold
+    # from the closed form, the double nearest lambda0
     cfg = rs.IntegratorConfig().tightened(factor)
-    assert error(rs.launch_separatrix(cfg).zs[-1].item(), LAMBDA0) <= bound
-    assert error(rs.find_lambda0(cfg, tol=1e-15).value, LAMBDA0) <= bound
+    closed = rs.lambda0_closed_form()
+    for value in (rs.launch_separatrix(cfg).zs[-1].item(), rs.find_lambda0(cfg, tol=1e-15).value):
+        assert error(value, LAMBDA0) <= bound
+        assert abs(value - closed) <= bound
 
 
 def test_series_seed_is_the_separatrix():

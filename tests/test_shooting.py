@@ -1,13 +1,19 @@
 import functools
+import importlib
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 import rotsurf as rs
 import rotsurf.shooting
 from rotsurf.errors import InvalidLambdaError
+from rotsurf.field import Z_MAX
 
 from oracles import LAMBDA0_REF, first_integral
+
+integrate_mod = importlib.import_module("rotsurf.integrate")  # rs.integrate is the function
 
 SQRT2 = math.sqrt(2.0)
 LAMBDA0_13_DIGITS = 3.2136243986497
@@ -59,6 +65,22 @@ class TestClassify:
         for lam in (1.0, 0.3, -2.0, math.inf, math.nan):
             with pytest.raises(InvalidLambdaError):
                 rs.classify_lambda(lam, cfg)
+
+    def test_heights_up_to_z_max(self, cfg):
+        # above field.Z_MAX, z * z overflows and the slope at (pi, lambda)
+        # read inf / inf, clamped to 0: such a height once stepped to
+        # max_time and was "inconclusive".  classify_lambda refuses it and
+        # integrate refuses such a start; the heights below still classify
+        above = math.nextafter(Z_MAX, math.inf)
+        assert Z_MAX * Z_MAX < math.inf == above * above
+        assert rs.field.slope(math.pi, 1.4e154) == 0.0 < rs.field.slope(math.pi, Z_MAX)
+        for lam in (1.3e154, Z_MAX):
+            assert rs.classify_lambda(lam, cfg).tag == rs.PERIODIC
+        for lam in (above, 1.4e154, 1e300):
+            with pytest.raises(InvalidLambdaError, match="Z_MAX"):
+                rs.classify_lambda(lam, cfg)
+            with pytest.raises(ValueError, match="Z_MAX"):
+                rs.integrate(rs.PhasePoint(math.pi, lam), "backward", cfg)
 
     def test_limit_point_on_boundary(self, cfg):
         for lam in (1.1, 1.3, 2.0, 2.9):
@@ -222,6 +244,32 @@ class TestMemo:
                 assert got.table[key].tobytes() == ref.table[key].tobytes(), key
             assert (got.left_info, got.right_info) == (ref.left_info, ref.right_info)
         assert len(integrations) == len(self.HEIGHTS)
+
+    def test_classify_and_draw_build_no_table(self, cfg, monkeypatch):
+        # shooting reads nodes and end records only: classify_lambda and
+        # full_curve on the shoot deck's kinds of height build no dense-output
+        # table, no terms in the step store and no row's terms (the row
+        # reader of state_at and crossing_time); only the stepping loop
+        # builds the terms of a crossing's event step.  The first dense read
+        # of a curve builds its integration's table once, for the half, its
+        # mirror and their join, and the terms of the steps it reads
+        calls = Counter()
+        for owner, name in ((integrate_mod, "_step_table"), (integrate_mod, "_dense_terms"),
+                            (integrate_mod.Trajectory, "_row")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, name=name, real=real:
+                                calls.update([name]) or real(*args))
+        rs.backward_trajectory.cache_clear()
+        tags, curves = [], []
+        for lam in (1.2, 2.5, 4.0, LAMBDA0_REF - 1e-4, LAMBDA0_REF + 1e-4):
+            tags.append(rs.classify_lambda(lam, cfg).tag)
+            curves.append(rs.full_curve(lam, cfg))
+        assert tags == [rs.INCOMPLETE_LOW, rs.INCOMPLETE_HIGH, rs.PERIODIC,
+                        rs.INCOMPLETE_HIGH, rs.PERIODIC]
+        assert calls == {}
+        curves[2].states_at(np.linspace(*curves[2].t_span, 11))
+        assert calls == {"_step_table": 1, "_dense_terms": 1}
+        rs.backward_trajectory.cache_clear()
 
     def test_returned_arrays_are_read_only(self, cfg):
         traj = rs.backward_trajectory(4.0, cfg)
